@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ValidationError, ParameterRegimeError
 
 SITE_DIM = 4
-SITE_LABELS = ("0", "1", "l0", "l1")
 
 # Generalized Pauli operators: identity on the loss subspace.
 IDENT = np.eye(4, dtype=complex)
@@ -35,7 +34,7 @@ PAULI_Z = np.array(
 CPTP_ATOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseParams:
     """Full noise-parameter record (channel rates, SPAM, decoherence, timing).
 
@@ -310,21 +309,3 @@ def decoherence(t: float, params: NoiseParams) -> tuple[KrausSet, KrausSet]:
         phase_flip(phi),
     )
 
-
-def decoherence_direct_action(rho: np.ndarray, t: float, params: NoiseParams) -> np.ndarray:
-    """Direct 2x2-computational-block form of the decoherence channel.
-
-    Reference implementation used to cross-check the composed Kraus form;
-    acts on a single-site 4x4 density matrix, leaving loss populations alone.
-    """
-    p0 = params.p0_equilibrium
-    p1 = 1.0 - p0
-    d1 = math.exp(-t / params.t1)
-    d2 = math.exp(-t / params.t2_star)
-    out = rho.astype(complex).copy()
-    pt = rho[0, 0] + rho[1, 1]
-    out[0, 0] = d1 * rho[0, 0] + (1 - d1) * p0 * pt
-    out[1, 1] = d1 * rho[1, 1] + (1 - d1) * p1 * pt
-    out[0, 1] = d2 * rho[0, 1]
-    out[1, 0] = d2 * rho[1, 0]
-    return out

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bench, gatemodel, metrics
+from .bench import _ghz_ops
 from .channels import NoiseParams
-from .circuit import Circuit, schedule_layers
+from .circuit import Circuit, lower_to_native, optimize_native, schedule_layers
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
 from .metrics import Distribution
-from .routing import Topology
+from .routing import Topology, route
 from .state import DEFAULT_MEMORY_CAP, QuquartState, init_state
 
 
@@ -122,13 +124,13 @@ def execute_native(circuit: Circuit, params: NoiseParams,
     duration to all sites after each layer.  Returns the final state and the
     transpiled depth (layer count).
     """
+    if timing_model not in ("gate", "layer"):
+        raise ValidationError(f"unknown timing_model {timing_model!r}")
+    per_gate = timing_model == "gate"
     layers, depth = schedule_layers(circuit, params)
     state = init_state(circuit.n_qubits, memory_cap)
     if prepare:
         gatemodel.apply_preparation(state, params)
-    per_gate = timing_model == "gate"
-    if timing_model not in ("gate", "layer"):
-        raise ValidationError(f"unknown timing_model {timing_model!r}")
     for layer in layers:
         for g in layer.gates:
             if g.name == "grot":
@@ -170,8 +172,6 @@ def run_instance(spec: bench.BenchmarkSpec, topology, params: NoiseParams,
                        spec.instance_param)
     start = time.perf_counter()
     circuit, ideal = bench.generate(spec)
-    from .circuit import lower_to_native, optimize_native
-    from .routing import route
     native = optimize_native(lower_to_native(circuit))
     topo = make_topology(topology, native.n_qubits)
     routed, l2p = route(native, topo)
@@ -195,7 +195,6 @@ def run_reference(circuit: Circuit, params: NoiseParams,
                   memory_cap: int = DEFAULT_MEMORY_CAP,
                   timing_model: str = "gate") -> Distribution:
     """Simulate an already-built abstract circuit on all-to-all connectivity."""
-    from .circuit import lower_to_native, optimize_native
     native = optimize_native(lower_to_native(circuit))
     state, _ = execute_native(native, params, memory_cap,
                               timing_model=timing_model)
@@ -235,7 +234,6 @@ def run_suite(config: RunConfig) -> tuple[list, list]:
                             error=f"{type(exc).__name__}: {exc}")
 
                 if config.workers > 1:
-                    from concurrent.futures import ThreadPoolExecutor
                     with ThreadPoolExecutor(config.workers) as pool:
                         point = list(pool.map(one, specs))
                 else:
@@ -263,9 +261,6 @@ def bell_state_fidelity(params: NoiseParams) -> float:
     second, with SPAM preparation errors and per-layer decoherence; scored on
     the readout-reduced two-qubit density matrix.
     """
-    from .bench import _ghz_ops
-    from .circuit import Circuit, lower_to_native, optimize_native
-
     c = Circuit(2, metadata={"measured_qubits": [0, 1]})
     for op in _ghz_ops(2):
         c.add(op)

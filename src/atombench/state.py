@@ -7,6 +7,9 @@ entries.  An n-site state therefore stores 6^n complex numbers instead of
 16^n, as a (6,)*n tensor with per-site symbol order
 
     0: rho_00   1: rho_01   2: rho_10   3: rho_11   4: rho_l0l0   5: rho_l1l1
+
+A channel acts as a SymbolOp, its matrix on these symbols, leak-checked once
+when built; each application ends with one trace and hermiticity check.
 """
 
 from __future__ import annotations
@@ -27,64 +30,86 @@ DIAG_SYMBOLS = (0, 3, 4, 5)
 _HERM_PERM = np.array([0, 2, 1, 3, 4, 5])
 _TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
 
-_PAIR_SET = set(SYMBOL_PAIRS)
-_OUT_PAIRS = [
-    (r, c) for r in range(SITE_DIM) for c in range(SITE_DIM) if (r, c) not in _PAIR_SET
-]
-_OROWS = np.array([p[0] for p in _OUT_PAIRS])
-_OCOLS = np.array([p[1] for p in _OUT_PAIRS])
 
-# Two-site pattern: both sites patterned.  Row/col indices into the 16-dim
-# pair space, ordered to match the (6, 6) symbol tensor layout.
-_R2 = (SITE_DIM * _ROWS[:, None] + _ROWS[None, :]).ravel()
-_C2 = (SITE_DIM * _COLS[:, None] + _COLS[None, :]).ravel()
-_PAIR2_SET = set(zip(_R2.tolist(), _C2.tolist()))
-_OUT2 = [
-    (r, c)
-    for r in range(SITE_DIM**2)
-    for c in range(SITE_DIM**2)
-    if (r, c) not in _PAIR2_SET
-]
-_OROWS2 = np.array([p[0] for p in _OUT2])
-_OCOLS2 = np.array([p[1] for p in _OUT2])
+def _pattern(k: int) -> tuple:
+    """Rows and columns, in the 4^k x 4^k matrix of k sites, of the stored
+    symbols (in symbol-tensor order) and of every entry outside the pattern."""
+    rows, cols = _ROWS, _COLS
+    for _ in range(k - 1):
+        rows = (SITE_DIM * rows[:, None] + _ROWS[None, :]).ravel()
+        cols = (SITE_DIM * cols[:, None] + _COLS[None, :]).ravel()
+    stored = set(zip(rows.tolist(), cols.tolist()))
+    out = np.array([(r, c) for r in range(SITE_DIM**k)
+                    for c in range(SITE_DIM**k) if (r, c) not in stored])
+    return rows, cols, out[:, 0], out[:, 1]
+
+
+_PATTERN = {k: _pattern(k) for k in (1, 2)}
 
 TRACE_ATOL = 1e-10
 HERM_ATOL = 1e-12
 LEAK_ATOL = 1e-12
-UNITARY_ATOL = 1e-12
 
 DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 11 sites
 
 
-def _superop_1site(ops) -> np.ndarray:
-    """6x6 action of a single-site Kraus set on the symbol space."""
-    m = np.zeros((N_SYMBOLS, N_SYMBOLS), dtype=complex)
-    for a in ops:
-        m += a[np.ix_(_ROWS, _ROWS)] * a.conj()[np.ix_(_COLS, _COLS)]
-    return m
+class SymbolOp:
+    """A channel as one matrix on the stored symbols, checked when built.
+
+    The matrix is 6x6 on one site, or 36x36 on a site pair, whose pair
+    symbol is 6*sym_a + sym_b.  `from_kraus` and `fuse` reject a channel that
+    moves amplitude out of the block pattern; a product of pattern-preserving
+    maps preserves the pattern, so applying a SymbolOp needs no leak check.
+    The matrix is read-only, so one op can be cached and shared.
+    """
+
+    __slots__ = ("matrix", "n_sites", "label")
+
+    def __init__(self, matrix: np.ndarray, label: str = ""):
+        matrix.flags.writeable = False
+        self.matrix = matrix
+        self.n_sites = 1 if matrix.shape[0] == N_SYMBOLS else 2
+        self.label = label
+
+    @classmethod
+    def from_kraus(cls, channel: KrausSet) -> "SymbolOp":
+        rows, cols, out_rows, out_cols = _PATTERN[channel.n_sites]
+        m = leak = 0
+        for a in channel.operators:
+            ac = a.conj()
+            m = m + a[np.ix_(rows, rows)] * ac[np.ix_(cols, cols)]
+            leak = leak + a[np.ix_(out_rows, rows)] * ac[np.ix_(out_cols, cols)]
+        leak = float(np.max(np.abs(leak)))
+        if leak > LEAK_ATOL:
+            raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")
+        return cls(m, channel.label)
 
 
-def _leakage_1site(ops) -> float:
-    """Largest amplitude leaking from the pattern under a single-site channel."""
-    leak = np.zeros((len(_OUT_PAIRS), N_SYMBOLS), dtype=complex)
-    for a in ops:
-        leak += a[np.ix_(_OROWS, _ROWS)] * a.conj()[np.ix_(_OCOLS, _COLS)]
-    return float(np.max(np.abs(leak)))
+def fuse(steps, label: str) -> SymbolOp:
+    """One SymbolOp for Kraus channels applied in the order given.
+
+    A step is a KrausSet on every site of the result or, for a pair result,
+    (KrausSet, i): a one-site channel on site i (0 or 1) of the pair.
+    """
+    m = None
+    for step in steps:
+        if isinstance(step, tuple):
+            one, eye = SymbolOp.from_kraus(step[0]).matrix, np.eye(N_SYMBOLS)
+            step_m = np.kron(one, eye) if step[1] == 0 else np.kron(eye, one)
+        else:
+            step_m = SymbolOp.from_kraus(step).matrix
+        m = step_m if m is None else step_m @ m
+    return SymbolOp(m, label)
 
 
-def _superop_2site(ops) -> np.ndarray:
-    """36x36 action of a two-site Kraus set on the pair symbol space."""
-    m = np.zeros((N_SYMBOLS**2, N_SYMBOLS**2), dtype=complex)
-    for a in ops:
-        m += a[np.ix_(_R2, _R2)] * a.conj()[np.ix_(_C2, _C2)]
-    return m
-
-
-def _leakage_2site(ops) -> float:
-    leak = np.zeros((len(_OUT2), N_SYMBOLS**2), dtype=complex)
-    for a in ops:
-        leak += a[np.ix_(_OROWS2, _R2)] * a.conj()[np.ix_(_OCOLS2, _C2)]
-    return float(np.max(np.abs(leak)))
+def _symbol_matrix(channel, n_sites: int) -> np.ndarray:
+    """Matrix of a SymbolOp or KrausSet on n_sites; a KrausSet is converted."""
+    if channel.n_sites != n_sites:
+        raise ValidationError(
+            f"{channel.label}: {channel.n_sites}-site channel on {n_sites} site(s)")
+    if isinstance(channel, KrausSet):
+        channel = SymbolOp.from_kraus(channel)
+    return channel.matrix
 
 
 class QuquartState:
@@ -134,47 +159,49 @@ class QuquartState:
 
     # -- evolution ---------------------------------------------------------
 
-    def apply_channel(self, sites, channel: KrausSet):
-        """In-place rho -> sum_i A_i rho A_i^dag on one or two sites."""
+    def _apply(self, matrix: np.ndarray, sites: tuple):
+        """One pass over the state: blocks <- matrix acting on `sites`."""
+        b = self.blocks
+        if len(sites) == 2:
+            m = matrix.reshape((N_SYMBOLS,) * 4)
+            out = np.tensordot(m, b, axes=([2, 3], list(sites)))
+            self.blocks = np.moveaxis(out, [0, 1], list(sites))
+            return
+        # a 1-site matrix multiplies its axis of the C-ordered blocks, so the
+        # result keeps their layout; a tensordot result would need its axes
+        # moved back, and the next pass would copy it
+        s = sites[0]
+        lead = N_SYMBOLS**s
+        trail = N_SYMBOLS ** (self.n_sites - s - 1)
+        if trail == 1:
+            out = b.reshape(lead, N_SYMBOLS) @ matrix.T
+        else:
+            out = np.matmul(matrix, b.reshape(lead, N_SYMBOLS, trail))
+        self.blocks = out.reshape(b.shape)
+
+    def apply_channel(self, sites, channel):
+        """In-place rho -> channel(rho) on one or two sites, then one check.
+
+        `channel` is a SymbolOp or a KrausSet; a KrausSet is converted, and
+        so leak-checked, before the state changes.
+        """
         sites = tuple(sites)
         self._check_sites(sites)
-        if channel.n_sites != len(sites):
-            raise ValidationError(
-                f"{channel.label}: {channel.n_sites}-site channel on sites {sites}"
-            )
-        ops = channel.operators
-        if len(sites) == 1:
-            leak = _leakage_1site(ops)
-            if leak > LEAK_ATOL:
-                raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")
-            m = _superop_1site(ops)
-            out = np.tensordot(m, self.blocks, axes=([1], [sites[0]]))
-            self.blocks = np.moveaxis(out, 0, sites[0])
-        else:
-            leak = _leakage_2site(ops)
-            if leak > LEAK_ATOL:
-                raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")
-            m = _superop_2site(ops).reshape(
-                N_SYMBOLS, N_SYMBOLS, N_SYMBOLS, N_SYMBOLS
-            )
-            out = np.tensordot(m, self.blocks, axes=([2, 3], list(sites)))
-            self.blocks = np.moveaxis(out, [0, 1], list(sites))
+        self._apply(_symbol_matrix(channel, len(sites)), sites)
         self._check_invariants()
         return self
 
-    def apply_site_unitary(self, site: int, u: np.ndarray):
-        """In-place u rho u^dag on one site; u must fix the loss subspace."""
-        _validate_site_unitary(u)
-        return self.apply_channel((site,), KrausSet((u,), label="unitary"))
+    def apply_global_unitary(self, channel):
+        """In-place application of one 1-site channel on every site, then one
+        check.
 
-    def apply_global_unitary(self, u: np.ndarray):
-        """In-place (u tensor ... tensor u) conjugation, one site at a time."""
-        _validate_site_unitary(u)
-        m = _superop_1site((np.asarray(u, dtype=complex),))
+        Runs each global pulse (its unitary and, fused with it, its noise),
+        register-wide decoherence and preparation.  `channel` is a SymbolOp
+        or a KrausSet, as for `apply_channel`.
+        """
+        m = _symbol_matrix(channel, 1)
         for s in range(self.n_sites):
-            # invariant checks run once at the end, not per site
-            out = np.tensordot(m, self.blocks, axes=([1], [s]))
-            self.blocks = np.moveaxis(out, 0, s)
+            self._apply(m, (s,))
         self._check_invariants()
         return self
 
@@ -186,47 +213,6 @@ class QuquartState:
         for ax in range(self.n_sites):
             d = np.take(d, DIAG_SYMBOLS, axis=ax)
         return np.ascontiguousarray(d.real)
-
-    def ququart_distribution(self) -> dict[str, float]:
-        """Exact readout populations keyed by space-separated site labels."""
-        from .channels import SITE_LABELS
-
-        d = self.diagonal()
-        out = {}
-        for idx in np.ndindex(d.shape):
-            p = float(d[idx])
-            if p != 0.0:
-                out[" ".join(SITE_LABELS[i] for i in idx)] = p
-        return out
-
-    # -- dense views (small n; tests and small-register fidelity) ----------
-
-    def dense_element(self, row, col) -> complex:
-        """Element of the full 4^n x 4^n matrix; exact 0 outside the pattern."""
-        sym = []
-        for r, c in zip(row, col):
-            if (r, c) not in _PAIR_SET:
-                return 0j
-            sym.append(SYMBOL_PAIRS.index((r, c)))
-        return complex(self.blocks[tuple(sym)])
-
-    def to_dense(self, max_sites: int = 6) -> np.ndarray:
-        """Full 4^n x 4^n density matrix (guarded; test/metrics use only)."""
-        n = self.n_sites
-        if n > max_sites:
-            raise CapacityError(f"dense reconstruction capped at {max_sites} sites")
-        # per-site embedding of the 6 symbols into the 16 (row, col) pairs
-        e = np.zeros((SITE_DIM * SITE_DIM, N_SYMBOLS))
-        for s, (r, c) in enumerate(SYMBOL_PAIRS):
-            e[SITE_DIM * r + c, s] = 1.0
-        t = self.blocks
-        for _ in range(n):
-            # contract the leading symbol axis, appending the pair axis last,
-            # so after n steps axes are (pair_1, ..., pair_n)
-            t = np.tensordot(t, e, axes=([0], [1]))
-        t = t.reshape((SITE_DIM, SITE_DIM) * n)
-        order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-        return t.transpose(order).reshape(SITE_DIM**n, SITE_DIM**n)
 
     def reduced_qubit_density(self, max_sites: int = 6) -> np.ndarray:
         """2^n x 2^n qubit density matrix after the readout reduction.
@@ -272,20 +258,6 @@ class QuquartState:
         self.blocks[(slice(0, 4),) * n] = comp
         self._check_invariants()
         return self
-
-
-def _validate_site_unitary(u: np.ndarray):
-    u = np.asarray(u)
-    if u.shape != (SITE_DIM, SITE_DIM):
-        raise ValidationError(f"site unitary must be 4x4, got {u.shape}")
-    if not np.allclose(u.conj().T @ u, np.eye(SITE_DIM), atol=UNITARY_ATOL):
-        raise ValidationError("matrix is not unitary")
-    if (
-        np.max(np.abs(u[2:, :2])) > UNITARY_ATOL
-        or np.max(np.abs(u[:2, 2:])) > UNITARY_ATOL
-        or not np.allclose(u[2:, 2:], np.eye(2), atol=UNITARY_ATOL)
-    ):
-        raise ValidationError("site unitary must act as identity on the loss subspace")
 
 
 def init_state(n_sites: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> QuquartState:

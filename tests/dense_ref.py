@@ -14,14 +14,83 @@ import numpy as np
 
 from atombench import channels as ch
 from atombench.channels import NoiseParams
+from atombench.errors import CapacityError
 from atombench.gatemodel import (
     cz_matrix,
     cz_phaseshift_matrix,
     global_rotation_matrix,
     rz_matrix,
 )
+from atombench.state import N_SYMBOLS, SYMBOL_PAIRS
 
 D = 4
+SITE_LABELS = ("0", "1", "l0", "l1")
+
+
+# -- views of a sparse QuquartState ---------------------------------------------
+
+
+def to_dense(state, max_sites: int = 6) -> np.ndarray:
+    """Full 4^n x 4^n density matrix of a sparse QuquartState (small n)."""
+    n = state.n_sites
+    if n > max_sites:
+        raise CapacityError(f"dense reconstruction capped at {max_sites} sites")
+    # per-site embedding of the 6 symbols into the 16 (row, col) pairs
+    e = np.zeros((D * D, N_SYMBOLS))
+    for s, (r, c) in enumerate(SYMBOL_PAIRS):
+        e[D * r + c, s] = 1.0
+    t = state.blocks
+    for _ in range(n):
+        # contract the leading symbol axis, appending the pair axis last,
+        # so after n steps axes are (pair_1, ..., pair_n)
+        t = np.tensordot(t, e, axes=([0], [1]))
+    t = t.reshape((D, D) * n)
+    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    return t.transpose(order).reshape(D**n, D**n)
+
+
+def dense_element(state, row, col) -> complex:
+    """Element of the full 4^n x 4^n matrix; exact 0 outside the pattern."""
+    sym = []
+    for r, c in zip(row, col):
+        if (r, c) not in SYMBOL_PAIRS:
+            return 0j
+        sym.append(SYMBOL_PAIRS.index((r, c)))
+    return complex(state.blocks[tuple(sym)])
+
+
+def ququart_distribution(state) -> dict[str, float]:
+    """Exact readout populations keyed by space-separated site labels."""
+    d = state.diagonal()
+    out = {}
+    for idx in np.ndindex(d.shape):
+        p = float(d[idx])
+        if p != 0.0:
+            out[" ".join(SITE_LABELS[i] for i in idx)] = p
+    return out
+
+
+def decoherence_direct_action(rho: np.ndarray, t: float,
+                              params: NoiseParams) -> np.ndarray:
+    """Direct 2x2-computational-block form of the decoherence channel.
+
+    Cross-checks the composed Kraus form of `channels.decoherence`; acts on
+    a single-site 4x4 density matrix, leaving loss populations alone.
+    """
+    p0 = params.p0_equilibrium
+    p1 = 1.0 - p0
+    d1 = math.exp(-t / params.t1)
+    d2 = math.exp(-t / params.t2_star)
+    out = rho.astype(complex).copy()
+    pt = rho[0, 0] + rho[1, 1]
+    out[0, 0] = d1 * rho[0, 0] + (1 - d1) * p0 * pt
+    out[1, 1] = d1 * rho[1, 1] + (1 - d1) * p1 * pt
+    out[0, 1] = d2 * rho[0, 1]
+    out[1, 0] = d2 * rho[1, 0]
+    return out
+
+
+# -- dense engine -----------------------------------------------------------------
 
 
 def initial_rho(n: int) -> np.ndarray:

@@ -1,11 +1,18 @@
 """Noisy native gates against the dense reference engine and frozen values."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 import dense_ref
+from atombench import gatemodel, metrics
+from atombench.bench import BenchmarkSpec, generate
 from atombench.channels import NoiseParams
+from atombench.fit import FitProblem, fit_noise_params
 from atombench.gatemodel import (
+    FUSED_CACHE_SIZE,
     apply_decoherence,
     apply_noisy_cz,
     apply_noisy_global_rotation,
@@ -15,6 +22,7 @@ from atombench.gatemodel import (
     global_rotation_matrix,
     rz_matrix,
 )
+from atombench.runner import run_reference
 from atombench.state import init_state
 
 NP = NoiseParams()
@@ -39,14 +47,14 @@ def test_noiseless_gates_are_pure_unitaries():
                   global_rotation_matrix(0.4, 1.3))
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[0, 0] = 1.0
-    assert np.max(np.abs(st.to_dense() - u @ rho0 @ u.conj().T)) < 1e-12
+    assert np.max(np.abs(dense_ref.to_dense(st) - u @ rho0 @ u.conj().T)) < 1e-12
 
 
 def test_noisy_cz_frozen_reference():
     # Dense-reference values for a default-noise CZ on |-->, frozen.
     st = _minus_states(2)
     apply_noisy_cz(st, 0, 1, NP)
-    dense = st.to_dense()
+    dense = dense_ref.to_dense(st)
     diag = np.real(np.diag(dense))
     expect = [0.25001001, 0.23838027, 0.00450009, 0.00711964, 0.23838027,
               0.22729151]
@@ -58,7 +66,7 @@ def test_noisy_cz_frozen_reference():
 def test_noisy_rz_frozen_reference():
     st = _minus_states(1)
     apply_noisy_local_rz(st, 0, np.pi, NP)
-    dense = st.to_dense()
+    dense = dense_ref.to_dense(st)
     assert dense[0, 0].real == pytest.approx(4.99999628e-01, abs=1e-9)
     assert dense[0, 1].real == pytest.approx(4.92800078e-01, abs=1e-9)
     assert dense[2, 2].real == pytest.approx(9.49999981e-05, abs=1e-12)
@@ -86,7 +94,7 @@ def test_gates_match_dense_reference():
             a, b = map(int, rng.choice(3, 2, replace=False))
             apply_noisy_cz(st, a, b, p)
             rho = dense_ref.apply_cz(rho, a, b, p)
-    assert np.max(np.abs(st.to_dense() - dense_ref.to_matrix(rho))) < 1e-12
+    assert np.max(np.abs(dense_ref.to_dense(st) - dense_ref.to_matrix(rho))) < 1e-12
 
 
 def test_cz_phaseflip_modes_differ():
@@ -94,7 +102,7 @@ def test_cz_phaseflip_modes_differ():
     for mode in ("conditional", "correlated", "per_site"):
         st = _minus_states(2)
         apply_noisy_cz(st, 0, 1, NP.replace(cz_phaseflip_mode=mode))
-        outs[mode] = st.to_dense()
+        outs[mode] = dense_ref.to_dense(st)
     assert np.max(np.abs(outs["conditional"] - outs["correlated"])) > 1e-4
     assert np.max(np.abs(outs["correlated"] - outs["per_site"])) > 1e-4
 
@@ -110,7 +118,7 @@ def test_decoherence_equilibrium_on_register():
 def test_decoherence_site_scoping():
     st = _minus_states(2)
     apply_decoherence(st, 1e-3, NP, sites=(0,))
-    dense = st.to_dense()
+    dense = dense_ref.to_dense(st)
     # site 1 coherence untouched, site 0 coherence damped by exp(-t/T2*)
     d2 = np.exp(-1e-3 / NP.t2_star)
     # site-0 diagonal relaxes slightly under T1; site-1 coherence untouched
@@ -122,6 +130,118 @@ def test_preparation_error_distribution():
     st = init_state(2)
     apply_preparation(st, NP)
     p = NP.prep_error
-    dist = st.ququart_distribution()
+    dist = dense_ref.ququart_distribution(st)
     assert dist["0 0"] == pytest.approx((1 - p) ** 2)
     assert dist["1 1"] == pytest.approx(p**2)
+
+
+# Rates raised so that every channel of a fused gate moves the state well
+# above the 1e-12 tolerance.
+STRONG = NP.replace(uw_depol_per_pi=0.02, rz_phaseflip_per_pi=0.03,
+                    rz_loss_dark_per_pi=0.02, rz_loss_bright_per_pi=0.03,
+                    rz_decay_per_pi=0.01, cz_phaseflip=0.08,
+                    cz_loss_dark=0.05, cz_loss_bright=0.07, cz_decay=0.02,
+                    cz_phaseshift=0.3, prep_error=0.05, dur_uw_pi=2e-5,
+                    dur_rz_pi=1e-4, dur_cz=2e-4)
+
+FUSED_CASES = (
+    [pytest.param(g, STRONG, d, id=f"{g}-decohere{d}")
+     for g in ("grot", "rz") for d in (True, False)]
+    + [pytest.param("cz", STRONG.replace(cz_phaseflip_mode=mode,
+                                         cz_phaseshift=shift), d,
+                    id=f"cz-{mode}-shift{shift}-decohere{d}")
+       for mode in ("conditional", "correlated", "per_site")
+       for shift in (0.0, 0.3) for d in (True, False)]
+    + [pytest.param(g, STRONG, True, id=g)
+       for g in ("layer_decoherence", "site_decoherence", "preparation")]
+)
+
+
+@pytest.mark.parametrize("gate,params,decohere", FUSED_CASES)
+def test_fused_gate_equals_unfused_kraus_sequence(gate, params, decohere):
+    # a mixed 2-site start with coherences and both loss levels populated
+    st, rho = init_state(2), dense_ref.initial_rho(2)
+    apply_preparation(st, STRONG)
+    apply_noisy_global_rotation(st, 0.3, 1.1, STRONG)
+    apply_noisy_cz(st, 0, 1, STRONG)
+    apply_noisy_local_rz(st, 1, 0.7, STRONG)
+    rho = dense_ref.apply_preparation(rho, STRONG)
+    rho = dense_ref.apply_grot(rho, 0.3, 1.1, STRONG)
+    rho = dense_ref.apply_cz(rho, 0, 1, STRONG)
+    rho = dense_ref.apply_rz(rho, 1, 0.7, STRONG)
+
+    if gate == "grot":
+        apply_noisy_global_rotation(st, -0.4, 2.3, params, decohere)
+        rho = dense_ref.apply_grot(rho, -0.4, 2.3, params, decohere)
+    elif gate == "rz":
+        apply_noisy_local_rz(st, 0, -1.9, params, decohere)
+        rho = dense_ref.apply_rz(rho, 0, -1.9, params, decohere)
+    elif gate == "cz":
+        apply_noisy_cz(st, 1, 0, params, decohere)
+        rho = dense_ref.apply_cz(rho, 1, 0, params, decohere)
+    elif gate == "layer_decoherence":
+        apply_decoherence(st, 7e-4, params)
+        rho = dense_ref.apply_decoherence(rho, 7e-4, params)
+    elif gate == "site_decoherence":
+        apply_decoherence(st, 7e-4, params, sites=(1,))
+        rho = dense_ref.apply_decoherence(rho, 7e-4, params, sites=(1,))
+    else:
+        apply_preparation(st, params)
+        rho = dense_ref.apply_preparation(rho, params)
+    assert np.max(np.abs(dense_ref.to_dense(st) - dense_ref.to_matrix(rho))) < 1e-12
+
+
+def test_fused_cache_stays_bounded():
+    # many NoiseParams values: every objective evaluation of a fit
+    circuit, _ = generate(BenchmarkSpec("Ghz", 2))
+    problem = FitProblem([(circuit, run_reference(circuit, NP))],
+                         free_params=("cz_phaseflip",), n_starts=1,
+                         max_evals=30)
+    fit_noise_params(problem)
+    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
+    # many angles under one value: 500 random phi, then more rz angles
+    # than the cache holds
+    metrics.average_gate_fidelity("global_rotation", NP, n_samples=500)
+    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
+    st = init_state(1)
+    for theta in np.linspace(0.1, 3.0, FUSED_CACHE_SIZE + 50):
+        apply_noisy_local_rz(st, 0, float(theta), NP)
+        assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
+
+
+def test_fused_cache_is_thread_safe():
+    # threads alternate between two NoiseParams values, so tables are
+    # replaced while other threads look up and build; an operator stored
+    # under the wrong value would move a final state off the dense reference
+    def gates(i):
+        for k in range(15):
+            yield "grot", (0.1 * k, 1.0 + 0.01 * i)
+            yield "cz", (0, 1)
+            yield "rz", (1, 0.3 * k + 0.01 * i)
+
+    def run(i):
+        p, st = (NP, STRONG)[i % 2], init_state(2)
+        apply = {"grot": apply_noisy_global_rotation, "cz": apply_noisy_cz,
+                 "rz": apply_noisy_local_rz}
+        for name, args in gates(i):
+            apply[name](st, *args, p)
+        return dense_ref.to_dense(st)
+
+    def reference(i):
+        p, rho = (NP, STRONG)[i % 2], dense_ref.initial_rho(2)
+        apply = {"grot": dense_ref.apply_grot, "cz": dense_ref.apply_cz,
+                 "rz": dense_ref.apply_rz}
+        for name, args in gates(i):
+            rho = apply[name](rho, *args, p)
+        return dense_ref.to_matrix(rho)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(run, range(16), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, have in enumerate(got):
+        assert np.max(np.abs(have - reference(i))) < 1e-12, i
+    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dense_ref import SITE_LABELS
 from atombench.errors import DegenerateIdealError, ValidationError
 from atombench.metrics import (
     Distribution,
@@ -94,7 +95,6 @@ def test_reduce_readout_array_matches_dict_path():
     diag = rng.random((4, 4))
     diag /= diag.sum()
     v = reduce_readout_array(diag)
-    from atombench.channels import SITE_LABELS
     q = {}
     for idx in np.ndindex(4, 4):
         q[" ".join(SITE_LABELS[i] for i in idx)] = float(diag[idx])

@@ -135,6 +135,26 @@ def test_run_suite_parallel_matches_serial():
         assert a.f == pytest.approx(b.f, abs=1e-12)
 
 
+def test_run_suite_records_do_not_depend_on_worker_count():
+    # the fused-operator cache is shared by the worker threads
+    base = {
+        "kinds": ["Ghz", "BernsteinVazirani", "QftMethod2"],
+        "widths": [2, 3], "topologies": ["all_to_all", "grid"],
+        "samples_per_point": {"BernsteinVazirani": 2, "QftMethod2": 2},
+    }
+    serial, serial_agg = run_suite(RunConfig.from_dict({**base, "workers": 1}))
+    parallel, parallel_agg = run_suite(
+        RunConfig.from_dict({**base, "workers": 2}))
+
+    def without_time(records):
+        return [{k: v for k, v in r.to_dict().items() if k != "wall_time"}
+                for r in records]
+
+    assert serial and all(r.status == "ok" for r in serial)
+    assert without_time(serial) == without_time(parallel)
+    assert serial_agg == parallel_agg
+
+
 def test_bell_state_fidelity_bounds():
     assert bell_state_fidelity(NOISELESS) == pytest.approx(1.0, abs=1e-9)
     f = bell_state_fidelity(NoiseParams())

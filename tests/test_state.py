@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import dense_ref
 from atombench import channels as ch
 from atombench.channels import KrausSet, NoiseParams
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
@@ -13,8 +14,8 @@ from atombench.state import N_SYMBOLS, SYMBOL_PAIRS, QuquartState, init_state
 def test_initial_state():
     st = init_state(2)
     assert st.trace() == pytest.approx(1.0)
-    assert st.dense_element((0, 0), (0, 0)) == 1.0 + 0j
-    assert st.ququart_distribution() == {"0 0": 1.0}
+    assert dense_ref.dense_element(st, (0, 0), (0, 0)) == 1.0 + 0j
+    assert dense_ref.ququart_distribution(st) == {"0 0": 1.0}
 
 
 def test_set_pure_round_trip():
@@ -22,7 +23,7 @@ def test_set_pure_round_trip():
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi /= np.linalg.norm(psi)
     st = init_state(3).set_pure(psi)
-    dense = st.to_dense()
+    dense = dense_ref.to_dense(st)
     expect = np.zeros((64, 64), dtype=complex)
     # embed the 2^3 computational state into the 4^3 site space
     idx = [int("".join(str(b) for b in bits), 4)
@@ -39,38 +40,47 @@ def test_set_pure_rejects_unnormalized():
         init_state(1).set_pure(np.array([1.0, 1.0]))
 
 
+def _unitary(u):
+    return KrausSet((u,), label="unitary")
+
+
 def test_site_unitary_matches_dense_conjugation():
-    rng = np.random.default_rng(5)
     st = init_state(2)
-    st.apply_site_unitary(0, global_rotation_matrix(0.3, 1.1))
-    st.apply_site_unitary(1, global_rotation_matrix(-0.7, 0.4))
-    st.apply_site_unitary(1, rz_matrix(2.2))
+    st.apply_channel((0,), _unitary(global_rotation_matrix(0.3, 1.1)))
+    st.apply_channel((1,), _unitary(global_rotation_matrix(-0.7, 0.4)))
+    st.apply_channel((1,), _unitary(rz_matrix(2.2)))
     u0 = global_rotation_matrix(0.3, 1.1)
     u1 = rz_matrix(2.2) @ global_rotation_matrix(-0.7, 0.4)
     u = np.kron(u0, u1)
     rho0 = np.zeros((16, 16), dtype=complex)
     rho0[0, 0] = 1.0
-    assert np.max(np.abs(st.to_dense() - u @ rho0 @ u.conj().T)) < 1e-12
+    assert np.max(np.abs(dense_ref.to_dense(st) - u @ rho0 @ u.conj().T)) < 1e-12
 
 
 def test_global_unitary_equals_per_site():
     u = global_rotation_matrix(0.9, -0.6)
-    a = init_state(3).apply_global_unitary(u)
+    a = init_state(3).apply_global_unitary(_unitary(u))
     b = init_state(3)
     for s in range(3):
-        b.apply_site_unitary(s, u)
+        b.apply_channel((s,), _unitary(u))
     assert np.max(np.abs(a.blocks - b.blocks)) < 1e-13
 
 
 def test_site_unitary_must_fix_loss_subspace():
     u = np.eye(4, dtype=complex)[[0, 2, 1, 3]]  # swaps |1> and |l0>
-    with pytest.raises(ValidationError):
-        init_state(1).apply_site_unitary(0, u)
+    st = init_state(1)
+    st.apply_channel((0,), _unitary(global_rotation_matrix(0.0, 1.0)))
+    before = st.blocks.copy()
+    with pytest.raises(PatternLeakError):
+        st.apply_channel((0,), _unitary(u))
+    with pytest.raises(PatternLeakError):
+        st.apply_global_unitary(_unitary(u))
+    assert np.array_equal(st.blocks, before)
 
 
 def test_out_of_pattern_elements_are_exact_zero():
     st = init_state(2)
-    st.apply_global_unitary(global_rotation_matrix(0.0, np.pi / 2))
+    st.apply_global_unitary(_unitary(global_rotation_matrix(0.0, np.pi / 2)))
     st.apply_channel((0,), ch.loss_channel(0.3, "dark"))
     st.apply_channel((1,), ch.loss_channel(0.2, "bright"))
     pattern = set(SYMBOL_PAIRS)
@@ -78,7 +88,7 @@ def test_out_of_pattern_elements_are_exact_zero():
         for c0 in range(4):
             for r1 in range(4):
                 for c1 in range(4):
-                    v = st.dense_element((r0, r1), (c0, c1))
+                    v = dense_ref.dense_element(st, (r0, r1), (c0, c1))
                     if (r0, c0) not in pattern or (r1, c1) not in pattern:
                         assert v == 0j
 
@@ -90,8 +100,11 @@ def test_pattern_leak_detection():
     u = np.eye(4, dtype=complex)
     c, s = np.cos(0.3), np.sin(0.3)
     u[1, 1], u[1, 2], u[2, 1], u[2, 2] = c, -s, s, c
-    with pytest.raises((PatternLeakError, ValidationError)):
-        init_state(1).apply_channel((0,), KrausSet((u,), label="leaky"))
+    st = init_state(1)
+    before = st.blocks.copy()
+    with pytest.raises(PatternLeakError):
+        st.apply_channel((0,), KrausSet((u,), label="leaky"))
+    assert np.array_equal(st.blocks, before)
 
 
 def test_trace_and_hermiticity_preserved_under_noise():
@@ -101,9 +114,9 @@ def test_trace_and_hermiticity_preserved_under_noise():
     for _ in range(25):
         st.apply_channel((int(rng.integers(3)),), ch.depolarization(0.05))
         st.apply_channel((int(rng.integers(3)),), ch.loss_channel(0.02, "dark"))
-        st.apply_global_unitary(
+        st.apply_global_unitary(_unitary(
             global_rotation_matrix(float(rng.uniform(-3, 3)),
-                                   float(rng.uniform(-3, 3))))
+                                   float(rng.uniform(-3, 3)))))
     assert st.trace() == pytest.approx(1.0, abs=1e-10)
     assert st.hermiticity_defect() < 1e-10
 
@@ -123,7 +136,7 @@ def test_memory_cap():
 
 def test_reduced_qubit_density_folds_loss():
     st = init_state(1)
-    st.apply_site_unitary(0, global_rotation_matrix(0.0, np.pi / 2))
+    st.apply_channel((0,), _unitary(global_rotation_matrix(0.0, np.pi / 2)))
     st.apply_channel((0,), ch.loss_channel(0.4, "bright"))
     red = st.reduced_qubit_density()
     assert red.shape == (2, 2)
