@@ -5,7 +5,6 @@ from .channels import KrausSet, NoiseParams
 from .circuit import Circuit, Gate, lower_to_native, schedule_layers
 from .bench import BenchmarkSpec, generate, sample_instances
 from .metrics import (Distribution, classical_fidelity, quantum_fidelity,
-                      reduce_readout, apply_measurement_error,
                       average_gate_fidelity)
 from .routing import Topology, route
 from .runner import RunConfig, ResultRecord, run_instance, run_suite
@@ -18,8 +17,8 @@ __all__ = [
     "KrausSet", "NoiseParams", "Circuit", "Gate", "lower_to_native",
     "schedule_layers", "BenchmarkSpec", "generate", "sample_instances",
     "Distribution", "classical_fidelity", "quantum_fidelity",
-    "reduce_readout", "apply_measurement_error", "average_gate_fidelity",
-    "Topology", "route", "RunConfig", "ResultRecord", "run_instance",
-    "run_suite", "QuquartState", "init_state", "FitProblem",
-    "fit_noise_params", "nelder_mead", "__version__",
+    "average_gate_fidelity", "Topology", "route", "RunConfig",
+    "ResultRecord", "run_instance", "run_suite", "QuquartState",
+    "init_state", "FitProblem", "fit_noise_params", "nelder_mead",
+    "__version__",
 ]

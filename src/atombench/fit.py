@@ -16,6 +16,7 @@ import numpy as np
 from .channels import NoiseParams
 from .errors import ValidationError
 from .metrics import Distribution, classical_fidelity
+from .runner import run_reference
 from .state import DEFAULT_MEMORY_CAP
 
 # parameters in [0, 1], logistic-reparameterized
@@ -174,8 +175,6 @@ def _params_from_vector(problem: FitProblem, x: np.ndarray) -> NoiseParams:
 
 def mean_reference_fidelity(references: list, params: NoiseParams,
                             memory_cap: int = DEFAULT_MEMORY_CAP) -> float:
-    from .runner import run_reference
-
     total = 0.0
     for circuit, measured in references:
         out = run_reference(circuit, params, memory_cap)

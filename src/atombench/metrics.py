@@ -5,7 +5,8 @@ distributions, normalized so the maximally mixed output scores 0 and floored
 at 0.  Quantum fidelity is the Uhlmann form (Tr sqrt(sqrt(rho) sigma
 sqrt(rho)))^2 computed by Hermitian eigendecomposition.  Readout reduction
 maps ququart populations onto bitstrings (l0 -> 0, l1 -> 1), mimicking
-state-selective readout of lost atoms.
+state-selective readout of lost atoms.  The average gate fidelity of a noisy
+native gate is computed exactly from its fused operator.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gatemodel
+from .channels import KrausSet
 from .errors import DegenerateIdealError, ValidationError
+from .state import N_SYMBOLS, QUBIT_FOLD, SymbolOp
 
 _UNIFORM_TOL = 1e-12
 
@@ -106,25 +110,6 @@ def quantum_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 # ququart diagonal order |0>, |1>, |l0>, |l1| maps onto bits 0, 1, 0, 1
 _REDUCE = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
-_SYMBOL_TO_BIT = {"0": "0", "1": "1", "l0": "0", "l1": "1"}
-
-
-def reduce_readout(q: dict) -> Distribution:
-    """Ququart-string populations (space-separated symbols) to bitstrings."""
-    out: dict = {}
-    n_bits = None
-    for key, p in q.items():
-        symbols = key.split()
-        if n_bits is None:
-            n_bits = len(symbols)
-        elif len(symbols) != n_bits:
-            raise ValidationError(f"inconsistent key length at {key!r}")
-        try:
-            bits = "".join(_SYMBOL_TO_BIT[s] for s in symbols)
-        except KeyError as exc:
-            raise ValidationError(f"unknown ququart symbol in {key!r}") from exc
-        out[bits] = out.get(bits, 0.0) + p
-    return Distribution(out, n_bits)
 
 
 def reduce_readout_array(diag: np.ndarray) -> np.ndarray:
@@ -155,18 +140,6 @@ def marginalize(v: np.ndarray, n_bits: int, keep: list) -> np.ndarray:
     return t.transpose(order).reshape(-1)
 
 
-def apply_measurement_error(d: Distribution, p: float) -> Distribution:
-    """Exact per-bit flip convolution (n sequential single-bit mixings)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"measurement error {p} outside [0, 1]")
-    v = d.to_vector()
-    n = d.n_bits
-    for bit in range(n):
-        t = v.reshape((2**bit, 2, -1))
-        v = ((1 - p) * t + p * t[:, ::-1, :]).reshape(-1)
-    return Distribution.from_vector(v, n)
-
-
 def apply_measurement_error_vector(v: np.ndarray, n_bits: int, p: float
                                    ) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
@@ -177,49 +150,40 @@ def apply_measurement_error_vector(v: np.ndarray, n_bits: int, p: float
     return v
 
 
-# -- Haar-average gate fidelity -------------------------------------------
+# -- average gate fidelity --------------------------------------------------
 
 
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform pure state from a normalized complex Gaussian vector."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
+    """Exact Haar-average fidelity of a noisy native gate on the qubit space.
 
+    gate is "global_rotation", "local_rz" or "cz".  The noisy map is the
+    gate's fused SymbolOp followed by the readout reduction (l0 -> 0,
+    l1 -> 1), without SPAM.  With S and S_U the matrices of the noisy and the
+    ideal gate on the stored symbols, reduced to qubit symbols, the
+    entanglement fidelity is F_e = Re<S_U, S> / d^2 and the Haar average is
+    (d F_e + 1) / (d + 1) (Horodecki et al., PRA 60, 1888 (1999); Nielsen,
+    Phys. Lett. A 303, 249 (2002)).
 
-def average_gate_fidelity(gate: str, params, n_samples: int = 500,
-                          seed: int = 0, theta: float = math.pi
-                          ) -> tuple[float, float]:
-    """Mean Uhlmann fidelity of a noisy native gate over Haar-random inputs.
-
-    gate is "global_rotation", "local_rz" or "cz".  Ideal and noisy outputs
-    are compared on the readout-reduced qubit space, without SPAM.  Returns
-    (mean, standard error).
+    The global rotation is evaluated at phi = 0: its noise follows its
+    unitary U, and the Haar measure is unitarily invariant, so
+    F_avg(N o U, U) = F_avg(N, id) for every phi.
     """
-    from . import gatemodel
-    from .state import QuquartState
-
-    rng = np.random.default_rng(seed)
-    n_sites = 2 if gate == "cz" else 1
-    fids = np.empty(n_samples)
-    for i in range(n_samples):
-        psi = haar_state(2**n_sites, rng)
-        state = QuquartState(n_sites)
-        state.set_pure(psi)
-        if gate == "global_rotation":
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            u = gatemodel.global_rotation_matrix(phi, theta)[:2, :2]
-            gatemodel.apply_noisy_global_rotation(state, phi, theta, params)
-        elif gate == "local_rz":
-            u = gatemodel.rz_matrix(theta)[:2, :2]
-            gatemodel.apply_noisy_local_rz(state, 0, theta, params)
-        elif gate == "cz":
-            u = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-            gatemodel.apply_noisy_cz(state, 0, 1, params)
-        else:
-            raise ValidationError(f"unknown gate {gate!r}")
-        ideal = u @ psi
-        rho_out = state.reduced_qubit_density()
-        fids[i] = np.real(ideal.conj() @ rho_out @ ideal)
-    mean = float(fids.mean())
-    sem = float(fids.std(ddof=1) / math.sqrt(n_samples))
-    return mean, sem
+    if gate == "global_rotation":
+        op = gatemodel._fused(gatemodel._grot_op, (0.0, theta, True), params)
+        u = gatemodel.global_rotation_matrix(0.0, theta)
+    elif gate == "local_rz":
+        op = gatemodel._fused(gatemodel._rz_op, (theta, True), params)
+        u = gatemodel.rz_matrix(theta)
+    elif gate == "cz":
+        op = gatemodel._fused(gatemodel._cz_op, (True,), params)
+        u = gatemodel.cz_matrix()
+    else:
+        raise ValidationError(f"unknown gate {gate!r}")
+    comp, fold = np.arange(4), QUBIT_FOLD
+    if op.n_sites == 2:
+        comp = (N_SYMBOLS * comp[:, None] + comp).ravel()
+        fold = np.kron(fold, fold)
+    ideal = SymbolOp.from_kraus(KrausSet((u,))).matrix
+    d = 2**op.n_sites
+    f_e = np.vdot(fold @ ideal[:, comp], fold @ op.matrix[:, comp]).real / d**2
+    return float((d * f_e + 1.0) / (d + 1.0))

@@ -29,6 +29,10 @@ DIAG_SYMBOLS = (0, 3, 4, 5)
 # Hermitian conjugation permutes rho_01 <-> rho_10 per site.
 _HERM_PERM = np.array([0, 2, 1, 3, 4, 5])
 _TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+# Readout reduction of one site's symbols onto its qubit (row, col) pairs
+# 00, 01, 10, 11: loss populations fold onto the diagonal (l0 -> 0, l1 -> 1).
+QUBIT_FOLD = np.zeros((4, N_SYMBOLS))
+QUBIT_FOLD[(0, 1, 2, 3, 0, 3), range(N_SYMBOLS)] = 1.0
 
 
 def _pattern(k: int) -> tuple:
@@ -102,14 +106,10 @@ def fuse(steps, label: str) -> SymbolOp:
     return SymbolOp(m, label)
 
 
-def _symbol_matrix(channel, n_sites: int) -> np.ndarray:
-    """Matrix of a SymbolOp or KrausSet on n_sites; a KrausSet is converted."""
-    if channel.n_sites != n_sites:
+def _check_arity(op: SymbolOp, n_sites: int):
+    if op.n_sites != n_sites:
         raise ValidationError(
-            f"{channel.label}: {channel.n_sites}-site channel on {n_sites} site(s)")
-    if isinstance(channel, KrausSet):
-        channel = SymbolOp.from_kraus(channel)
-    return channel.matrix
+            f"{op.label}: {op.n_sites}-site channel on {n_sites} site(s)")
 
 
 class QuquartState:
@@ -179,29 +179,24 @@ class QuquartState:
             out = np.matmul(matrix, b.reshape(lead, N_SYMBOLS, trail))
         self.blocks = out.reshape(b.shape)
 
-    def apply_channel(self, sites, channel):
-        """In-place rho -> channel(rho) on one or two sites, then one check.
-
-        `channel` is a SymbolOp or a KrausSet; a KrausSet is converted, and
-        so leak-checked, before the state changes.
-        """
+    def apply_channel(self, sites, op: SymbolOp):
+        """In-place rho -> op(rho) on one or two sites, then one check."""
         sites = tuple(sites)
         self._check_sites(sites)
-        self._apply(_symbol_matrix(channel, len(sites)), sites)
+        _check_arity(op, len(sites))
+        self._apply(op.matrix, sites)
         self._check_invariants()
         return self
 
-    def apply_global_unitary(self, channel):
-        """In-place application of one 1-site channel on every site, then one
-        check.
+    def apply_global_unitary(self, op: SymbolOp):
+        """In-place application of one 1-site op on every site, then one check.
 
         Runs each global pulse (its unitary and, fused with it, its noise),
-        register-wide decoherence and preparation.  `channel` is a SymbolOp
-        or a KrausSet, as for `apply_channel`.
+        register-wide decoherence and preparation.
         """
-        m = _symbol_matrix(channel, 1)
+        _check_arity(op, 1)
         for s in range(self.n_sites):
-            self._apply(m, (s,))
+            self._apply(op.matrix, (s,))
         self._check_invariants()
         return self
 
@@ -224,40 +219,12 @@ class QuquartState:
         n = self.n_sites
         if n > max_sites:
             raise CapacityError(f"qubit reduction capped at {max_sites} sites")
-        t_map = np.zeros((4, N_SYMBOLS))
-        for s, q in enumerate((0, 1, 2, 3, 0, 3)):  # symbol -> qubit (row, col) pair
-            t_map[q, s] = 1.0
         t = self.blocks
         for _ in range(n):
-            t = np.tensordot(t, t_map, axes=([0], [1]))
+            t = np.tensordot(t, QUBIT_FOLD, axes=([0], [1]))
         t = t.reshape((2, 2) * n)
         order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
         return t.transpose(order).reshape(2**n, 2**n)
-
-    # -- construction helpers ----------------------------------------------
-
-    def set_pure(self, psi: np.ndarray):
-        """Load a pure computational state (2^n amplitudes) into the blocks."""
-        psi = np.asarray(psi, dtype=complex)
-        if psi.shape != (2**self.n_sites,):
-            raise ValidationError(
-                f"need 2^{self.n_sites} amplitudes, got shape {psi.shape}"
-            )
-        nrm = np.linalg.norm(psi)
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValidationError(f"state not normalized (|psi| = {nrm})")
-        n = self.n_sites
-        outer = np.outer(psi, psi.conj()).reshape((2, 2) * n)
-        # interleave to (r1, c1, r2, c2, ...) then merge each (2, 2) pair into
-        # the symbol axis values 0..3
-        order = []
-        for i in range(n):
-            order += [i, n + i]
-        comp = outer.transpose(order).reshape((4,) * n)
-        self.blocks = np.zeros((N_SYMBOLS,) * n, dtype=complex)
-        self.blocks[(slice(0, 4),) * n] = comp
-        self._check_invariants()
-        return self
 
 
 def init_state(n_sites: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> QuquartState:

@@ -14,7 +14,7 @@ import numpy as np
 
 from atombench import channels as ch
 from atombench.channels import NoiseParams
-from atombench.errors import CapacityError
+from atombench.errors import CapacityError, ValidationError
 from atombench.gatemodel import (
     cz_matrix,
     cz_phaseshift_matrix,
@@ -27,7 +27,7 @@ D = 4
 SITE_LABELS = ("0", "1", "l0", "l1")
 
 
-# -- views of a sparse QuquartState ---------------------------------------------
+# -- views and loading of a sparse QuquartState ---------------------------------
 
 
 def to_dense(state, max_sites: int = 6) -> np.ndarray:
@@ -68,6 +68,28 @@ def ququart_distribution(state) -> dict[str, float]:
         if p != 0.0:
             out[" ".join(SITE_LABELS[i] for i in idx)] = p
     return out
+
+
+def set_pure(state, psi: np.ndarray):
+    """Load a pure computational state (2^n amplitudes) into a QuquartState."""
+    psi = np.asarray(psi, dtype=complex)
+    n = state.n_sites
+    if psi.shape != (2**n,):
+        raise ValidationError(f"need 2^{n} amplitudes, got shape {psi.shape}")
+    nrm = np.linalg.norm(psi)
+    if abs(nrm - 1.0) > 1e-12:
+        raise ValidationError(f"state not normalized (|psi| = {nrm})")
+    outer = np.outer(psi, psi.conj()).reshape((2, 2) * n)
+    # interleave to (r1, c1, r2, c2, ...) then merge each (2, 2) pair into
+    # the symbol axis values 0..3
+    order = []
+    for i in range(n):
+        order += [i, n + i]
+    comp = outer.transpose(order).reshape((4,) * n)
+    state.blocks = np.zeros((N_SYMBOLS,) * n, dtype=complex)
+    state.blocks[(slice(0, 4),) * n] = comp
+    state._check_invariants()
+    return state
 
 
 def decoherence_direct_action(rho: np.ndarray, t: float,

@@ -78,7 +78,7 @@ def test_fit_command(tmp_path):
 
 
 def test_gatefid_command(capsys):
-    rc = main(["gatefid", "--samples", "25", "--seed", "3"])
+    rc = main(["gatefid"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert any("cz" in l for l in lines)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import dense_ref
-from atombench import gatemodel, metrics
+from atombench import gatemodel
 from atombench.bench import BenchmarkSpec, generate
 from atombench.channels import NoiseParams
 from atombench.fit import FitProblem, fit_noise_params
@@ -201,9 +201,10 @@ def test_fused_cache_stays_bounded():
     assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
     # many angles under one value: 500 random phi, then more rz angles
     # than the cache holds
-    metrics.average_gate_fidelity("global_rotation", NP, n_samples=500)
-    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
     st = init_state(1)
+    for phi in np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 500):
+        apply_noisy_global_rotation(st, float(phi), np.pi, NP)
+    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
     for theta in np.linspace(0.1, 3.0, FUSED_CACHE_SIZE + 50):
         apply_noisy_local_rz(st, 0, float(theta), NP)
         assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE

@@ -1,25 +1,27 @@
-"""Distributions, classical/quantum fidelity, readout reduction."""
+"""Distributions, classical/quantum fidelity, readout reduction, average
+gate fidelity."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from dense_ref import SITE_LABELS
+import dense_ref
+from atombench import gatemodel
+from atombench.channels import NoiseParams
 from atombench.errors import DegenerateIdealError, ValidationError
 from atombench.metrics import (
     Distribution,
-    apply_measurement_error,
     apply_measurement_error_vector,
     average_gate_fidelity,
     classical_fidelity,
-    haar_state,
     marginalize,
     permute_bits,
     quantum_fidelity,
-    reduce_readout,
     reduce_readout_array,
 )
+from atombench.state import init_state
 
 
 def test_distribution_validation():
@@ -69,8 +71,9 @@ def test_classical_fidelity_degenerate_ideal():
 
 def test_quantum_fidelity_pure_states():
     rng = np.random.default_rng(4)
-    a = haar_state(4, rng)
-    b = haar_state(4, rng)
+    a, b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
+    a /= np.linalg.norm(a)
+    b /= np.linalg.norm(b)
     ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
     assert quantum_fidelity(ra, ra) == pytest.approx(1.0)
     assert quantum_fidelity(ra, rb) == pytest.approx(abs(np.vdot(a, b)) ** 2)
@@ -85,21 +88,21 @@ def test_quantum_fidelity_mixed_vs_pure():
 
 
 def test_reduce_readout_folds_loss_states():
-    q = {"0 1": 0.5, "l0 1": 0.3, "l1 l0": 0.2}
-    d = reduce_readout(q)
-    assert d.entries == pytest.approx({"01": 0.8, "10": 0.2})
+    # site order |0>, |1>, |l0>, |l1>: "0 1" 0.5, "l0 1" 0.3, "l1 l0" 0.2
+    diag = np.zeros((4, 4))
+    diag[0, 1], diag[2, 1], diag[3, 2] = 0.5, 0.3, 0.2
+    assert np.allclose(reduce_readout_array(diag), [0.0, 0.8, 0.2, 0.0])
 
 
-def test_reduce_readout_array_matches_dict_path():
+def test_reduce_readout_array_matches_per_index_fold():
     rng = np.random.default_rng(8)
-    diag = rng.random((4, 4))
+    diag = rng.random((4, 4, 4))
     diag /= diag.sum()
-    v = reduce_readout_array(diag)
-    q = {}
-    for idx in np.ndindex(4, 4):
-        q[" ".join(SITE_LABELS[i] for i in idx)] = float(diag[idx])
-    d = reduce_readout(q)
-    assert np.allclose(v, d.to_vector())
+    expect = np.zeros(8)
+    for idx in np.ndindex(diag.shape):
+        bits = "".join("0101"[i] for i in idx)  # l0 reads 0, l1 reads 1
+        expect[int(bits, 2)] += diag[idx]
+    assert np.allclose(reduce_readout_array(diag), expect)
 
 
 def test_permute_and_marginalize():
@@ -116,9 +119,8 @@ def test_permute_and_marginalize():
 
 
 def test_measurement_error_single_bit():
-    d = Distribution({"0": 1.0}, 1)
-    out = apply_measurement_error(d, 0.1)
-    assert out.entries == pytest.approx({"0": 0.9, "1": 0.1})
+    out = apply_measurement_error_vector(np.array([1.0, 0.0]), 1, 0.1)
+    assert np.allclose(out, [0.9, 0.1])
 
 
 def test_measurement_error_vector_independent_bits():
@@ -128,16 +130,77 @@ def test_measurement_error_vector_independent_bits():
     assert np.allclose(out, [0.81, 0.09, 0.09, 0.01])
 
 
-def test_haar_state_normalized():
-    rng = np.random.default_rng(0)
-    psi = haar_state(8, rng)
-    assert np.linalg.norm(psi) == pytest.approx(1.0)
-
-
 def test_average_gate_fidelity_noiseless_is_one():
-    from atombench.channels import NoiseParams
     p = NoiseParams.noiseless()
     for gate in ("global_rotation", "local_rz", "cz"):
-        mean, sem = average_gate_fidelity(gate, p, n_samples=20, seed=1)
-        assert mean == pytest.approx(1.0, abs=1e-9)
-        assert sem < 1e-9
+        assert average_gate_fidelity(gate, p) == pytest.approx(1.0, abs=1e-12)
+
+
+def _paulis():
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]])
+    z = np.diag([1.0, -1.0]).astype(complex)
+    return {"I": np.eye(2), "X": x, "Y": y, "Z": z}
+
+
+def _two_design(n_qubits: int) -> list:
+    """Pauli eigenstates (one qubit) or the 20 states of the five mutually
+    unbiased bases (two qubits): complex projective 2-designs."""
+    p = _paulis()
+    if n_qubits == 1:
+        return [v for k in "XYZ" for v in np.linalg.eigh(p[k])[1].T]
+    states = []
+    # each set commutes; the first two generate it, and a + 2b has four
+    # distinct eigenvalues, so its eigenvectors are the common eigenbasis
+    for a, b in (("ZI", "IZ"), ("XI", "IX"), ("YI", "IY"),
+                 ("XY", "YZ"), ("YX", "ZY")):
+        pa = np.kron(p[a[0]], p[a[1]])
+        pb = np.kron(p[b[0]], p[b[1]])
+        states += list(np.linalg.eigh(pa + 2 * pb)[1].T)
+    return states
+
+
+def test_two_design_is_a_two_design():
+    # frame potential sum |<a|b>|^4 / N^2 = 2 / (d (d + 1)) only for 2-designs
+    for n in (1, 2):
+        d, states = 2**n, _two_design(n)
+        overlaps = np.abs(np.array(states).conj() @ np.array(states).T) ** 4
+        assert overlaps.sum() / len(states) ** 2 == pytest.approx(
+            2 / (d * (d + 1)), abs=1e-12)
+
+
+_NP = NoiseParams()
+
+
+@pytest.mark.parametrize("gate,theta,params", [
+    *[pytest.param(g, t, _NP, id=f"{g}-theta{t:.3g}")
+      for g in ("global_rotation", "local_rz") for t in (math.pi, 0.4)],
+    *[pytest.param("cz", math.pi, _NP.replace(cz_phaseflip_mode=mode,
+                                              cz_phaseshift=shift),
+                   id=f"cz-{mode}-shift{shift}")
+      for mode, shift in itertools.product(
+          ("conditional", "correlated", "per_site"), (0.0, 0.3))],
+])
+def test_average_gate_fidelity_matches_two_design_mean(gate, theta, params):
+    # the mean over a 2-design equals the Haar average; the design side runs
+    # each input through the state engine and the global rotation at a
+    # nonzero phi
+    phi = 0.7
+    n = 2 if gate == "cz" else 1
+    if gate == "global_rotation":
+        u = gatemodel.global_rotation_matrix(phi, theta)[:2, :2]
+        apply = lambda st: gatemodel.apply_noisy_global_rotation(
+            st, phi, theta, params)
+    elif gate == "local_rz":
+        u = gatemodel.rz_matrix(theta)[:2, :2]
+        apply = lambda st: gatemodel.apply_noisy_local_rz(st, 0, theta, params)
+    else:
+        u = np.diag([1.0, 1.0, 1.0, -1.0])
+        apply = lambda st: gatemodel.apply_noisy_cz(st, 0, 1, params)
+    fids = []
+    for psi in _two_design(n):
+        st = apply(dense_ref.set_pure(init_state(n), psi))
+        ideal = u @ psi
+        fids.append(np.real(ideal.conj() @ st.reduced_qubit_density() @ ideal))
+    exact = average_gate_fidelity(gate, params, theta=theta)
+    assert abs(exact - np.mean(fids)) < 1e-12, (exact, np.mean(fids))
