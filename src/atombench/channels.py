@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field, asdict, fields
 
 import numpy as np
@@ -124,9 +125,25 @@ class NoiseParams:
             json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, path) -> "NoiseParams":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+    def load(cls, spec) -> "NoiseParams":
+        """Parameters from a config value: a dict of fields, the keyword
+        "noiseless", or the path of a JSON file holding such a dict."""
+        if isinstance(spec, dict):
+            return cls.from_dict(spec)
+        if spec == "noiseless":
+            return cls.noiseless()
+        if not isinstance(spec, (str, os.PathLike)):
+            raise ValidationError(f"noise must be a dict, \"noiseless\" or "
+                                  f"a path, got {spec!r}")
+        try:
+            with open(spec) as fh:
+                d = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ValidationError(
+                f"cannot read noise parameters from {spec!r}: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ValidationError(f"{spec!r} does not hold a JSON object")
+        return cls.from_dict(d)
 
     def replace(self, **kw) -> "NoiseParams":
         d = self.to_dict()

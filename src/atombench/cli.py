@@ -111,9 +111,7 @@ def cmd_fit(args) -> int:
         print(f"no reference files in {ref_dir}", file=sys.stderr)
         return 1
     references = [bench.load_external(f) for f in files]
-    base = NoiseParams.from_dict(config.get("noise", {})) \
-        if isinstance(config.get("noise", {}), dict) \
-        else NoiseParams.from_json(config["noise"])
+    base = NoiseParams.load(config.get("noise", {}))
     kwargs = {k: tuple(v) if k == "free_params" else v
               for k, v in config.get("fit", {}).items()}
     if args.seed is not None:
@@ -135,9 +133,7 @@ def cmd_fit(args) -> int:
 
 def cmd_gatefid(args) -> int:
     config = _load_config(args.config)
-    noise = config.get("noise", {})
-    params = NoiseParams.from_json(noise) if isinstance(noise, str) \
-        else NoiseParams.from_dict(noise)
+    params = NoiseParams.load(config.get("noise", {}))
     print(f"{'gate':<18}{'average fidelity':>17}")
     for gate in ("global_rotation", "local_rz", "cz"):
         f = metrics.average_gate_fidelity(gate, params)

@@ -43,17 +43,16 @@ class RunConfig:
         if self.timing_model not in ("gate", "layer"):
             raise ValidationError(
                 f"unknown timing_model {self.timing_model!r}")
+        if not isinstance(self.samples_per_point, dict):
+            raise ValidationError(
+                "samples_per_point must map kinds to counts, got "
+                f"{self.samples_per_point!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
         d = dict(d)
-        noise = d.get("noise", {})
-        if noise == "noiseless":
-            d["noise"] = NoiseParams.noiseless()
-        elif isinstance(noise, str):
-            d["noise"] = NoiseParams.from_json(noise)
-        elif isinstance(noise, dict):
-            d["noise"] = NoiseParams.from_dict(noise)
+        if not isinstance(d.get("noise"), NoiseParams):
+            d["noise"] = NoiseParams.load(d.get("noise", {}))
         widths = d.get("widths", [2, 3])
         if isinstance(widths, dict):
             d["widths"] = list(range(widths["min"], widths["max"] + 1))
@@ -206,8 +205,8 @@ def run_suite(config: RunConfig) -> tuple[list, list]:
     """Run every (kind, width, topology, instance); aggregate per point.
 
     Returns (records, aggregates); aggregates are dicts with mean fidelity and
-    mean transpiled depth.  Per-instance failures are recorded with status
-    "error" and excluded from the means.
+    mean transpiled depth.  Per-instance failures (package errors and
+    MemoryError) are recorded with status "error" and excluded from the means.
     """
     records = []
     aggregates = []
@@ -227,7 +226,7 @@ def run_suite(config: RunConfig) -> tuple[list, list]:
                         return run_instance(spec, topology, config.noise,
                                             config.memory_cap,
                                             config.timing_model)
-                    except AtombenchError as exc:
+                    except (AtombenchError, MemoryError) as exc:
                         return ResultRecord(
                             kind, width, topology_label(topology),
                             spec.instance_param, status="error",

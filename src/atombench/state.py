@@ -10,6 +10,9 @@ entries.  An n-site state therefore stores 6^n complex numbers instead of
 
 A channel acts as a SymbolOp, its matrix on these symbols, leak-checked once
 when built; each application ends with one trace and hermiticity check.
+A state owns two buffers of this shape: every pass writes the spare one and
+the two swap, and between passes the spare is the check's scratch, so no
+pass over the state allocates.
 """
 
 from __future__ import annotations
@@ -27,8 +30,7 @@ _COLS = np.array([p[1] for p in SYMBOL_PAIRS])
 # Symbols on the density-matrix diagonal, in site-basis order |0>,|1>,|l0>,|l1>.
 DIAG_SYMBOLS = (0, 3, 4, 5)
 # Hermitian conjugation permutes rho_01 <-> rho_10 per site.
-_HERM_PERM = np.array([0, 2, 1, 3, 4, 5])
-_TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+_HERM_PERM = np.array([0, 2, 1, 3, 4, 5], dtype=np.intp)
 # Readout reduction of one site's symbols onto its qubit (row, col) pairs
 # 00, 01, 10, 11: loss populations fold onto the diagonal (l0 -> 0, l1 -> 1).
 QUBIT_FOLD = np.zeros((4, N_SYMBOLS))
@@ -54,7 +56,39 @@ TRACE_ATOL = 1e-10
 HERM_ATOL = 1e-12
 LEAK_ATOL = 1e-12
 
-DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 11 sites
+DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 10 sites
+
+# Index tables of the invariant check, one pair per register size, shared by
+# every state (and every run_suite thread); setdefault keeps the first built.
+_CHECK_TABLES: dict = {}
+
+
+def _check_tables(n: int) -> tuple:
+    """(perm, diag) index tables of the invariant check on n sites.
+
+    perm maps each flat index of the last n - 1 sites to that of its
+    hermitian conjugate; diag holds the position, in the float64 view of the
+    state, of the real part of every diagonal symbol (4^n of them).
+    """
+    tables = _CHECK_TABLES.get(n)
+    if tables is None:
+        perm = diag = np.zeros(1, dtype=np.intp)
+        for _ in range(n - 1):
+            perm = (N_SYMBOLS * perm[:, None] + _HERM_PERM).ravel()
+        for _ in range(n):
+            diag = (N_SYMBOLS * diag[:, None] + DIAG_SYMBOLS).ravel()
+        diag = 2 * diag
+        perm.flags.writeable = diag.flags.writeable = False
+        tables = _CHECK_TABLES.setdefault(n, (perm, diag))
+    return tables
+
+
+def footprint(n_sites: int) -> int:
+    """Bytes a state of n sites holds: two 6^n complex buffers and the
+    check's index tables."""
+    index = np.dtype(np.intp).itemsize
+    return (2 * 16 * N_SYMBOLS**n_sites
+            + index * (N_SYMBOLS ** (n_sites - 1) + len(DIAG_SYMBOLS)**n_sites))
 
 
 class SymbolOp:
@@ -118,29 +152,49 @@ class QuquartState:
     def __init__(self, n_sites: int, memory_cap: int = DEFAULT_MEMORY_CAP):
         if n_sites < 1:
             raise CapacityError(f"need at least one site, got {n_sites}")
-        nbytes = 16 * N_SYMBOLS**n_sites
+        nbytes = footprint(n_sites)
         if nbytes > memory_cap:
             raise CapacityError(
-                f"{n_sites} sites need {nbytes} bytes (6^n complex entries), "
+                f"{n_sites} sites need {nbytes} bytes (two buffers of 6^n "
+                f"complex entries and the check's index tables), "
                 f"cap is {memory_cap}"
             )
         self.n_sites = n_sites
         self.blocks = np.zeros((N_SYMBOLS,) * n_sites, dtype=complex)
         self.blocks[(0,) * n_sites] = 1.0  # |0...0><0...0|
+        self._spare = np.empty_like(self.blocks)
+        self._tables = _check_tables(n_sites)
 
     # -- bookkeeping -------------------------------------------------------
 
     def trace(self) -> float:
-        t = self.blocks
-        for _ in range(self.n_sites):
-            t = np.tensordot(_TRACE_VEC, t, axes=([0], [0]))
-        return float(t.real)
+        diag = self._tables[1]
+        re = self._spare.reshape(-1).view(np.float64)[:diag.size]
+        # the default mode="raise" copies `out` through a buffer; every
+        # index is in range
+        np.take(self.blocks.reshape(-1).view(np.float64), diag, out=re,
+                mode="clip")
+        return float(re.sum())
 
     def hermiticity_defect(self) -> float:
-        h = self.blocks
-        for ax in range(self.n_sites):
-            h = np.take(h, _HERM_PERM, axis=ax)
-        return float(np.max(np.abs(h.conj() - self.blocks)))
+        """max |rho^dagger - rho| over the stored symbols, built in the spare.
+
+        One gather swaps rho_01 <-> rho_10 on every site but the first.  The
+        first site's swap is made by subtracting row _HERM_PERM[a] of rho
+        from row a of the conjugated gather: that relabels the entries, so
+        the maximum is unchanged.
+        """
+        rows = N_SYMBOLS ** (self.n_sites - 1)
+        b = self.blocks.reshape(N_SYMBOLS, rows)
+        h = self._spare.reshape(N_SYMBOLS, rows)
+        np.take(b, self._tables[0], axis=1, out=h, mode="clip")
+        np.conjugate(h, out=h)
+        for dst, src in ((0, 0), (1, 2), (2, 1), (slice(3, None),) * 2):
+            np.subtract(h[dst], b[src], out=h[dst])
+        # |.| cast into the complex buffer: the real parts hold the exact
+        # np.abs values and the imaginary parts are 0
+        np.abs(h, out=h)
+        return float(h.reshape(-1).view(np.float64).max())
 
     def _check_invariants(self):
         tr = self.trace()
@@ -160,24 +214,36 @@ class QuquartState:
     # -- evolution ---------------------------------------------------------
 
     def _apply(self, matrix: np.ndarray, sites: tuple):
-        """One pass over the state: blocks <- matrix acting on `sites`."""
-        b = self.blocks
+        """One pass over the state: blocks <- matrix acting on `sites`.
+
+        The result is written into the spare buffer and the buffers swap.
+        """
+        b, out = self.blocks, self._spare
         if len(sites) == 2:
-            m = matrix.reshape((N_SYMBOLS,) * 4)
-            out = np.tensordot(m, b, axes=([2, 3], list(sites)))
-            self.blocks = np.moveaxis(out, [0, 1], list(sites))
-            return
-        # a 1-site matrix multiplies its axis of the C-ordered blocks, so the
-        # result keeps their layout; a tensordot result would need its axes
-        # moved back, and the next pass would copy it
-        s = sites[0]
-        lead = N_SYMBOLS**s
-        trail = N_SYMBOLS ** (self.n_sites - s - 1)
-        if trail == 1:
-            out = b.reshape(lead, N_SYMBOLS) @ matrix.T
+            # gather the pair axes to the front into the spare, multiply into
+            # the old buffer, scatter back in natural axis order
+            order = list(sites) + [ax for ax in range(self.n_sites)
+                                   if ax not in sites]
+            np.copyto(out, b.transpose(order))
+            pair = N_SYMBOLS * N_SYMBOLS
+            np.matmul(matrix, out.reshape(pair, -1), out=b.reshape(pair, -1))
+            # the inverse permutation in Python: np.argsort would map its
+            # sort kernels into memory, about 0.25 MB of resident code
+            np.copyto(out, b.transpose([order.index(ax)
+                                        for ax in range(self.n_sites)]))
         else:
-            out = np.matmul(matrix, b.reshape(lead, N_SYMBOLS, trail))
-        self.blocks = out.reshape(b.shape)
+            # a 1-site matrix multiplies its axis of the C-ordered blocks, so
+            # the result keeps their layout
+            s = sites[0]
+            lead = N_SYMBOLS**s
+            trail = N_SYMBOLS ** (self.n_sites - s - 1)
+            if trail == 1:
+                np.matmul(b.reshape(lead, N_SYMBOLS), matrix.T,
+                          out=out.reshape(lead, N_SYMBOLS))
+            else:
+                np.matmul(matrix, b.reshape(lead, N_SYMBOLS, trail),
+                          out=out.reshape(lead, N_SYMBOLS, trail))
+        self.blocks, self._spare = out, b
 
     def apply_channel(self, sites, op: SymbolOp):
         """In-place rho -> op(rho) on one or two sites, then one check."""
@@ -204,10 +270,8 @@ class QuquartState:
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of rho as a (4,)*n real tensor in site-basis order."""
-        d = self.blocks
-        for ax in range(self.n_sites):
-            d = np.take(d, DIAG_SYMBOLS, axis=ax)
-        return np.ascontiguousarray(d.real)
+        re = np.take(self.blocks.reshape(-1).view(np.float64), self._tables[1])
+        return re.reshape((len(DIAG_SYMBOLS),) * self.n_sites)
 
     def reduced_qubit_density(self, max_sites: int = 6) -> np.ndarray:
         """2^n x 2^n qubit density matrix after the readout reduction.

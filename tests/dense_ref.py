@@ -112,6 +112,37 @@ def decoherence_direct_action(rho: np.ndarray, t: float,
     return out
 
 
+# -- per-axis references for the state's invariant check and kernels ------------
+
+_HERM_PERM = np.array([0, 2, 1, 3, 4, 5])
+_TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+
+
+def trace(blocks: np.ndarray) -> float:
+    """Trace of a symbol tensor, contracting one site axis at a time."""
+    t = blocks
+    for _ in range(blocks.ndim):
+        t = np.tensordot(_TRACE_VEC, t, axes=([0], [0]))
+    return float(t.real)
+
+
+def hermiticity_defect(blocks: np.ndarray) -> float:
+    """max |rho^dagger - rho|, permuting rho_01 <-> rho_10 one axis at a time."""
+    h = blocks
+    for ax in range(blocks.ndim):
+        h = np.take(h, _HERM_PERM, axis=ax)
+    return float(np.max(np.abs(h.conj() - blocks)))
+
+
+def apply_symbol_matrix(blocks: np.ndarray, matrix: np.ndarray,
+                        sites) -> np.ndarray:
+    """A 6x6 or 36x36 symbol-space matrix applied on `sites` by tensordot."""
+    k = len(sites)
+    m = matrix.reshape((N_SYMBOLS,) * (2 * k))
+    out = np.tensordot(m, blocks, axes=(list(range(k, 2 * k)), list(sites)))
+    return np.moveaxis(out, list(range(k)), list(sites))
+
+
 # -- dense engine -----------------------------------------------------------------
 
 

@@ -7,7 +7,9 @@ import pytest
 
 from atombench import bench
 from atombench.bench import BenchmarkSpec
+from atombench.channels import NoiseParams
 from atombench.cli import main
+from atombench.runner import run_reference
 
 
 def test_run_command(tmp_path):
@@ -49,14 +51,10 @@ def test_run_command_bad_config(tmp_path):
     assert rc == 2
 
 
-def test_fit_command(tmp_path):
-    # one tiny reference generated at slightly perturbed noise
-    from atombench.channels import NoiseParams
-    from atombench.runner import run_reference
+def _write_reference(refs, params):
+    """One Ghz w2 reference file simulated at `params`."""
     circuit, _ = bench.generate(BenchmarkSpec("Ghz", 2))
-    planted = NoiseParams(cz_phaseflip=0.05)
-    measured = run_reference(circuit, planted)
-    refs = tmp_path / "refs"
+    measured = run_reference(circuit, params)
     refs.mkdir()
     (refs / "ghz2.json").write_text(json.dumps({
         "n_qubits": 2,
@@ -64,6 +62,12 @@ def test_fit_command(tmp_path):
         "measured": measured.entries,
         "metadata": circuit.metadata,
     }))
+
+
+def test_fit_command(tmp_path):
+    # one tiny reference generated at slightly perturbed noise
+    refs = tmp_path / "refs"
+    _write_reference(refs, NoiseParams(cz_phaseflip=0.05))
     cfg = {"fit": {"free_params": ["cz_phaseflip"], "n_starts": 1,
                    "max_evals": 60}}
     cfg_path = tmp_path / "fit.json"
@@ -83,3 +87,36 @@ def test_gatefid_command(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert any("cz" in l for l in lines)
     assert any("global_rotation" in l for l in lines)
+
+
+def _noise_command(command, tmp_path, noise):
+    cfg = {"noise": noise}
+    argv = [command]
+    if command == "run":
+        cfg.update(kinds=["Ghz"], widths=[2], samples_per_point={"Ghz": 1})
+        argv += ["--out", str(tmp_path / "out")]
+    elif command == "fit":
+        refs = tmp_path / "refs"
+        _write_reference(refs, NoiseParams.noiseless())
+        cfg["fit"] = {"free_params": ["cz_phaseflip"], "n_starts": 1,
+                      "max_evals": 10}
+        argv += [str(refs), "--out", str(tmp_path / "out")]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return main(argv + ["--config", str(cfg_path)])
+
+
+@pytest.mark.parametrize("command", ["run", "fit", "gatefid"])
+def test_noiseless_keyword_in_every_command(command, tmp_path, capsys):
+    assert _noise_command(command, tmp_path, "noiseless") == 0
+    if command == "gatefid":
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [float(r.split()[-1]) for r in rows] == pytest.approx([1.0] * 3)
+
+
+@pytest.mark.parametrize("command", ["run", "fit", "gatefid"])
+def test_missing_noise_file_is_an_error_message(command, tmp_path, capsys):
+    missing = tmp_path / "no-such-noise.json"
+    assert _noise_command(command, tmp_path, str(missing)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no-such-noise.json" in err

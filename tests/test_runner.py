@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from atombench import bench
+from atombench import bench, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
 from atombench.circuit import Circuit, Gate, lower_to_native
@@ -40,6 +40,10 @@ def test_run_config_from_dict():
         RunConfig.from_dict({"margins": True})
     with pytest.raises(ValidationError):
         RunConfig.from_dict({"timing_model": "sundial"})
+    with pytest.raises(ValidationError):
+        RunConfig.from_dict({"samples_per_point": 1})
+    with pytest.raises(ValidationError):
+        RunConfig.from_dict({"noise": 5})
 
 
 def test_make_topology_and_label():
@@ -153,6 +157,24 @@ def test_run_suite_records_do_not_depend_on_worker_count():
     assert serial and all(r.status == "ok" for r in serial)
     assert without_time(serial) == without_time(parallel)
     assert serial_agg == parallel_agg
+
+
+def test_run_suite_records_memory_error(monkeypatch):
+    real = runner.run_instance
+
+    def run_instance(spec, *args, **kwargs):
+        if spec.width == 3:
+            raise MemoryError("no room for the state")
+        return real(spec, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_instance", run_instance)
+    records, aggregates = run_suite(RunConfig.from_dict({
+        "noise": "noiseless", "kinds": ["Ghz"], "widths": [2, 3],
+        "samples_per_point": {"Ghz": 1}}))
+    status = {r.width: (r.status, r.error) for r in records}
+    assert status[2] == ("ok", "")
+    assert status[3] == ("error", "MemoryError: no room for the state")
+    assert [a["n_failed"] for a in aggregates] == [0, 1]
 
 
 def test_bell_state_fidelity_bounds():

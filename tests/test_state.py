@@ -1,14 +1,19 @@
 """Sparse block-structured density matrix: pattern, invariants, capacity."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import dense_ref
 from atombench import channels as ch
+from atombench import gatemodel
 from atombench.channels import KrausSet, NoiseParams
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
-from atombench.gatemodel import global_rotation_matrix, rz_matrix
-from atombench.state import N_SYMBOLS, SYMBOL_PAIRS, SymbolOp, init_state
+from atombench.gatemodel import cz_matrix, global_rotation_matrix, rz_matrix
+from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, SYMBOL_PAIRS,
+                             SymbolOp, footprint, init_state)
 
 
 def test_initial_state():
@@ -128,6 +133,89 @@ def test_memory_cap():
     with pytest.raises(CapacityError):
         init_state(8, memory_cap=1 << 20)  # 6^8 complexes > 1 MiB
     init_state(4, memory_cap=1 << 20)      # 6^4 fits
+    # both buffers and the check's tables: the default cap admits 10 sites
+    assert footprint(10) <= DEFAULT_MEMORY_CAP < footprint(11)
+    assert footprint(4) > 2 * 16 * 6**4
+
+
+def test_memory_cap_bounds_gate_peak():
+    # with every fused op built, a gate allocates at most what the cap
+    # charges beyond the state itself
+    n, p = 6, NoiseParams()
+    st = init_state(n)
+    gatemodel.apply_preparation(st, p)
+    gates = {
+        "grot": lambda: gatemodel.apply_noisy_global_rotation(st, 0.3, 0.9, p),
+        "rz": lambda: gatemodel.apply_noisy_local_rz(st, 2, 0.7, p),
+        "cz": lambda: gatemodel.apply_noisy_cz(st, 1, 4, p),
+        "cz reversed": lambda: gatemodel.apply_noisy_cz(st, 4, 1, p),
+        "decoherence": lambda: gatemodel.apply_decoherence(st, 2e-6, p),
+    }
+    for gate in gates.values():
+        gate()
+    allowed = footprint(n) - st.blocks.nbytes
+    tracemalloc.start()
+    try:
+        for name, gate in gates.items():
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            gate()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak <= allowed, (name, peak, allowed)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_check_matches_per_axis_reference(n):
+    # a non-hermitian tensor whose trace is of order one, as for a state
+    rng = np.random.default_rng(n)
+    shape = (N_SYMBOLS,) * n
+    blocks = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 4**n
+    st = init_state(n)
+    st.blocks = blocks.copy()
+    assert st.hermiticity_defect() == dense_ref.hermiticity_defect(blocks)
+    assert abs(st.trace() - dense_ref.trace(blocks)) < 1e-12
+    assert np.array_equal(st.blocks, blocks)
+
+
+def test_kernels_match_reference_on_every_site_and_ordered_pair():
+    n = 4
+    rng = np.random.default_rng(11)
+    shape = (N_SYMBOLS,) * n
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    pair = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    one = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    cases = [(pair, s) for s in itertools.permutations(range(n), 2)]
+    cases += [(one, (s,)) for s in range(n)]
+    st = init_state(n)
+    for matrix, sites in cases:
+        st.blocks = blocks.copy()
+        st._apply(matrix, sites)
+        expect = dense_ref.apply_symbol_matrix(blocks, matrix, sites)
+        assert np.max(np.abs(st.blocks - expect)) < 1e-12, sites
+
+
+def test_injected_defect_is_caught():
+    op = _unitary(global_rotation_matrix(0.4, 1.3))
+    for symbol, kind in (((0, 1, 0), "hermiticity"), ((3, 0, 0), "trace")):
+        st = init_state(3).apply_global_unitary(op)
+        st.blocks[symbol] += 1e-8
+        with pytest.raises(PatternLeakError, match=kind):
+            st.apply_channel((2,), op)
+
+
+def test_apply_after_set_pure_rebinds_blocks():
+    rng = np.random.default_rng(5)
+    psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+    st = dense_ref.set_pure(init_state(3), psi / np.linalg.norm(psi))
+    rho = dense_ref.to_dense(st).reshape((4,) * 6)
+    steps = [((2, 0), cz_matrix()), ((1,), rz_matrix(0.8)),
+             ((0, 1), cz_matrix()), ((2,), global_rotation_matrix(0.2, 1.1))]
+    for sites, u in steps:
+        st.apply_channel(sites, _unitary(u))
+        rho = dense_ref.apply_ops(rho, (u,), sites)
+    assert np.max(np.abs(dense_ref.to_dense(st) - dense_ref.to_matrix(rho))) < 1e-12
 
 
 def test_reduced_qubit_density_folds_loss():
