@@ -20,7 +20,7 @@ import numpy as np
 
 from .circuit import Circuit, Gate, cz, grot, rz
 from .errors import SchemaError, ValidationError
-from .metrics import Distribution
+from .metrics import Distribution, marginalize
 
 HALF_PI = math.pi / 2.0
 
@@ -198,14 +198,9 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
 def ideal_distribution(circuit: Circuit, prune: float = 1e-12) -> Distribution:
     """Measured-qubit marginal of |psi|^2 for the noiseless circuit."""
     probs = np.abs(statevector(circuit)) ** 2
-    n = circuit.n_qubits
     keep = circuit.measured_qubits
-    drop = tuple(i for i in range(n) if i not in keep)
-    if drop:
-        probs = probs.sum(axis=drop)
-    remaining = [i for i in range(n) if i not in drop]
-    probs = probs.transpose([remaining.index(k) for k in keep])
-    return Distribution.from_vector(probs.reshape(-1), len(keep), prune=prune)
+    probs = marginalize(probs.reshape(-1), circuit.n_qubits, keep)
+    return Distribution.from_vector(probs, len(keep), prune=prune)
 
 
 # -- circuit-construction helpers ------------------------------------------

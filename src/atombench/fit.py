@@ -1,9 +1,10 @@
 """Nelder-Mead calibration of noise parameters against measured distributions.
 
-Probability-type parameters are optimized through a logistic map so the
-simplex explores an unconstrained space while the physical values stay in
-(0, 1).  Durations live on a log scale when freed; the coherent CZ phase
-offset is linear.  T1 and T2* are never fitted.
+Probability-type parameters (``NoiseParams._PROB_FIELDS``) are optimized
+through a logistic map so the simplex explores an unconstrained space while
+the physical values stay in (0, 1).  Durations live on a log scale when
+freed; the coherent CZ phase offset is linear.  T1 and T2* and the
+non-numeric ``cz_phaseflip_mode`` are never fitted.
 """
 
 from __future__ import annotations
@@ -20,18 +21,14 @@ from .runner import run_reference
 from .state import DEFAULT_MEMORY_CAP
 
 # parameters in [0, 1], logistic-reparameterized
-PROB_PARAMS = (
-    "uw_depol_per_pi",
-    "rz_phaseflip_per_pi", "rz_loss_dark_per_pi", "rz_loss_bright_per_pi",
-    "rz_decay_per_pi",
-    "cz_phaseflip", "cz_loss_dark", "cz_loss_bright", "cz_decay",
-    "prep_error", "meas_error",
-)
+PROB_PARAMS = NoiseParams._PROB_FIELDS
 LINEAR_PARAMS = ("cz_phaseshift",)
 LOG_PARAMS = ("dur_uw_pi", "dur_rz_pi", "dur_cz")
 NEVER_FREE = ("t1", "t2_star")
 
-DEFAULT_FREE = PROB_PARAMS + LINEAR_PARAMS
+# every error rate and the phase offset, not the decoherence equilibrium
+DEFAULT_FREE = tuple(p for p in PROB_PARAMS + LINEAR_PARAMS
+                     if p != "p0_equilibrium")
 
 
 def _logit(p: float) -> float:
@@ -159,10 +156,14 @@ class FitProblem:
         bad = [p for p in self.free_params if p in NEVER_FREE]
         if bad:
             raise ValidationError(f"parameters {bad} cannot be fitted")
-        fields = set(NoiseParams.__dataclass_fields__)
+        fields = NoiseParams.__dataclass_fields__
         unknown = [p for p in self.free_params if p not in fields]
         if unknown:
             raise ValidationError(f"unknown parameters {unknown}")
+        non_float = [p for p in self.free_params
+                     if not isinstance(fields[p].default, float)]
+        if non_float:
+            raise ValidationError(f"parameters {non_float} are not numbers")
 
 
 def _params_from_vector(problem: FitProblem, x: np.ndarray) -> NoiseParams:

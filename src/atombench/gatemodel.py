@@ -4,16 +4,18 @@ then idle decoherence.
 Gate error channels follow the fixed ordering: the unitary itself, then
 (for the microwave gate) depolarization, (for the local Rz) phase-flip,
 decay and both loss channels, (for the CZ) loss channels, decay, phase-flip
-and the conditional-phase offset; T1/T2* decoherence is always last.
+and the conditional-phase offset; T1/T2* decoherence over the pulse length
+``circuit.gate_duration`` is always last.
 
 The CZ phase-flip is applied either as one correlated ZZ flip or as an
 independent flip on each site, selected by ``NoiseParams.cz_phaseflip_mode``.
 The Table-derived conditional phase offset is coherent: diag(1,1,1,e^{i d})
 on the computational block of the pair.
 
-Each noisy gate is one SymbolOp, the product of its channels in this order
-(6x6 on the ``rz`` site or on every ``grot`` site, 36x36 on the ``cz`` pair),
-cached per (gate, angles, NoiseParams) for one NoiseParams value at a time.
+This module alone maps a native gate to physics: ``native_op(g, params)``
+is the product of its channels in this order, one cached SymbolOp (6x6 on
+the ``rz`` site or on every ``grot`` site, 36x36 on the ``cz`` pair), and
+``apply_gate(state, g, params)`` applies it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import numpy as np
 
 from . import channels as ch
 from .channels import KrausSet, NoiseParams
+from .circuit import Gate, gate_duration
+from .errors import ValidationError
 from .state import QuquartState, SymbolOp, fuse
 
 
@@ -62,60 +66,27 @@ def cz_phaseshift_matrix(delta: float) -> np.ndarray:
     return u
 
 
-FUSED_CACHE_SIZE = 1024
-_fused_lock = threading.Lock()
-_fused_table: tuple = (None, {})  # (NoiseParams value, {key: SymbolOp})
-
-
-def _fused(build, args: tuple, params: NoiseParams) -> SymbolOp:
-    """build(*args, params), built on first use and then cached.
-
-    The table of one NoiseParams value is kept: a lookup under another value
-    starts a new one, and a full table is emptied, so at most
-    FUSED_CACHE_SIZE operators are held.  An operator depends on its build
-    function, arguments and params alone, so sweep threads share the table.
-    """
-    global _fused_table
-    key = (build, *args)
-    with _fused_lock:
-        owner, ops = _fused_table
-        if owner is not params and owner != params:
-            owner, ops = _fused_table = (params, {})
-        op = ops.get(key)
-        if op is None:
-            if len(ops) >= FUSED_CACHE_SIZE:
-                ops.clear()
-            op = ops[key] = build(*args, params)
-    return op
-
-
-def _grot_op(phi: float, theta: float, decohere: bool,
-             params: NoiseParams) -> SymbolOp:
+def _grot_steps(phi: float, theta: float, params: NoiseParams) -> list:
     steps = [KrausSet((global_rotation_matrix(phi, theta),), label="grot")]
     p = ch.scaled_probability(params.uw_depol_per_pi, theta)
     if p > 0.0:
         steps.append(ch.depolarization(p))
-    if decohere:
-        steps += ch.decoherence(params.dur_uw_pi * abs(theta) / math.pi, params)
-    return fuse(steps, "grot")
+    return steps
 
 
-def _rz_op(theta: float, decohere: bool, params: NoiseParams) -> SymbolOp:
+def _rz_steps(theta: float, params: NoiseParams) -> list:
     scale = lambda r: ch.scaled_probability(r, theta)
-    steps = [
+    return [
         KrausSet((rz_matrix(theta),), label="rz"),
         ch.phase_flip(scale(params.rz_phaseflip_per_pi)),
         ch.decay(scale(params.rz_decay_per_pi)),
         ch.loss_channel(scale(params.rz_loss_dark_per_pi), "dark"),
         ch.loss_channel(scale(params.rz_loss_bright_per_pi), "bright"),
     ]
-    if decohere:
-        steps += ch.decoherence(params.dur_rz_pi * abs(theta) / math.pi, params)
-    return fuse(steps, "rz")
 
 
-def _cz_op(decohere: bool, params: NoiseParams) -> SymbolOp:
-    """36x36 CZ on a pair; one-site steps are (channel, 0 or 1)."""
+def _cz_steps(params: NoiseParams) -> list:
+    """Steps on a pair; one-site steps are (channel, 0 or 1)."""
     steps = [KrausSet((cz_matrix(),), label="cz")]
     for target, p in (("dark", params.cz_loss_dark),
                       ("bright", params.cz_loss_bright)):
@@ -133,55 +104,83 @@ def _cz_op(decohere: bool, params: NoiseParams) -> SymbolOp:
     if params.cz_phaseshift != 0.0:
         steps.append(KrausSet((cz_phaseshift_matrix(params.cz_phaseshift),),
                               label="cz_phaseshift"))
-    if decohere:
-        for i in (0, 1):
-            steps += [(k, i) for k in ch.decoherence(params.dur_cz, params)]
-    return fuse(steps, "cz")
+    return steps
 
 
-def _decoherence_op(t: float, params: NoiseParams) -> SymbolOp:
-    return fuse(ch.decoherence(t, params), "decoherence")
+# channel steps of each operator, in order: steps(*args, params)
+_STEPS = {"grot": _grot_steps, "rz": _rz_steps, "cz": _cz_steps,
+          "decoherence": ch.decoherence,
+          "preparation": lambda params: [ch.bit_flip(params.prep_error)]}
+
+FUSED_CACHE_SIZE = 1024
+_fused_lock = threading.Lock()
+_fused_table: tuple = (None, {})  # (NoiseParams value, {key: SymbolOp})
 
 
-def _preparation_op(params: NoiseParams) -> SymbolOp:
-    return fuse([ch.bit_flip(params.prep_error)], "preparation")
+def _fused(name: str, args: tuple, params: NoiseParams, idle=None
+           ) -> SymbolOp:
+    """The steps of `name` fused into one SymbolOp, then (unless idle is
+    None) idle decoherence over `idle` seconds on each of its sites.
+
+    Built on first use and then cached.  The table of one NoiseParams value
+    is kept: a lookup under another value starts a new one, and a full table
+    is emptied, so at most FUSED_CACHE_SIZE operators are held.  An operator
+    depends on its key and params alone, so sweep threads share the table.
+    """
+    global _fused_table
+    key = (name, args, idle)
+    with _fused_lock:
+        owner, ops = _fused_table
+        if owner is not params and owner != params:
+            owner, ops = _fused_table = (params, {})
+        op = ops.get(key)
+        if op is None:
+            if len(ops) >= FUSED_CACHE_SIZE:
+                ops.clear()
+            steps = _STEPS[name](*args, params)
+            if idle is not None:
+                dec = ch.decoherence(idle, params)
+                if name == "cz":
+                    dec = [(k, i) for i in (0, 1) for k in dec]
+                steps += dec
+            op = ops[key] = fuse(steps, name)
+    return op
 
 
-def apply_decoherence(state: QuquartState, t: float, params: NoiseParams,
-                      sites=None) -> QuquartState:
-    """Idle T1/T2* decoherence over time t on the given sites (default all)."""
-    if t <= 0.0:
-        return state
-    op = _fused(_decoherence_op, (t,), params)
-    if sites is None:
+def native_op(g: Gate, params: NoiseParams, decohere: bool = True
+              ) -> SymbolOp:
+    """The cached fused operator of native gate g.
+
+    It acts on one site for ``rz`` (and on each site in turn for ``grot``)
+    and on the ordered pair for ``cz``; it does not depend on ``g.sites``.
+    With decohere, it ends in idle decoherence over ``gate_duration(g)``.
+    """
+    if not g.is_native:
+        raise ValidationError(f"non-native gate {g.name!r}")
+    idle = gate_duration(g, params) if decohere else None
+    return _fused(g.name, g.params, params, idle)
+
+
+def apply_gate(state: QuquartState, g: Gate, params: NoiseParams,
+               decohere: bool = True) -> QuquartState:
+    """Apply native gate g with its noise: a ``grot`` to every site, an
+    ``rz`` or ``cz`` to its own sites."""
+    op = native_op(g, params, decohere)
+    if g.name == "grot":
         return state.apply_global_unitary(op)
-    for s in sites:
-        state.apply_channel((s,), op)
+    return state.apply_channel(g.sites, op)
+
+
+def apply_decoherence(state: QuquartState, t: float, params: NoiseParams
+                      ) -> QuquartState:
+    """Idle T1/T2* decoherence over time t on every site."""
+    if t > 0.0:
+        state.apply_global_unitary(_fused("decoherence", (t,), params))
     return state
-
-
-def apply_noisy_global_rotation(state: QuquartState, phi: float, theta: float,
-                                params: NoiseParams, decohere: bool = True
-                                ) -> QuquartState:
-    op = _fused(_grot_op, (phi, theta, decohere), params)
-    return state.apply_global_unitary(op)
-
-
-def apply_noisy_local_rz(state: QuquartState, site: int, theta: float,
-                         params: NoiseParams, decohere: bool = True
-                         ) -> QuquartState:
-    op = _fused(_rz_op, (theta, decohere), params)
-    return state.apply_channel((site,), op)
-
-
-def apply_noisy_cz(state: QuquartState, site_a: int, site_b: int,
-                   params: NoiseParams, decohere: bool = True) -> QuquartState:
-    op = _fused(_cz_op, (decohere,), params)
-    return state.apply_channel((site_a, site_b), op)
 
 
 def apply_preparation(state: QuquartState, params: NoiseParams) -> QuquartState:
     """Independent bit-flip preparation error on every site; run at t=0."""
     if params.prep_error > 0.0:
-        state.apply_global_unitary(_fused(_preparation_op, (), params))
+        state.apply_global_unitary(_fused("preparation", (), params))
     return state

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import gatemodel
 from .channels import KrausSet
+from .circuit import cz, grot, rz
 from .errors import DegenerateIdealError, ValidationError
 from .state import N_SYMBOLS, QUBIT_FOLD, SymbolOp
 
@@ -169,16 +170,14 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
     F_avg(N o U, U) = F_avg(N, id) for every phi.
     """
     if gate == "global_rotation":
-        op = gatemodel._fused(gatemodel._grot_op, (0.0, theta, True), params)
-        u = gatemodel.global_rotation_matrix(0.0, theta)
+        g, u = grot(0.0, theta), gatemodel.global_rotation_matrix(0.0, theta)
     elif gate == "local_rz":
-        op = gatemodel._fused(gatemodel._rz_op, (theta, True), params)
-        u = gatemodel.rz_matrix(theta)
+        g, u = rz(0, theta), gatemodel.rz_matrix(theta)
     elif gate == "cz":
-        op = gatemodel._fused(gatemodel._cz_op, (True,), params)
-        u = gatemodel.cz_matrix()
+        g, u = cz(0, 1), gatemodel.cz_matrix()
     else:
         raise ValidationError(f"unknown gate {gate!r}")
+    op = gatemodel.native_op(g, params)
     comp, fold = np.arange(4), QUBIT_FOLD
     if op.n_sites == 2:
         comp = (N_SYMBOLS * comp[:, None] + comp).ravel()

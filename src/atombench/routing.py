@@ -119,13 +119,6 @@ class Topology:
         return {"grid": [self.rows, self.cols]}
 
 
-def default_placement(n_qubits: int, topology: Topology) -> list:
-    """Identity logical -> node placement (row-major)."""
-    if topology.mode == "grid" and topology.rows * topology.cols < n_qubits:
-        raise CapacityError("grid too small for circuit")
-    return list(range(n_qubits))
-
-
 def interaction_placement(circuit: Circuit, topology: Topology) -> list:
     """Greedy initial placement matching CZ-heavy qubits to central nodes.
 

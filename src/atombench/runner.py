@@ -1,11 +1,14 @@
 """Suite orchestration: generate, lower, route, simulate, score.
 
-The runner owns layer timing: native gates inside a scheduled layer are
-applied without their trailing idle decoherence, and a single decoherence
-interval equal to the layer's maximum gate duration is then applied to every
-site.  Readout is reduced to bitstrings, un-permuted through the router's
-final placement, restricted to the measured qubits, convolved with the
-measurement-error channel and scored against the ideal distribution.
+The runner applies each native gate through ``gatemodel.apply_gate`` under
+one of two timing models.  "gate" (the default) attaches each gate's own
+idle decoherence to its sites, and a global pulse decoheres every site.
+"layer" applies the gates of a scheduled layer without their idle
+decoherence and then one decoherence interval, the layer's maximum gate
+duration, to every site.  Readout is reduced to bitstrings, un-permuted
+through the router's final placement, restricted to the measured qubits,
+convolved with the measurement-error channel and scored against the ideal
+distribution.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bench, gatemodel, metrics
-from .bench import _ghz_ops
 from .channels import NoiseParams
 from .circuit import Circuit, lower_to_native, optimize_native, schedule_layers
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
@@ -113,8 +115,7 @@ def topology_label(descriptor) -> str:
 
 def execute_native(circuit: Circuit, params: NoiseParams,
                    memory_cap: int = DEFAULT_MEMORY_CAP,
-                   prepare: bool = True, timing_model: str = "gate"
-                   ) -> tuple[QuquartState, int]:
+                   timing_model: str = "gate") -> tuple[QuquartState, int]:
     """Run a native circuit with SPAM preparation and idle decoherence.
 
     timing_model "gate" attaches each gate's decoherence interval to its own
@@ -128,24 +129,10 @@ def execute_native(circuit: Circuit, params: NoiseParams,
     per_gate = timing_model == "gate"
     layers, depth = schedule_layers(circuit, params)
     state = init_state(circuit.n_qubits, memory_cap)
-    if prepare:
-        gatemodel.apply_preparation(state, params)
+    gatemodel.apply_preparation(state, params)
     for layer in layers:
         for g in layer.gates:
-            if g.name == "grot":
-                gatemodel.apply_noisy_global_rotation(
-                    state, g.params[0], g.params[1], params,
-                    decohere=per_gate)
-            elif g.name == "rz":
-                gatemodel.apply_noisy_local_rz(
-                    state, g.sites[0], g.params[0], params,
-                    decohere=per_gate)
-            elif g.name == "cz":
-                gatemodel.apply_noisy_cz(
-                    state, g.sites[0], g.sites[1], params,
-                    decohere=per_gate)
-            else:
-                raise ValidationError(f"non-native gate in layer: {g.name}")
+            gatemodel.apply_gate(state, g, params, decohere=per_gate)
         if not per_gate:
             gatemodel.apply_decoherence(state, layer.duration, params)
     return state, depth
@@ -251,24 +238,6 @@ def run_suite(config: RunConfig) -> tuple[list, list]:
                     if good else float("nan"),
                 })
     return records, aggregates
-
-
-def bell_state_fidelity(params: NoiseParams) -> float:
-    """Quantum fidelity of a noisily prepared Bell state against the ideal.
-
-    Preparation: Ry(pi/2) pulse on the first qubit, native CX onto the
-    second, with SPAM preparation errors and per-layer decoherence; scored on
-    the readout-reduced two-qubit density matrix.
-    """
-    c = Circuit(2, metadata={"measured_qubits": [0, 1]})
-    for op in _ghz_ops(2):
-        c.add(op)
-    native = optimize_native(lower_to_native(c))
-    state, _ = execute_native(native, params)
-    rho = state.reduced_qubit_density()
-    ideal = np.zeros(4, dtype=complex)
-    ideal[0] = ideal[3] = 1.0 / np.sqrt(2.0)
-    return metrics.quantum_fidelity(np.outer(ideal, ideal.conj()), rho)
 
 
 def save_records(records: list, path) -> None:

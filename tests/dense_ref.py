@@ -13,7 +13,9 @@ import math
 import numpy as np
 
 from atombench import channels as ch
+from atombench.bench import _ghz_ops
 from atombench.channels import NoiseParams
+from atombench.circuit import Circuit, lower_to_native, optimize_native
 from atombench.errors import CapacityError, ValidationError
 from atombench.gatemodel import (
     cz_matrix,
@@ -21,6 +23,8 @@ from atombench.gatemodel import (
     global_rotation_matrix,
     rz_matrix,
 )
+from atombench.metrics import quantum_fidelity
+from atombench.runner import execute_native as run_native
 from atombench.state import N_SYMBOLS, SYMBOL_PAIRS
 
 D = 4
@@ -286,3 +290,20 @@ def execute_native(circuit, params: NoiseParams, prepare: bool = True
         else:
             raise ValueError(f"non-native gate {g.name}")
     return rho
+
+
+def bell_state_fidelity(params: NoiseParams) -> float:
+    """Quantum fidelity of a Bell state prepared by the production runner.
+
+    Preparation: Ry(pi/2) pulse on the first qubit, native CX onto the
+    second, with SPAM preparation errors and per-gate decoherence; scored on
+    the readout-reduced two-qubit density matrix.
+    """
+    c = Circuit(2, metadata={"measured_qubits": [0, 1]})
+    for op in _ghz_ops(2):
+        c.add(op)
+    state, _ = run_native(optimize_native(lower_to_native(c)), params)
+    rho = state.reduced_qubit_density()
+    ideal = np.zeros(4, dtype=complex)
+    ideal[0] = ideal[3] = 1.0 / np.sqrt(2.0)
+    return quantum_fidelity(np.outer(ideal, ideal.conj()), rho)

@@ -18,7 +18,8 @@ import dense_ref
 from atombench import bench, channels as ch, gatemodel, metrics, runner
 from atombench.bench import BenchmarkSpec, sample_instances
 from atombench.channels import KrausSet, NoiseParams
-from atombench.circuit import Circuit, Gate, lower_to_native, optimize_native
+from atombench.circuit import (Circuit, Gate, cz, grot, lower_to_native,
+                               optimize_native, rz)
 from atombench.fit import FitProblem, fit_noise_params
 from atombench.routing import Topology, route
 from atombench.state import SYMBOL_PAIRS, init_state
@@ -75,16 +76,16 @@ def test_random_noisy_circuits_match_dense_reference():
             r = rng.integers(3)
             if r == 0:
                 phi, th = map(float, rng.uniform(-np.pi, np.pi, size=2))
-                gatemodel.apply_noisy_global_rotation(st, phi, th, TABLE)
+                gatemodel.apply_gate(st, grot(phi, th), TABLE)
                 rho = dense_ref.apply_grot(rho, phi, th, TABLE)
             elif r == 1:
                 s = int(rng.integers(3))
                 th = float(rng.uniform(-2 * np.pi, 2 * np.pi))
-                gatemodel.apply_noisy_local_rz(st, s, th, TABLE)
+                gatemodel.apply_gate(st, rz(s, th), TABLE)
                 rho = dense_ref.apply_rz(rho, s, th, TABLE)
             else:
                 a, b = map(int, rng.choice(3, 2, replace=False))
-                gatemodel.apply_noisy_cz(st, a, b, TABLE)
+                gatemodel.apply_gate(st, cz(a, b), TABLE)
                 rho = dense_ref.apply_cz(rho, a, b, TABLE)
         err = np.max(np.abs(dense_ref.to_dense(st) - dense_ref.to_matrix(rho)))
         assert err < 1e-10, (trial, err)
@@ -174,8 +175,8 @@ def test_routed_noiseless_distribution_matches_unrouted():
         circuit, _ = bench.generate(spec)
         native = optimize_native(lower_to_native(circuit))
         routed, l2p = route(native, Topology.grid(native.n_qubits))
-        st_u, _ = runner.execute_native(native, noiseless, prepare=False)
-        st_r, _ = runner.execute_native(routed, noiseless, prepare=False)
+        st_u, _ = runner.execute_native(native, noiseless)
+        st_r, _ = runner.execute_native(routed, noiseless)
         out_u = runner.output_distribution(
             st_u, list(range(native.n_qubits)), circuit.measured_qubits, 0.0)
         out_r = runner.output_distribution(
@@ -192,9 +193,9 @@ def test_out_of_pattern_elements_are_exactly_zero():
     lossy = TABLE.replace(cz_loss_dark=0.3, cz_loss_bright=0.3)
     st = init_state(3)
     gatemodel.apply_preparation(st, lossy)
-    gatemodel.apply_noisy_global_rotation(st, 0.3, np.pi / 2, lossy)
-    gatemodel.apply_noisy_cz(st, 0, 1, lossy)
-    gatemodel.apply_noisy_cz(st, 1, 2, lossy)
+    gatemodel.apply_gate(st, grot(0.3, np.pi / 2), lossy)
+    gatemodel.apply_gate(st, cz(0, 1), lossy)
+    gatemodel.apply_gate(st, cz(1, 2), lossy)
     rng = np.random.default_rng(6)
     pattern = set(SYMBOL_PAIRS)
     checked = 0
@@ -211,7 +212,7 @@ def test_memory_scales_as_six_to_the_n():
     nbytes = {}
     for n in range(3, 7):
         st = init_state(n)
-        gatemodel.apply_noisy_global_rotation(st, 0.1, 0.7, TABLE)
+        gatemodel.apply_gate(st, grot(0.1, 0.7), TABLE)
         assert st.blocks.size == 6**n
         nbytes[n] = st.blocks.nbytes
     for n in range(4, 7):
@@ -236,7 +237,7 @@ def test_haar_average_gate_fidelity(gate, target, tol):
 
 
 def test_bell_state_fidelity_window():
-    f = runner.bell_state_fidelity(TABLE)
+    f = dense_ref.bell_state_fidelity(TABLE)
     assert abs(f - 0.913) <= 0.015, f
 
 

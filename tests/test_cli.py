@@ -81,6 +81,17 @@ def test_fit_command(tmp_path):
     assert fitted["cz_phaseflip"] == pytest.approx(0.05, rel=0.25)
 
 
+def test_fit_command_rejects_non_numeric_param(tmp_path, capsys):
+    refs = tmp_path / "refs"
+    _write_reference(refs, NoiseParams())
+    rc = main(["fit", str(refs), "--set",
+               'fit.free_params=["cz_phaseflip_mode"]',
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_gatefid_command(capsys):
     rc = main(["gatefid"])
     assert rc == 0

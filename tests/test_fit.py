@@ -8,6 +8,7 @@ import pytest
 from atombench.channels import NoiseParams
 from atombench.errors import ValidationError
 from atombench.fit import (
+    DEFAULT_FREE,
     FitProblem,
     decode_param,
     encode_param,
@@ -58,13 +59,18 @@ def test_nelder_mead_handles_non_finite_regions():
 
 def test_param_encoding_round_trip():
     for name, value in (("cz_phaseflip", 0.033), ("prep_error", 5.2e-3),
-                        ("cz_phaseshift", -2e-3), ("dur_rz_pi", 4.772e-5)):
+                        ("cz_phaseshift", -2e-3), ("dur_rz_pi", 4.772e-5),
+                        ("p0_equilibrium", 0.42)):
         assert decode_param(name, encode_param(name, value)) == pytest.approx(
             value, rel=1e-12)
     # probabilities stay valid wherever the optimizer wanders
     assert 0.0 < decode_param("cz_phaseflip", 20.0) < 1.0
     assert 0.0 < decode_param("cz_phaseflip", -20.0) < 1.0
     assert 0.0 <= decode_param("cz_phaseflip", 500.0) <= 1.0
+    assert 0.0 <= decode_param("p0_equilibrium", 20.0) <= 1.0
+    # every probability but p0_equilibrium is free by default
+    assert set(DEFAULT_FREE) == set(NoiseParams._PROB_FIELDS) - {
+        "p0_equilibrium"} | {"cz_phaseshift"}
     # durations stay positive
     assert decode_param("dur_cz", -100.0) > 0.0
 
@@ -77,6 +83,8 @@ def test_fit_problem_validation():
         FitProblem(references=refs, free_params=("t1",))
     with pytest.raises(ValidationError):
         FitProblem(references=refs, free_params=("cz_phaseflop",))
+    with pytest.raises(ValidationError, match="cz_phaseflip_mode"):
+        FitProblem(references=refs, free_params=("cz_phaseflip_mode",))
 
 
 def test_fit_no_free_params_returns_base():

@@ -10,16 +10,17 @@ import dense_ref
 from atombench import gatemodel
 from atombench.bench import BenchmarkSpec, generate
 from atombench.channels import NoiseParams
+from atombench.circuit import Gate, cz, grot, rz
+from atombench.errors import ValidationError
 from atombench.fit import FitProblem, fit_noise_params
 from atombench.gatemodel import (
     FUSED_CACHE_SIZE,
     apply_decoherence,
-    apply_noisy_cz,
-    apply_noisy_global_rotation,
-    apply_noisy_local_rz,
+    apply_gate,
     apply_preparation,
     cz_matrix,
     global_rotation_matrix,
+    native_op,
     rz_matrix,
 )
 from atombench.runner import run_reference
@@ -32,16 +33,16 @@ IDEAL_PULSE = NP.replace(uw_depol_per_pi=0.0, dur_uw_pi=1e-30)
 def _minus_states(n):
     """|-...-> register prepared with an ideal Ry(-pi/2) global pulse."""
     st = init_state(n)
-    apply_noisy_global_rotation(st, -np.pi / 2, np.pi / 2, IDEAL_PULSE)
+    apply_gate(st, grot(-np.pi / 2, np.pi / 2), IDEAL_PULSE)
     return st
 
 
 def test_noiseless_gates_are_pure_unitaries():
     p = NoiseParams.noiseless()
     st = init_state(2)
-    apply_noisy_global_rotation(st, 0.4, 1.3, p)
-    apply_noisy_local_rz(st, 1, -2.1, p)
-    apply_noisy_cz(st, 0, 1, p)
+    apply_gate(st, grot(0.4, 1.3), p)
+    apply_gate(st, rz(1, -2.1), p)
+    apply_gate(st, cz(0, 1), p)
     u = cz_matrix() @ np.kron(np.eye(4), rz_matrix(-2.1)) \
         @ np.kron(global_rotation_matrix(0.4, 1.3),
                   global_rotation_matrix(0.4, 1.3))
@@ -53,7 +54,7 @@ def test_noiseless_gates_are_pure_unitaries():
 def test_noisy_cz_frozen_reference():
     # Dense-reference values for a default-noise CZ on |-->, frozen.
     st = _minus_states(2)
-    apply_noisy_cz(st, 0, 1, NP)
+    apply_gate(st, cz(0, 1), NP)
     dense = dense_ref.to_dense(st)
     diag = np.real(np.diag(dense))
     expect = [0.25001001, 0.23838027, 0.00450009, 0.00711964, 0.23838027,
@@ -65,7 +66,7 @@ def test_noisy_cz_frozen_reference():
 
 def test_noisy_rz_frozen_reference():
     st = _minus_states(1)
-    apply_noisy_local_rz(st, 0, np.pi, NP)
+    apply_gate(st, rz(0, np.pi), NP)
     dense = dense_ref.to_dense(st)
     assert dense[0, 0].real == pytest.approx(4.99999628e-01, abs=1e-9)
     assert dense[0, 1].real == pytest.approx(4.92800078e-01, abs=1e-9)
@@ -84,15 +85,15 @@ def test_gates_match_dense_reference():
         r = rng.integers(3)
         if r == 0:
             phi, th = rng.uniform(-np.pi, np.pi, size=2)
-            apply_noisy_global_rotation(st, phi, th, p)
+            apply_gate(st, grot(phi, th), p)
             rho = dense_ref.apply_grot(rho, phi, th, p)
         elif r == 1:
             s, th = int(rng.integers(3)), float(rng.uniform(-2 * np.pi, 2 * np.pi))
-            apply_noisy_local_rz(st, s, th, p)
+            apply_gate(st, rz(s, th), p)
             rho = dense_ref.apply_rz(rho, s, th, p)
         else:
             a, b = map(int, rng.choice(3, 2, replace=False))
-            apply_noisy_cz(st, a, b, p)
+            apply_gate(st, cz(a, b), p)
             rho = dense_ref.apply_cz(rho, a, b, p)
     assert np.max(np.abs(dense_ref.to_dense(st) - dense_ref.to_matrix(rho))) < 1e-12
 
@@ -101,7 +102,7 @@ def test_cz_phaseflip_modes_differ():
     outs = {}
     for mode in ("conditional", "correlated", "per_site"):
         st = _minus_states(2)
-        apply_noisy_cz(st, 0, 1, NP.replace(cz_phaseflip_mode=mode))
+        apply_gate(st, cz(0, 1), NP.replace(cz_phaseflip_mode=mode))
         outs[mode] = dense_ref.to_dense(st)
     assert np.max(np.abs(outs["conditional"] - outs["correlated"])) > 1e-4
     assert np.max(np.abs(outs["correlated"] - outs["per_site"])) > 1e-4
@@ -116,14 +117,32 @@ def test_decoherence_equilibrium_on_register():
 
 
 def test_decoherence_site_scoping():
+    # an rz decoheres only its own site: a 1 ms pi pulse on site 0 with
+    # its error channels switched off
+    p = NP.replace(rz_phaseflip_per_pi=0.0, rz_loss_dark_per_pi=0.0,
+                   rz_loss_bright_per_pi=0.0, rz_decay_per_pi=0.0,
+                   dur_rz_pi=1e-3)
     st = _minus_states(2)
-    apply_decoherence(st, 1e-3, NP, sites=(0,))
+    apply_gate(st, rz(0, np.pi), p)
     dense = dense_ref.to_dense(st)
     # site 1 coherence untouched, site 0 coherence damped by exp(-t/T2*)
     d2 = np.exp(-1e-3 / NP.t2_star)
     # site-0 diagonal relaxes slightly under T1; site-1 coherence untouched
     assert abs(dense[0, 1]) == pytest.approx(0.25, abs=1e-5)
     assert abs(dense[0, 4]) == pytest.approx(0.25 * d2, abs=1e-6)
+
+
+def test_native_op_ignores_sites():
+    assert native_op(rz(0, 0.7), NP) is native_op(rz(3, 0.7), NP)
+    assert native_op(cz(0, 1), NP) is native_op(cz(1, 0), NP)
+
+
+def test_apply_gate_rejects_non_native_gate():
+    st = _minus_states(1)
+    before = st.blocks.copy()
+    with pytest.raises(ValidationError):
+        apply_gate(st, Gate("h", (0,)), NP)
+    assert np.array_equal(st.blocks, before)
 
 
 def test_preparation_error_distribution():
@@ -153,7 +172,7 @@ FUSED_CASES = (
        for mode in ("conditional", "correlated", "per_site")
        for shift in (0.0, 0.3) for d in (True, False)]
     + [pytest.param(g, STRONG, True, id=g)
-       for g in ("layer_decoherence", "site_decoherence", "preparation")]
+       for g in ("layer_decoherence", "preparation")]
 )
 
 
@@ -162,29 +181,26 @@ def test_fused_gate_equals_unfused_kraus_sequence(gate, params, decohere):
     # a mixed 2-site start with coherences and both loss levels populated
     st, rho = init_state(2), dense_ref.initial_rho(2)
     apply_preparation(st, STRONG)
-    apply_noisy_global_rotation(st, 0.3, 1.1, STRONG)
-    apply_noisy_cz(st, 0, 1, STRONG)
-    apply_noisy_local_rz(st, 1, 0.7, STRONG)
+    apply_gate(st, grot(0.3, 1.1), STRONG)
+    apply_gate(st, cz(0, 1), STRONG)
+    apply_gate(st, rz(1, 0.7), STRONG)
     rho = dense_ref.apply_preparation(rho, STRONG)
     rho = dense_ref.apply_grot(rho, 0.3, 1.1, STRONG)
     rho = dense_ref.apply_cz(rho, 0, 1, STRONG)
     rho = dense_ref.apply_rz(rho, 1, 0.7, STRONG)
 
     if gate == "grot":
-        apply_noisy_global_rotation(st, -0.4, 2.3, params, decohere)
+        apply_gate(st, grot(-0.4, 2.3), params, decohere)
         rho = dense_ref.apply_grot(rho, -0.4, 2.3, params, decohere)
     elif gate == "rz":
-        apply_noisy_local_rz(st, 0, -1.9, params, decohere)
+        apply_gate(st, rz(0, -1.9), params, decohere)
         rho = dense_ref.apply_rz(rho, 0, -1.9, params, decohere)
     elif gate == "cz":
-        apply_noisy_cz(st, 1, 0, params, decohere)
+        apply_gate(st, cz(1, 0), params, decohere)
         rho = dense_ref.apply_cz(rho, 1, 0, params, decohere)
     elif gate == "layer_decoherence":
         apply_decoherence(st, 7e-4, params)
         rho = dense_ref.apply_decoherence(rho, 7e-4, params)
-    elif gate == "site_decoherence":
-        apply_decoherence(st, 7e-4, params, sites=(1,))
-        rho = dense_ref.apply_decoherence(rho, 7e-4, params, sites=(1,))
     else:
         apply_preparation(st, params)
         rho = dense_ref.apply_preparation(rho, params)
@@ -203,10 +219,10 @@ def test_fused_cache_stays_bounded():
     # than the cache holds
     st = init_state(1)
     for phi in np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 500):
-        apply_noisy_global_rotation(st, float(phi), np.pi, NP)
+        apply_gate(st, grot(float(phi), np.pi), NP)
     assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
     for theta in np.linspace(0.1, 3.0, FUSED_CACHE_SIZE + 50):
-        apply_noisy_local_rz(st, 0, float(theta), NP)
+        apply_gate(st, rz(0, float(theta)), NP)
         assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
 
 
@@ -222,10 +238,9 @@ def test_fused_cache_is_thread_safe():
 
     def run(i):
         p, st = (NP, STRONG)[i % 2], init_state(2)
-        apply = {"grot": apply_noisy_global_rotation, "cz": apply_noisy_cz,
-                 "rz": apply_noisy_local_rz}
+        make = {"grot": grot, "cz": cz, "rz": rz}
         for name, args in gates(i):
-            apply[name](st, *args, p)
+            apply_gate(st, make[name](*args), p)
         return dense_ref.to_dense(st)
 
     def reference(i):

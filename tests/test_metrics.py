@@ -10,6 +10,7 @@ import pytest
 import dense_ref
 from atombench import gatemodel
 from atombench.channels import NoiseParams
+from atombench.circuit import cz, grot, rz
 from atombench.errors import DegenerateIdealError, ValidationError
 from atombench.metrics import (
     Distribution,
@@ -189,14 +190,13 @@ def test_average_gate_fidelity_matches_two_design_mean(gate, theta, params):
     n = 2 if gate == "cz" else 1
     if gate == "global_rotation":
         u = gatemodel.global_rotation_matrix(phi, theta)[:2, :2]
-        apply = lambda st: gatemodel.apply_noisy_global_rotation(
-            st, phi, theta, params)
+        apply = lambda st: gatemodel.apply_gate(st, grot(phi, theta), params)
     elif gate == "local_rz":
         u = gatemodel.rz_matrix(theta)[:2, :2]
-        apply = lambda st: gatemodel.apply_noisy_local_rz(st, 0, theta, params)
+        apply = lambda st: gatemodel.apply_gate(st, rz(0, theta), params)
     else:
         u = np.diag([1.0, 1.0, 1.0, -1.0])
-        apply = lambda st: gatemodel.apply_noisy_cz(st, 0, 1, params)
+        apply = lambda st: gatemodel.apply_gate(st, cz(0, 1), params)
     fids = []
     for psi in _two_design(n):
         st = apply(dense_ref.set_pure(init_state(n), psi))

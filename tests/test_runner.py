@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import dense_ref
 from atombench import bench, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
@@ -13,7 +14,6 @@ from atombench.errors import ValidationError
 from atombench.runner import (
     ResultRecord,
     RunConfig,
-    bell_state_fidelity,
     execute_native,
     make_topology,
     run_instance,
@@ -178,6 +178,7 @@ def test_run_suite_records_memory_error(monkeypatch):
 
 
 def test_bell_state_fidelity_bounds():
-    assert bell_state_fidelity(NOISELESS) == pytest.approx(1.0, abs=1e-9)
-    f = bell_state_fidelity(NoiseParams())
+    assert dense_ref.bell_state_fidelity(NOISELESS) == pytest.approx(
+        1.0, abs=1e-9)
+    f = dense_ref.bell_state_fidelity(NoiseParams())
     assert 0.85 < f < 0.96

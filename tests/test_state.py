@@ -10,6 +10,7 @@ import dense_ref
 from atombench import channels as ch
 from atombench import gatemodel
 from atombench.channels import KrausSet, NoiseParams
+from atombench.circuit import cz, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
 from atombench.gatemodel import cz_matrix, global_rotation_matrix, rz_matrix
 from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, SYMBOL_PAIRS,
@@ -145,10 +146,10 @@ def test_memory_cap_bounds_gate_peak():
     st = init_state(n)
     gatemodel.apply_preparation(st, p)
     gates = {
-        "grot": lambda: gatemodel.apply_noisy_global_rotation(st, 0.3, 0.9, p),
-        "rz": lambda: gatemodel.apply_noisy_local_rz(st, 2, 0.7, p),
-        "cz": lambda: gatemodel.apply_noisy_cz(st, 1, 4, p),
-        "cz reversed": lambda: gatemodel.apply_noisy_cz(st, 4, 1, p),
+        "grot": lambda: gatemodel.apply_gate(st, grot(0.3, 0.9), p),
+        "rz": lambda: gatemodel.apply_gate(st, rz(2, 0.7), p),
+        "cz": lambda: gatemodel.apply_gate(st, cz(1, 4), p),
+        "cz reversed": lambda: gatemodel.apply_gate(st, cz(4, 1), p),
         "decoherence": lambda: gatemodel.apply_decoherence(st, 2e-6, p),
     }
     for gate in gates.values():
