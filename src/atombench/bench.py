@@ -76,13 +76,18 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown benchmark kind {self.kind!r}")
-        lo, hi = WIDTH_BOUNDS[self.kind]
-        if not lo <= self.width <= hi:
-            raise ValidationError(
-                f"{self.kind} width {self.width} outside [{lo}, {hi}]"
-            )
-        if self.kind == "HiddenShift" and self.width % 2:
-            raise ValidationError("HiddenShift width must be even")
+        if not width_allowed(self.kind, self.width):
+            lo, hi = WIDTH_BOUNDS[self.kind]
+            even = " and even" if self.kind == "HiddenShift" else ""
+            raise ValidationError(f"{self.kind} width must be in "
+                                  f"[{lo}, {hi}]{even}, got {self.width}")
+
+
+def width_allowed(kind: str, width: int) -> bool:
+    """Whether a known kind has instances of this width: inside its
+    WIDTH_BOUNDS, and even for HiddenShift (its oracle acts on pairs)."""
+    lo, hi = WIDTH_BOUNDS[kind]
+    return lo <= width <= hi and not (kind == "HiddenShift" and width % 2)
 
 
 # -- statevector oracle ----------------------------------------------------
@@ -554,9 +559,7 @@ def generate(spec: BenchmarkSpec) -> tuple[Circuit, Distribution]:
 
 def _admissible(kind: str, width: int):
     """(count, value_fn) for enumerable instance spaces, or None if continuous."""
-    if kind == "BernsteinVazirani":
-        return 2**width - 1, lambda i: format(i + 1, f"0{width}b")
-    if kind == "HiddenShift":
+    if kind in ("BernsteinVazirani", "HiddenShift"):
         return 2**width - 1, lambda i: format(i + 1, f"0{width}b")
     if kind == "Grover":
         return 2**width, lambda i: format(i, f"0{width}b")

@@ -21,7 +21,6 @@ from .errors import ValidationError, ParameterRegimeError
 SITE_DIM = 4
 
 # Generalized Pauli operators: identity on the loss subspace.
-IDENT = np.eye(4, dtype=complex)
 PAULI_X = np.array(
     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
 )
@@ -215,34 +214,45 @@ def scaled_probability(rate_per_pi: float, theta: float) -> float:
     return min(rate_per_pi * abs(theta) / math.pi, 1.0)
 
 
+def _mixture(p: float, label: str, *unitaries) -> KrausSet:
+    """rho -> (1-p) rho + p/k sum_i U_i rho U_i^dag over k unitaries."""
+    _check_prob(p)
+    k = len(unitaries)
+    eye = np.eye(len(unitaries[0]), dtype=complex)
+    return KrausSet((math.sqrt(1 - p) * eye,
+                     *(math.sqrt(p / k) * u for u in unitaries)), label=label)
+
+
+def _transfer(p: float, level: int, label: str) -> KrausSet:
+    """Transfer of |1> population into `level` with probability p."""
+    _check_prob(p)
+    a0 = np.diag([1.0, math.sqrt(1 - p), 1.0, 1.0]).astype(complex)
+    a1 = np.zeros((4, 4), dtype=complex)
+    a1[level, 1] = math.sqrt(p)
+    return KrausSet((a0, a1), label=label)
+
+
+def controlled_phase_matrix(f: complex) -> np.ndarray:
+    """16x16 diag(1, 1, 1, f) on the computational block of a site pair;
+    f = -1 is the controlled-Z."""
+    u = np.eye(16, dtype=complex)
+    u[5, 5] = f  # |11><11| in the 4x4-per-site ordering
+    return u
+
+
 def depolarization(p: float) -> KrausSet:
     """rho -> (1-p) rho + p/3 (X rho X + Y rho Y + Z rho Z)."""
-    _check_prob(p)
-    return KrausSet(
-        (
-            math.sqrt(1 - p) * IDENT,
-            math.sqrt(p / 3) * PAULI_X,
-            math.sqrt(p / 3) * PAULI_Y,
-            math.sqrt(p / 3) * PAULI_Z,
-        ),
-        label="depolarization",
-    )
+    return _mixture(p, "depolarization", PAULI_X, PAULI_Y, PAULI_Z)
 
 
 def phase_flip(p: float) -> KrausSet:
     """rho -> (1-p) rho + p Z rho Z."""
-    _check_prob(p)
-    return KrausSet(
-        (math.sqrt(1 - p) * IDENT, math.sqrt(p) * PAULI_Z), label="phase_flip"
-    )
+    return _mixture(p, "phase_flip", PAULI_Z)
 
 
 def bit_flip(p: float) -> KrausSet:
     """rho -> (1-p) rho + p X rho X.  Models state-preparation error."""
-    _check_prob(p)
-    return KrausSet(
-        (math.sqrt(1 - p) * IDENT, math.sqrt(p) * PAULI_X), label="bit_flip"
-    )
+    return _mixture(p, "bit_flip", PAULI_X)
 
 
 def loss_channel(p: float, target: str) -> KrausSet:
@@ -250,44 +260,25 @@ def loss_channel(p: float, target: str) -> KrausSet:
 
     target is "dark" (|l0>, reads as 0) or "bright" (|l1>, reads as 1).
     """
-    _check_prob(p)
     if target not in ("dark", "bright"):
         raise ValidationError(f"loss target must be 'dark' or 'bright', got {target!r}")
-    a0 = np.diag([1.0, math.sqrt(1 - p), 1.0, 1.0]).astype(complex)
-    a1 = np.zeros((4, 4), dtype=complex)
-    a1[2 if target == "dark" else 3, 1] = math.sqrt(p)
-    return KrausSet((a0, a1), label=f"loss_{target}")
+    return _transfer(p, 2 if target == "dark" else 3, f"loss_{target}")
 
 
 def decay(p: float) -> KrausSet:
     """Amplitude damping |1> -> |0> with probability p."""
-    _check_prob(p)
-    a0 = np.diag([1.0, math.sqrt(1 - p), 1.0, 1.0]).astype(complex)
-    a1 = np.zeros((4, 4), dtype=complex)
-    a1[0, 1] = math.sqrt(p)
-    return KrausSet((a0, a1), label="decay")
+    return _transfer(p, 0, "decay")
 
 
 def correlated_phase_flip(p: float) -> KrausSet:
     """Two-site channel rho -> (1-p) rho + p (ZZ) rho (ZZ)."""
-    _check_prob(p)
-    zz = np.kron(PAULI_Z, PAULI_Z)
-    return KrausSet(
-        (math.sqrt(1 - p) * np.eye(16, dtype=complex), math.sqrt(p) * zz),
-        label="correlated_phase_flip",
-    )
+    return _mixture(p, "correlated_phase_flip", np.kron(PAULI_Z, PAULI_Z))
 
 
 def conditional_phase_flip(p: float) -> KrausSet:
     """Two-site flip of the entangling phase: with probability p an extra
     controlled-Z (sign flip of the |11> amplitude) is applied."""
-    _check_prob(p)
-    flip = np.eye(16, dtype=complex)
-    flip[5, 5] = -1.0  # |11> element in the 4x4-per-site ordering
-    return KrausSet(
-        (math.sqrt(1 - p) * np.eye(16, dtype=complex), math.sqrt(p) * flip),
-        label="conditional_phase_flip",
-    )
+    return _mixture(p, "conditional_phase_flip", controlled_phase_matrix(-1.0))
 
 
 def decoherence(t: float, params: NoiseParams) -> tuple[KrausSet, KrausSet]:

@@ -20,7 +20,12 @@ from dataclasses import dataclass, field
 from .errors import LoweringError, SchemaError, ValidationError
 
 NATIVE_GATES = ("grot", "rz", "cz")
-ABSTRACT_GATES = ("h", "x", "y", "z", "rx", "ry", "rphi", "cx", "cp", "swap", "ccx")
+# (site count, parameter count) of each known gate; a grot acts on every site
+# whatever sites it lists
+GATE_ARITY = {"grot": (None, 2), "rz": (1, 1), "cz": (2, 0),
+              "h": (1, 0), "x": (1, 0), "y": (1, 0), "z": (1, 0), "rx": (1, 1),
+              "ry": (1, 1), "rphi": (1, 2), "cx": (2, 0), "cp": (2, 1),
+              "swap": (2, 0), "ccx": (3, 0)}
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,12 @@ class Circuit:
                 )
         if len(set(gate.sites)) != len(gate.sites):
             raise ValidationError(f"{gate.name} has repeated sites {gate.sites}")
+        n_sites, n_params = GATE_ARITY.get(gate.name, (None, None))
+        if (n_params not in (None, len(gate.params))
+                or n_sites not in (None, len(gate.sites))):
+            raise ValidationError(
+                f"{gate.name} takes {n_sites or 'any'} site(s) and {n_params} "
+                f"parameter(s), got {gate.sites} and {gate.params}")
 
     @property
     def is_native(self) -> bool:

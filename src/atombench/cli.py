@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,14 +23,19 @@ from .channels import NoiseParams
 from .errors import AtombenchError
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise AtombenchError(f"cannot read config {path!r}: {exc}") from exc
+def _load_config(args) -> dict:
+    """The --config file (empty without one), with each --set applied."""
+    config = {}
+    if args.config is not None:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise AtombenchError(
+                f"cannot read config {args.config!r}: {exc}") from exc
+    for assignment in getattr(args, "set", None) or ():
+        _apply_override(config, assignment)
+    return config
 
 
 def _apply_override(config: dict, assignment: str) -> None:
@@ -74,16 +78,7 @@ def _write_heatmap(aggregates: list, path) -> None:
 
 
 def cmd_run(args) -> int:
-    config = _load_config(args.config)
-    for assignment in args.set or []:
-        _apply_override(config, assignment)
-    if args.seed is not None:
-        config["seed"] = args.seed
-    if args.memory_cap is not None:
-        config["memory_cap"] = args.memory_cap
-    if args.threads is not None:
-        config["workers"] = args.threads
-    run_config = runner.RunConfig.from_dict(config)
+    run_config = runner.RunConfig.from_dict(_load_config(args))
     records, aggregates = runner.run_suite(run_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -102,9 +97,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    config = _load_config(args.config)
-    for assignment in args.set or []:
-        _apply_override(config, assignment)
+    config = _load_config(args)
     ref_dir = Path(args.references)
     files = sorted(ref_dir.glob("*.json")) if ref_dir.is_dir() else []
     if not files:
@@ -114,8 +107,6 @@ def cmd_fit(args) -> int:
     base = NoiseParams.load(config.get("noise", {}))
     kwargs = {k: tuple(v) if k == "free_params" else v
               for k, v in config.get("fit", {}).items()}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
     problem = fitmod.FitProblem(references, base_params=base, **kwargs)
     params, fidelity, report = fitmod.fit_noise_params(problem)
     out = Path(args.out)
@@ -132,8 +123,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_gatefid(args) -> int:
-    config = _load_config(args.config)
-    params = NoiseParams.load(config.get("noise", {}))
+    params = NoiseParams.load(_load_config(args).get("noise", {}))
     print(f"{'gate':<18}{'average fidelity':>17}")
     for gate in ("global_rotation", "local_rz", "cz"):
         f = metrics.average_gate_fidelity(gate, params)
@@ -147,23 +137,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Noisy ququart density-matrix benchmark simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    default_threads = int(os.environ.get("ATOMBENCH_THREADS", "1"))
-
     run = sub.add_parser("run", help="execute a benchmark sweep")
     run.add_argument("--config", help="JSON run configuration")
     run.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a dotted config path")
-    run.add_argument("--seed", type=int)
-    run.add_argument("--threads", type=int, default=default_threads)
     run.add_argument("--out", default="out")
-    run.add_argument("--memory-cap", type=int, dest="memory_cap")
     run.set_defaults(func=cmd_run)
 
     fit_p = sub.add_parser("fit", help="calibrate noise parameters")
     fit_p.add_argument("references", help="directory of reference files")
     fit_p.add_argument("--config", help="JSON config with noise/fit sections")
     fit_p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    fit_p.add_argument("--seed", type=int)
     fit_p.add_argument("--out", default="out")
     fit_p.set_defaults(func=cmd_fit)
 

@@ -52,20 +52,6 @@ def rz_matrix(theta: float) -> np.ndarray:
     return u
 
 
-def cz_matrix() -> np.ndarray:
-    """16x16 controlled-Z on the computational block of a site pair."""
-    u = np.eye(16, dtype=complex)
-    u[5, 5] = -1.0  # |11><11|
-    return u
-
-
-def cz_phaseshift_matrix(delta: float) -> np.ndarray:
-    """Coherent conditional-phase offset diag(1, 1, 1, e^{i delta})."""
-    u = np.eye(16, dtype=complex)
-    u[5, 5] = np.exp(1j * delta)
-    return u
-
-
 def _grot_steps(phi: float, theta: float, params: NoiseParams) -> list:
     steps = [KrausSet((global_rotation_matrix(phi, theta),), label="grot")]
     p = ch.scaled_probability(params.uw_depol_per_pi, theta)
@@ -87,7 +73,7 @@ def _rz_steps(theta: float, params: NoiseParams) -> list:
 
 def _cz_steps(params: NoiseParams) -> list:
     """Steps on a pair; one-site steps are (channel, 0 or 1)."""
-    steps = [KrausSet((cz_matrix(),), label="cz")]
+    steps = [KrausSet((ch.controlled_phase_matrix(-1.0),), label="cz")]
     for target, p in (("dark", params.cz_loss_dark),
                       ("bright", params.cz_loss_bright)):
         loss = ch.loss_channel(p, target)
@@ -102,8 +88,8 @@ def _cz_steps(params: NoiseParams) -> list:
         pf = ch.phase_flip(params.cz_phaseflip)
         steps += [(pf, 0), (pf, 1)]
     if params.cz_phaseshift != 0.0:
-        steps.append(KrausSet((cz_phaseshift_matrix(params.cz_phaseshift),),
-                              label="cz_phaseshift"))
+        shift = ch.controlled_phase_matrix(np.exp(1j * params.cz_phaseshift))
+        steps.append(KrausSet((shift,), label="cz_phaseshift"))
     return steps
 
 

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gatemodel
-from .channels import KrausSet
+from .channels import KrausSet, controlled_phase_matrix
 from .circuit import cz, grot, rz
 from .errors import DegenerateIdealError, ValidationError
-from .state import N_SYMBOLS, QUBIT_FOLD, SymbolOp
+from .state import DIAG_SYMBOLS, N_SYMBOLS, QUBIT_FOLD, SymbolOp
 
 _UNIFORM_TOL = 1e-12
 
@@ -109,8 +109,9 @@ def quantum_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 # -- readout --------------------------------------------------------------
 
-# ququart diagonal order |0>, |1>, |l0>, |l1| maps onto bits 0, 1, 0, 1
-_REDUCE = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]])
+# ququart diagonal order |0>, |1>, |l0>, |l1> maps onto bits 0, 1, 0, 1:
+# the qubit-diagonal rows of QUBIT_FOLD on the diagonal symbols
+_REDUCE = QUBIT_FOLD[[0, 3]][:, DIAG_SYMBOLS]
 
 
 def reduce_readout_array(diag: np.ndarray) -> np.ndarray:
@@ -174,7 +175,7 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
     elif gate == "local_rz":
         g, u = rz(0, theta), gatemodel.rz_matrix(theta)
     elif gate == "cz":
-        g, u = cz(0, 1), gatemodel.cz_matrix()
+        g, u = cz(0, 1), controlled_phase_matrix(-1.0)
     else:
         raise ValidationError(f"unknown gate {gate!r}")
     op = gatemodel.native_op(g, params)

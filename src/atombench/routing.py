@@ -80,22 +80,11 @@ class Topology:
         return [b for (a, b) in self.adjacency if a == node]
 
     def distance(self, a: int, b: int) -> int:
-        """BFS hop count between occupied nodes."""
-        if a == b:
-            return 0
-        seen = {a: 0}
-        queue = deque([a])
-        while queue:
-            cur = queue.popleft()
-            for nxt in self.neighbors(cur):
-                if nxt not in seen:
-                    seen[nxt] = seen[cur] + 1
-                    if nxt == b:
-                        return seen[nxt]
-                    queue.append(nxt)
-        raise RoutingError(f"nodes {a} and {b} are disconnected")
+        """Hop count between occupied nodes."""
+        return len(self.shortest_path(a, b)) - 1
 
     def shortest_path(self, a: int, b: int) -> list:
+        """Nodes of a BFS shortest path from a to b, both included."""
         prev = {a: None}
         queue = deque([a])
         while queue:
@@ -112,11 +101,6 @@ class Topology:
         while prev[path[-1]] is not None:
             path.append(prev[path[-1]])
         return list(reversed(path))
-
-    def to_config(self):
-        if self.mode == "all_to_all":
-            return "all_to_all"
-        return {"grid": [self.rows, self.cols]}
 
 
 def interaction_placement(circuit: Circuit, topology: Topology) -> list:

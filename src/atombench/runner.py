@@ -45,10 +45,18 @@ class RunConfig:
         if self.timing_model not in ("gate", "layer"):
             raise ValidationError(
                 f"unknown timing_model {self.timing_model!r}")
-        if not isinstance(self.samples_per_point, dict):
+        counts = self.samples_per_point
+        if not isinstance(counts, dict) or not all(
+                type(n) is int and n >= 1 for n in counts.values()):
             raise ValidationError(
-                "samples_per_point must map kinds to counts, got "
-                f"{self.samples_per_point!r}")
+                f"samples_per_point must map kinds to counts >= 1, got {counts!r}")
+        # ExternalCircuit instances are files, not draws
+        bad = [k for k in (*self.kinds, *counts)
+               if k not in bench.KINDS or k == "ExternalCircuit"]
+        if bad:
+            raise ValidationError(f"cannot sample kind(s) {bad}")
+        for descriptor in self.topologies:
+            make_topology(descriptor, 1)
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -100,8 +108,11 @@ def make_topology(descriptor, n_qubits: int) -> Topology:
     if descriptor == "grid":
         return Topology.grid(n_qubits)
     if isinstance(descriptor, dict) and "grid" in descriptor:
-        rows, cols = descriptor["grid"]
-        return Topology.grid(n_qubits, rows, cols)
+        shape = descriptor["grid"]
+        if not (isinstance(shape, (list, tuple)) and len(shape) == 2
+                and all(type(x) is int and x > 0 for x in shape)):
+            raise ValidationError(f"grid shape must be [rows, cols], got {shape!r}")
+        return Topology.grid(n_qubits, *shape)
     raise ValidationError(f"unknown topology descriptor {descriptor!r}")
 
 
@@ -199,14 +210,10 @@ def run_suite(config: RunConfig) -> tuple[list, list]:
     aggregates = []
     for kind in config.kinds:
         for width in config.widths:
-            lo, hi = bench.WIDTH_BOUNDS.get(kind, (2, 11))
-            if not lo <= width <= hi:
+            if not bench.width_allowed(kind, width):
                 continue
-            if kind == "HiddenShift" and width % 2:
-                continue
-            n_samples = config.samples_per_point.get(
-                kind, bench.DEFAULT_SAMPLES.get(kind, 3))
-            specs = bench.sample_instances(kind, width, n_samples, config.seed)
+            specs = bench.sample_instances(
+                kind, width, config.samples_per_point.get(kind), config.seed)
             for topology in config.topologies:
                 def one(spec, topology=topology):
                     try:

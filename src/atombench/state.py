@@ -273,23 +273,6 @@ class QuquartState:
         re = np.take(self.blocks.reshape(-1).view(np.float64), self._tables[1])
         return re.reshape((len(DIAG_SYMBOLS),) * self.n_sites)
 
-    def reduced_qubit_density(self, max_sites: int = 6) -> np.ndarray:
-        """2^n x 2^n qubit density matrix after the readout reduction.
-
-        Loss populations fold onto the computational diagonal (l0 -> 0,
-        l1 -> 1); computational coherences are kept, loss-state coherence
-        does not exist in the block pattern.
-        """
-        n = self.n_sites
-        if n > max_sites:
-            raise CapacityError(f"qubit reduction capped at {max_sites} sites")
-        t = self.blocks
-        for _ in range(n):
-            t = np.tensordot(t, QUBIT_FOLD, axes=([0], [1]))
-        t = t.reshape((2, 2) * n)
-        order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
-        return t.transpose(order).reshape(2**n, 2**n)
-
 
 def init_state(n_sites: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> QuquartState:
     """Fresh |0...0><0...0| register."""

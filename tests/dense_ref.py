@@ -14,18 +14,13 @@ import numpy as np
 
 from atombench import channels as ch
 from atombench.bench import _ghz_ops
-from atombench.channels import NoiseParams
+from atombench.channels import NoiseParams, controlled_phase_matrix
 from atombench.circuit import Circuit, lower_to_native, optimize_native
 from atombench.errors import CapacityError, ValidationError
-from atombench.gatemodel import (
-    cz_matrix,
-    cz_phaseshift_matrix,
-    global_rotation_matrix,
-    rz_matrix,
-)
+from atombench.gatemodel import global_rotation_matrix, rz_matrix
 from atombench.metrics import quantum_fidelity
 from atombench.runner import execute_native as run_native
-from atombench.state import N_SYMBOLS, SYMBOL_PAIRS
+from atombench.state import N_SYMBOLS, QUBIT_FOLD, SYMBOL_PAIRS
 
 D = 4
 SITE_LABELS = ("0", "1", "l0", "l1")
@@ -72,6 +67,24 @@ def ququart_distribution(state) -> dict[str, float]:
         if p != 0.0:
             out[" ".join(SITE_LABELS[i] for i in idx)] = p
     return out
+
+
+def reduced_qubit_density(state, max_sites: int = 6) -> np.ndarray:
+    """2^n x 2^n qubit density matrix after the readout reduction.
+
+    Loss populations fold onto the computational diagonal (l0 -> 0,
+    l1 -> 1); computational coherences are kept, loss-state coherence
+    does not exist in the block pattern.
+    """
+    n = state.n_sites
+    if n > max_sites:
+        raise CapacityError(f"qubit reduction capped at {max_sites} sites")
+    t = state.blocks
+    for _ in range(n):
+        t = np.tensordot(t, QUBIT_FOLD, axes=([0], [1]))
+    t = t.reshape((2, 2) * n)
+    order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
+    return t.transpose(order).reshape(2**n, 2**n)
 
 
 def set_pure(state, psi: np.ndarray):
@@ -233,7 +246,7 @@ def apply_rz(rho: np.ndarray, site: int, theta: float,
 def apply_cz(rho: np.ndarray, a: int, b: int, params: NoiseParams,
              decohere: bool = True) -> np.ndarray:
     sites = (a, b)
-    rho = apply_ops(rho, (cz_matrix(),), sites)
+    rho = apply_ops(rho, (controlled_phase_matrix(-1.0),), sites)
     for target, p in (("dark", params.cz_loss_dark),
                       ("bright", params.cz_loss_bright)):
         kraus = ch.loss_channel(p, target)
@@ -253,8 +266,8 @@ def apply_cz(rho: np.ndarray, a: int, b: int, params: NoiseParams,
         for s in sites:
             rho = apply_channel(rho, pf, (s,))
     if params.cz_phaseshift != 0.0:
-        rho = apply_ops(rho, (cz_phaseshift_matrix(params.cz_phaseshift),),
-                        sites)
+        shift = controlled_phase_matrix(np.exp(1j * params.cz_phaseshift))
+        rho = apply_ops(rho, (shift,), sites)
     if decohere:
         rho = apply_decoherence(rho, params.dur_cz, params, sites=sites)
     return rho
@@ -303,7 +316,7 @@ def bell_state_fidelity(params: NoiseParams) -> float:
     for op in _ghz_ops(2):
         c.add(op)
     state, _ = run_native(optimize_native(lower_to_native(c)), params)
-    rho = state.reduced_qubit_density()
+    rho = reduced_qubit_density(state)
     ideal = np.zeros(4, dtype=complex)
     ideal[0] = ideal[3] = 1.0 / np.sqrt(2.0)
     return quantum_fidelity(np.outer(ideal, ideal.conj()), rho)

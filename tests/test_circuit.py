@@ -188,6 +188,14 @@ def test_circuit_validation():
         Circuit(2).add(Gate("cz", (1, 1)))
 
 
+@pytest.mark.parametrize("gate", [Gate("rz", (0,), ()),
+                                  Gate("grot", (), (1.0,)),
+                                  Gate("cz", (0,))])
+def test_circuit_rejects_wrong_arity(gate):
+    with pytest.raises(ValidationError, match=gate.name):
+        Circuit(3).add(gate)
+
+
 def test_serialization_round_trip():
     c = random_abstract_circuit(3, 8, np.random.default_rng(1))
     c.metadata["measured_qubits"] = [0, 2]

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from atombench import bench
+from atombench import bench, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
 from atombench.cli import main
@@ -42,6 +42,24 @@ def test_run_command_with_overrides(tmp_path):
     assert rc == 0
     records = json.loads((out / "results.json").read_text())
     assert all(r["f"] < 0.99 for r in records)
+
+
+@pytest.mark.parametrize("source", ["config", "set"])
+def test_run_command_passes_workers_to_run_suite(source, tmp_path,
+                                                 monkeypatch):
+    seen = []
+
+    def run_suite(config):
+        seen.append(config.workers)
+        return [], []
+
+    monkeypatch.setattr(runner, "run_suite", run_suite)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"workers": 3}))
+    argv = (["--config", str(cfg_path)] if source == "config"
+            else ["--set", "workers=2"])
+    assert main(["run", *argv, "--out", str(tmp_path / "out")]) == 0
+    assert seen == [3 if source == "config" else 2]
 
 
 def test_run_command_bad_config(tmp_path):
@@ -90,6 +108,17 @@ def test_fit_command_rejects_non_numeric_param(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_fit_command_rejects_wrong_gate_arity(tmp_path, capsys):
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    (refs / "bad.json").write_text(json.dumps({
+        "n_qubits": 1, "ops": [{"gate": "rz", "sites": [0], "params": []}],
+        "measured": {"0": 1.0}}))
+    rc = main(["fit", str(refs), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_gatefid_command(capsys):

@@ -201,6 +201,6 @@ def test_average_gate_fidelity_matches_two_design_mean(gate, theta, params):
     for psi in _two_design(n):
         st = apply(dense_ref.set_pure(init_state(n), psi))
         ideal = u @ psi
-        fids.append(np.real(ideal.conj() @ st.reduced_qubit_density() @ ideal))
+        fids.append(np.real(ideal.conj() @ dense_ref.reduced_qubit_density(st) @ ideal))
     exact = average_gate_fidelity(gate, params, theta=theta)
     assert abs(exact - np.mean(fids)) < 1e-12, (exact, np.mean(fids))

@@ -1,4 +1,5 @@
-"""Every public module-level function and class of the package has a user."""
+"""Every public module-level function, class and constant of the package has
+a user."""
 
 import ast
 from pathlib import Path
@@ -16,10 +17,28 @@ def _public_definitions(path: Path) -> list:
             and not node.name.startswith("_")]
 
 
-def _used_names(path: Path) -> set:
-    """Identifiers, attribute names and imported names of one file."""
+def _public_constants(path: Path) -> list:
+    """ALL-CAPS names assigned at module level."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [t.id for t in targets if isinstance(t, ast.Name)
+                  and t.id.isupper() and not t.id.startswith("_")]
+    return names
+
+
+def _used_names(path: Path, reads_only: bool = False) -> set:
+    """Identifiers, attribute names and imported names of one file; with
+    reads_only, only the identifiers and attribute names that are loaded."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
+        if reads_only and not isinstance(getattr(node, "ctx", None), ast.Load):
+            continue
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -29,12 +48,21 @@ def _used_names(path: Path) -> set:
     return names
 
 
-def test_every_public_definition_is_used_or_exported():
+def _unused(definitions, reads_only: bool = False) -> list:
     used = set()
     for top in USERS:
         for path in (ROOT / top).rglob("*.py"):
-            used |= _used_names(path)
-    unused = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
-              for name in _public_definitions(path)
-              if name not in used and name not in atombench.__all__]
+            used |= _used_names(path, reads_only)
+    return [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+            for name in definitions(path)
+            if name not in used and name not in atombench.__all__]
+
+
+def test_every_public_definition_is_used_or_exported():
+    unused = _unused(_public_definitions)
     assert not unused, f"public but unused outside tests: {unused}"
+
+
+def test_every_public_constant_is_read():
+    unread = _unused(_public_constants, reads_only=True)
+    assert not unread, f"constants never read outside tests: {unread}"

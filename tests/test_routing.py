@@ -102,8 +102,3 @@ def test_interaction_placement_prefers_hub_center():
     topo = Topology.grid(3, rows=1, cols=3)
     placement = interaction_placement(c, topo)
     assert placement[2] == 1
-
-
-def test_topology_config_round_trip():
-    assert Topology.all_to_all(3).to_config() == "all_to_all"
-    assert Topology.grid(5).to_config() == {"grid": [2, 3]}

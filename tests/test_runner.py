@@ -46,6 +46,20 @@ def test_run_config_from_dict():
         RunConfig.from_dict({"noise": 5})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("kinds", ["Ghz", "Ghzz"]),
+    ("kinds", ["ExternalCircuit"]),
+    ("samples_per_point", {"Ghz": 0}),
+    ("samples_per_point", {"Ghz": 1.5}),
+    ("samples_per_point", {"Ghzz": 1}),
+    ("topologies", ["all_to_all", "ring"]),
+    ("topologies", [{"grid": 3}]),
+])
+def test_run_config_rejects_unrunnable_values(field, value):
+    with pytest.raises(ValidationError):
+        RunConfig.from_dict({"noise": "noiseless", field: value})
+
+
 def test_make_topology_and_label():
     assert make_topology("all_to_all", 3).mode == "all_to_all"
     topo = make_topology({"grid": [2, 3]}, 5)
@@ -60,7 +74,7 @@ def test_execute_native_noiseless_matches_oracle():
     native = lower_to_native(circuit)
     state, depth = execute_native(native, NOISELESS)
     psi = bench.statevector(native).reshape(-1)
-    red = state.reduced_qubit_density()
+    red = dense_ref.reduced_qubit_density(state)
     assert np.max(np.abs(red - np.outer(psi, psi.conj()))) < 1e-10
     assert depth > 0
 

@@ -9,10 +9,10 @@ import pytest
 import dense_ref
 from atombench import channels as ch
 from atombench import gatemodel
-from atombench.channels import KrausSet, NoiseParams
+from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
 from atombench.circuit import cz, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
-from atombench.gatemodel import cz_matrix, global_rotation_matrix, rz_matrix
+from atombench.gatemodel import global_rotation_matrix, rz_matrix
 from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, SYMBOL_PAIRS,
                              SymbolOp, footprint, init_state)
 
@@ -211,8 +211,9 @@ def test_apply_after_set_pure_rebinds_blocks():
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     st = dense_ref.set_pure(init_state(3), psi / np.linalg.norm(psi))
     rho = dense_ref.to_dense(st).reshape((4,) * 6)
-    steps = [((2, 0), cz_matrix()), ((1,), rz_matrix(0.8)),
-             ((0, 1), cz_matrix()), ((2,), global_rotation_matrix(0.2, 1.1))]
+    cz_u = controlled_phase_matrix(-1.0)
+    steps = [((2, 0), cz_u), ((1,), rz_matrix(0.8)),
+             ((0, 1), cz_u), ((2,), global_rotation_matrix(0.2, 1.1))]
     for sites, u in steps:
         st.apply_channel(sites, _unitary(u))
         rho = dense_ref.apply_ops(rho, (u,), sites)
@@ -223,7 +224,7 @@ def test_reduced_qubit_density_folds_loss():
     st = init_state(1)
     st.apply_channel((0,), _unitary(global_rotation_matrix(0.0, np.pi / 2)))
     st.apply_channel((0,), _op(ch.loss_channel(0.4, "bright")))
-    red = st.reduced_qubit_density()
+    red = dense_ref.reduced_qubit_density(st)
     assert red.shape == (2, 2)
     assert np.trace(red).real == pytest.approx(1.0)
     # bright loss folds onto the |1> diagonal entry
