@@ -24,23 +24,7 @@ from .metrics import Distribution, marginalize
 
 HALF_PI = math.pi / 2.0
 
-KINDS = (
-    "BernsteinVazirani",
-    "DeutschJozsa",
-    "HiddenShift",
-    "QftMethod1",
-    "QftMethod2",
-    "PhaseEstimation",
-    "AmplitudeEstimation",
-    "Grover",
-    "HamiltonianSim",
-    "MonteCarlo",
-    "Ghz",
-    "GhzParity",
-    "ExternalCircuit",
-)
-
-# width bounds per kind; simulation memory is guarded separately
+# width bounds of each kind, in order; simulation memory is guarded separately
 WIDTH_BOUNDS = {
     "BernsteinVazirani": (2, 10),   # one ancilla site on top of the width
     "DeutschJozsa": (2, 10),
@@ -54,8 +38,9 @@ WIDTH_BOUNDS = {
     "MonteCarlo": (3, 11),
     "Ghz": (2, 11),
     "GhzParity": (2, 11),
-    "ExternalCircuit": (1, 11),
 }
+# the index of a kind seeds its instance draws
+KINDS = tuple(WIDTH_BOUNDS)
 
 DEFAULT_SAMPLES = {"AmplitudeEstimation": 2, "MonteCarlo": 1}
 
@@ -119,55 +104,30 @@ def _rphi(phi, t):
     ])
 
 
-def gate_unitary_1q(g: Gate) -> np.ndarray:
-    name = g.name
-    if name == "h":
-        return _H
-    if name == "x":
-        return _X
-    if name == "y":
-        return _Y
-    if name == "z":
-        return _Z
-    if name == "rx":
-        return _rx(g.params[0])
-    if name == "ry":
-        return _ry(g.params[0])
-    if name == "rz":
-        return _rz(g.params[0])
-    if name == "rphi":
-        return _rphi(g.params[0], g.params[1])
-    raise ValidationError(f"not a one-qubit gate: {name}")
+# unitary of each gate from its parameters; a grot's acts on every qubit
+_UNITARIES = {
+    "h": lambda: _H, "x": lambda: _X, "y": lambda: _Y, "z": lambda: _Z,
+    "rx": _rx, "ry": _ry, "rz": _rz, "rphi": _rphi, "grot": _rphi,
+    "cx": lambda: np.eye(4)[[0, 1, 3, 2]],
+    "cz": lambda: np.diag([1.0, 1, 1, -1]),
+    "swap": lambda: np.eye(4)[[0, 2, 1, 3]],
+    "cp": lambda t: np.diag([1.0, 1, 1, np.exp(1j * t)]),
+    "ccx": lambda: np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]],
+}
 
 
-_CX = np.eye(4)
-_CX[2:, 2:] = _X
-_CZ = np.diag([1.0, 1, 1, -1])
-_SWAP = np.eye(4)[[0, 2, 1, 3]]
+def gate_unitary(g: Gate) -> np.ndarray:
+    """2^k x 2^k unitary of a gate on its k qubits (one qubit for grot)."""
+    if g.name not in _UNITARIES:
+        raise ValidationError(f"no unitary for gate {g.name!r}")
+    return _UNITARIES[g.name](*g.params)
 
 
-def gate_unitary_2q(g: Gate) -> np.ndarray:
-    if g.name == "cx":
-        return _CX
-    if g.name == "cz":
-        return _CZ
-    if g.name == "swap":
-        return _SWAP
-    if g.name == "cp":
-        return np.diag([1.0, 1, 1, np.exp(1j * g.params[0])])
-    raise ValidationError(f"not a two-qubit gate: {g.name}")
-
-
-def _apply_1q(psi: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    psi = np.tensordot(u, psi, axes=([1], [q]))
-    return np.moveaxis(psi, 0, q)
-
-
-def _apply_2q(psi: np.ndarray, u: np.ndarray, a: int, b: int) -> np.ndarray:
-    n = psi.ndim
-    u4 = u.reshape(2, 2, 2, 2)
-    psi = np.tensordot(u4, psi, axes=([2, 3], [a, b]))
-    return np.moveaxis(psi, [0, 1], [a, b])
+def _apply(psi: np.ndarray, u: np.ndarray, sites: tuple) -> np.ndarray:
+    k = len(sites)
+    psi = np.tensordot(u.reshape((2,) * (2 * k)), psi,
+                       axes=(list(range(k, 2 * k)), list(sites)))
+    return np.moveaxis(psi, list(range(k)), list(sites))
 
 
 def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
@@ -179,24 +139,10 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
     else:
         psi = np.asarray(initial, dtype=complex).reshape((2,) * n).copy()
     for g in circuit.ops:
-        if g.name == "grot":
-            u = _rphi(g.params[0], g.params[1])
-            for q in range(n):
-                psi = _apply_1q(psi, u, q)
-        elif g.name == "ccx":
-            a, b, c = g.sites
-            # act on the doubly-controlled block only
-            idx = [slice(None)] * n
-            idx[a] = 1
-            idx[b] = 1
-            sub = psi[tuple(idx)]
-            psi[tuple(idx)] = np.moveaxis(
-                np.tensordot(_X, sub, axes=([1], [c - (c > a) - (c > b)])),
-                0, c - (c > a) - (c > b))
-        elif len(g.sites) == 1:
-            psi = _apply_1q(psi, gate_unitary_1q(g), g.sites[0])
-        else:
-            psi = _apply_2q(psi, gate_unitary_2q(g), *g.sites)
+        u = gate_unitary(g)
+        for sites in ([(q,) for q in range(n)] if g.name == "grot"
+                      else [g.sites]):
+            psi = _apply(psi, u, sites)
     return psi
 
 
@@ -546,8 +492,6 @@ _GENERATORS = {
 
 def generate(spec: BenchmarkSpec) -> tuple[Circuit, Distribution]:
     """Build the circuit for a benchmark instance and its ideal distribution."""
-    if spec.kind == "ExternalCircuit":
-        return load_external(spec.instance_param)
     circuit = _GENERATORS[spec.kind](spec)
     circuit.metadata.setdefault("kind", spec.kind)
     circuit.metadata.setdefault("width", spec.width)
@@ -637,5 +581,4 @@ def load_external(path) -> tuple[Circuit, Distribution]:
     except ValidationError as exc:
         raise SchemaError(f"bad measured distribution: {exc}") from exc
     circuit.metadata.setdefault("measured_qubits", list(range(circuit.n_qubits)))
-    circuit.metadata.setdefault("kind", "ExternalCircuit")
     return circuit, dist

@@ -13,7 +13,6 @@ the two global pulses cancelling exactly on every other site.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -126,13 +125,6 @@ class Circuit:
         for rec in d.get("ops", []):
             circ.add(Gate.from_record(rec))
         return circ
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "Circuit":
-        return cls.from_dict(json.loads(text))
 
 
 def decompose_local_rotation(phi: float, theta: float, site: int) -> list:

@@ -33,6 +33,9 @@ def _load_config(args) -> dict:
         except (OSError, json.JSONDecodeError) as exc:
             raise AtombenchError(
                 f"cannot read config {args.config!r}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise AtombenchError(
+                f"config {args.config!r} is not a JSON object")
     for assignment in getattr(args, "set", None) or ():
         _apply_override(config, assignment)
     return config
@@ -105,8 +108,14 @@ def cmd_fit(args) -> int:
         return 1
     references = [bench.load_external(f) for f in files]
     base = NoiseParams.load(config.get("noise", {}))
-    kwargs = {k: tuple(v) if k == "free_params" else v
-              for k, v in config.get("fit", {}).items()}
+    fit_config = config.get("fit", {})
+    settable = set(fitmod.FitProblem.__dataclass_fields__) - {
+        "references", "base_params"}
+    if not isinstance(fit_config, dict) or set(fit_config) - settable:
+        raise AtombenchError(f"fit section may only set {sorted(settable)}, "
+                             f"got {fit_config!r}")
+    kwargs = {k: tuple(v) if k == "free_params" and isinstance(v, list)
+              else v for k, v in fit_config.items()}
     problem = fitmod.FitProblem(references, base_params=base, **kwargs)
     params, fidelity, report = fitmod.fit_noise_params(problem)
     out = Path(args.out)

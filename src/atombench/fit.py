@@ -10,7 +10,7 @@ non-numeric ``cz_phaseflip_mode`` are never fitted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -153,6 +153,12 @@ class FitProblem:
     def __post_init__(self):
         if not self.references:
             raise ValidationError("at least one reference circuit is required")
+        for f in self.__dataclass_fields__.values():
+            value, want = getattr(self, f.name), type(f.default)
+            if f.default is not MISSING and type(value) not in (
+                    want, int if want is float else want):
+                raise ValidationError(
+                    f"{f.name} must be a {want.__name__}, got {value!r}")
         bad = [p for p in self.free_params if p in NEVER_FREE]
         if bad:
             raise ValidationError(f"parameters {bad} cannot be fitted")

@@ -2,11 +2,9 @@
 
 Classical fidelity is the squared Bhattacharyya overlap of bitstring
 distributions, normalized so the maximally mixed output scores 0 and floored
-at 0.  Quantum fidelity is the Uhlmann form (Tr sqrt(sqrt(rho) sigma
-sqrt(rho)))^2 computed by Hermitian eigendecomposition.  Readout reduction
-maps ququart populations onto bitstrings (l0 -> 0, l1 -> 1), mimicking
-state-selective readout of lost atoms.  The average gate fidelity of a noisy
-native gate is computed exactly from its fused operator.
+at 0.  Readout reduction maps ququart populations onto bitstrings (l0 -> 0,
+l1 -> 1), mimicking state-selective readout of lost atoms.  The average gate
+fidelity of a noisy native gate is computed exactly from its fused operator.
 """
 
 from __future__ import annotations
@@ -17,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gatemodel
-from .channels import KrausSet, controlled_phase_matrix
+from .channels import NoiseParams
 from .circuit import cz, grot, rz
 from .errors import DegenerateIdealError, ValidationError
-from .state import DIAG_SYMBOLS, N_SYMBOLS, QUBIT_FOLD, SymbolOp
+from .state import DIAG_SYMBOLS, N_SYMBOLS, QUBIT_FOLD
 
 _UNIFORM_TOL = 1e-12
 
@@ -84,29 +82,6 @@ def classical_fidelity(p_ideal: Distribution, p_out: Distribution
     return f_s, f_n, max(f_n, 0.0)
 
 
-def _psd_sqrt(m: np.ndarray, floor: float = -1e-8) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(m)
-    if vals.min() < floor:
-        raise ValidationError(f"matrix not PSD (min eigenvalue {vals.min()})")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def quantum_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity of two density matrices."""
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    for name, m in (("rho", rho), ("sigma", sigma)):
-        if abs(np.trace(m) - 1.0) > 1e-8:
-            raise ValidationError(f"{name} has trace {np.trace(m)}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-8:
-            raise ValidationError(f"{name} is not Hermitian")
-    sq = _psd_sqrt(rho)
-    inner = _psd_sqrt(sq @ sigma @ sq)
-    f = float(np.real(np.trace(inner)) ** 2)
-    return min(max(f, 0.0), 1.0)
-
-
 # -- readout --------------------------------------------------------------
 
 # ququart diagonal order |0>, |1>, |l0>, |l1> maps onto bits 0, 1, 0, 1:
@@ -122,13 +97,6 @@ def reduce_readout_array(diag: np.ndarray) -> np.ndarray:
         # fold leading ququart axis to a bit axis, appended last
         t = np.tensordot(t, _REDUCE, axes=([0], [1]))
     return t.reshape(-1)
-
-
-def permute_bits(v: np.ndarray, l2p: list) -> np.ndarray:
-    """Reorder a 2^n distribution so bit i reads physical position l2p[i]."""
-    n = len(l2p)
-    t = v.reshape((2,) * n)
-    return t.transpose(l2p).reshape(-1)
 
 
 def marginalize(v: np.ndarray, n_bits: int, keep: list) -> np.ndarray:
@@ -170,20 +138,17 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
     unitary U, and the Haar measure is unitarily invariant, so
     F_avg(N o U, U) = F_avg(N, id) for every phi.
     """
-    if gate == "global_rotation":
-        g, u = grot(0.0, theta), gatemodel.global_rotation_matrix(0.0, theta)
-    elif gate == "local_rz":
-        g, u = rz(0, theta), gatemodel.rz_matrix(theta)
-    elif gate == "cz":
-        g, u = cz(0, 1), controlled_phase_matrix(-1.0)
-    else:
+    g = {"global_rotation": grot(0.0, theta), "local_rz": rz(0, theta),
+         "cz": cz(0, 1)}.get(gate)
+    if g is None:
         raise ValidationError(f"unknown gate {gate!r}")
+    # the ideal first: the fused cache then keeps the table of `params`
+    ideal = gatemodel.native_op(g, NoiseParams.noiseless()).matrix
     op = gatemodel.native_op(g, params)
     comp, fold = np.arange(4), QUBIT_FOLD
     if op.n_sites == 2:
         comp = (N_SYMBOLS * comp[:, None] + comp).ravel()
         fold = np.kron(fold, fold)
-    ideal = SymbolOp.from_kraus(KrausSet((u,))).matrix
     d = 2**op.n_sites
     f_e = np.vdot(fold @ ideal[:, comp], fold @ op.matrix[:, comp]).real / d**2
     return float((d * f_e + 1.0) / (d + 1.0))

@@ -5,10 +5,10 @@ one of two timing models.  "gate" (the default) attaches each gate's own
 idle decoherence to its sites, and a global pulse decoheres every site.
 "layer" applies the gates of a scheduled layer without their idle
 decoherence and then one decoherence interval, the layer's maximum gate
-duration, to every site.  Readout is reduced to bitstrings, un-permuted
-through the router's final placement, restricted to the measured qubits,
-convolved with the measurement-error channel and scored against the ideal
-distribution.
+duration, to every site.  Readout is reduced to bitstrings, restricted to
+the physical positions of the measured qubits under the router's final
+placement, convolved with the measurement-error channel and scored against
+the ideal distribution.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .circuit import Circuit, lower_to_native, optimize_native, schedule_layers
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
 from .metrics import Distribution
 from .routing import Topology, route
-from .state import DEFAULT_MEMORY_CAP, QuquartState, init_state
+from .state import DEFAULT_MEMORY_CAP, QuquartState
 
 
 @dataclass
@@ -42,6 +42,10 @@ class RunConfig:
     timing_model: str = "gate"
 
     def __post_init__(self):
+        ints = (self.seed, self.workers, self.memory_cap)
+        if any(type(v) is not int for v in ints) or self.workers < 1:
+            raise ValidationError(f"seed, workers and memory_cap must be ints "
+                                  f"and workers >= 1, got {ints}")
         if self.timing_model not in ("gate", "layer"):
             raise ValidationError(
                 f"unknown timing_model {self.timing_model!r}")
@@ -50,9 +54,7 @@ class RunConfig:
                 type(n) is int and n >= 1 for n in counts.values()):
             raise ValidationError(
                 f"samples_per_point must map kinds to counts >= 1, got {counts!r}")
-        # ExternalCircuit instances are files, not draws
-        bad = [k for k in (*self.kinds, *counts)
-               if k not in bench.KINDS or k == "ExternalCircuit"]
+        bad = [k for k in (*self.kinds, *counts) if k not in bench.KINDS]
         if bad:
             raise ValidationError(f"cannot sample kind(s) {bad}")
         for descriptor in self.topologies:
@@ -65,7 +67,11 @@ class RunConfig:
             d["noise"] = NoiseParams.load(d.get("noise", {}))
         widths = d.get("widths", [2, 3])
         if isinstance(widths, dict):
-            d["widths"] = list(range(widths["min"], widths["max"] + 1))
+            lo, hi = widths.get("min"), widths.get("max")
+            if type(lo) is not int or type(hi) is not int:
+                raise ValidationError(
+                    f"a widths range needs int min and max, got {widths!r}")
+            d["widths"] = list(range(lo, hi + 1))
         extra = set(d) - set(cls.__dataclass_fields__)
         if extra:
             raise ValidationError(f"unknown config fields: {sorted(extra)}")
@@ -88,21 +94,11 @@ class ResultRecord:
     error: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "width": self.width, "topology": self.topology,
-            "instance_param": self.instance_param,
-            "transpiled_depth": self.transpiled_depth,
-            "native_gate_counts": self.native_gate_counts,
-            "f": self.f, "f_s": self.f_s, "f_n": self.f_n,
-            "wall_time": self.wall_time, "status": self.status,
-            "error": self.error,
-        }
+        return asdict(self)
 
 
 def make_topology(descriptor, n_qubits: int) -> Topology:
     """Build a Topology from "all_to_all", {"grid": [r, c]} or "grid"."""
-    if isinstance(descriptor, Topology):
-        return descriptor
     if descriptor == "all_to_all":
         return Topology.all_to_all(n_qubits)
     if descriptor == "grid":
@@ -117,8 +113,6 @@ def make_topology(descriptor, n_qubits: int) -> Topology:
 
 
 def topology_label(descriptor) -> str:
-    if isinstance(descriptor, Topology):
-        return descriptor.mode
     if isinstance(descriptor, dict) and "grid" in descriptor:
         return "grid"
     return str(descriptor)
@@ -139,7 +133,7 @@ def execute_native(circuit: Circuit, params: NoiseParams,
         raise ValidationError(f"unknown timing_model {timing_model!r}")
     per_gate = timing_model == "gate"
     layers, depth = schedule_layers(circuit, params)
-    state = init_state(circuit.n_qubits, memory_cap)
+    state = QuquartState(circuit.n_qubits, memory_cap)
     gatemodel.apply_preparation(state, params)
     for layer in layers:
         for g in layer.gates:
@@ -151,13 +145,10 @@ def execute_native(circuit: Circuit, params: NoiseParams,
 
 def output_distribution(state: QuquartState, l2p: list, measured: list,
                         meas_error: float) -> Distribution:
-    """Readout pipeline: reduce, un-permute, marginalize, measurement error."""
+    """Readout pipeline: reduce, keep the measured qubits' physical bits
+    (qubit q sits at l2p[q]), measurement error."""
     v = metrics.reduce_readout_array(state.diagonal())
-    n = state.n_sites
-    if l2p != list(range(n)):
-        v = metrics.permute_bits(v, l2p)
-    if measured != list(range(n)):
-        v = metrics.marginalize(v, n, measured)
+    v = metrics.marginalize(v, state.n_sites, [l2p[q] for q in measured])
     v = metrics.apply_measurement_error_vector(v, len(measured), meas_error)
     return Distribution.from_vector(v, len(measured), prune=1e-15)
 

@@ -17,6 +17,8 @@ pass over the state allocates.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .channels import KrausSet, SITE_DIM
@@ -58,29 +60,23 @@ LEAK_ATOL = 1e-12
 
 DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 10 sites
 
-# Index tables of the invariant check, one pair per register size, shared by
-# every state (and every run_suite thread); setdefault keeps the first built.
-_CHECK_TABLES: dict = {}
-
-
+@functools.cache
 def _check_tables(n: int) -> tuple:
-    """(perm, diag) index tables of the invariant check on n sites.
+    """(perm, diag) index tables of the invariant check on n sites, shared
+    by every state (and every run_suite thread).
 
     perm maps each flat index of the last n - 1 sites to that of its
     hermitian conjugate; diag holds the position, in the float64 view of the
     state, of the real part of every diagonal symbol (4^n of them).
     """
-    tables = _CHECK_TABLES.get(n)
-    if tables is None:
-        perm = diag = np.zeros(1, dtype=np.intp)
-        for _ in range(n - 1):
-            perm = (N_SYMBOLS * perm[:, None] + _HERM_PERM).ravel()
-        for _ in range(n):
-            diag = (N_SYMBOLS * diag[:, None] + DIAG_SYMBOLS).ravel()
-        diag = 2 * diag
-        perm.flags.writeable = diag.flags.writeable = False
-        tables = _CHECK_TABLES.setdefault(n, (perm, diag))
-    return tables
+    perm = diag = np.zeros(1, dtype=np.intp)
+    for _ in range(n - 1):
+        perm = (N_SYMBOLS * perm[:, None] + _HERM_PERM).ravel()
+    for _ in range(n):
+        diag = (N_SYMBOLS * diag[:, None] + DIAG_SYMBOLS).ravel()
+    diag = 2 * diag
+    perm.flags.writeable = diag.flags.writeable = False
+    return perm, diag
 
 
 def footprint(n_sites: int) -> int:
@@ -273,7 +269,3 @@ class QuquartState:
         re = np.take(self.blocks.reshape(-1).view(np.float64), self._tables[1])
         return re.reshape((len(DIAG_SYMBOLS),) * self.n_sites)
 
-
-def init_state(n_sites: int, memory_cap: int = DEFAULT_MEMORY_CAP) -> QuquartState:
-    """Fresh |0...0><0...0| register."""
-    return QuquartState(n_sites, memory_cap=memory_cap)

@@ -15,10 +15,10 @@ import numpy as np
 from atombench import channels as ch
 from atombench.bench import _ghz_ops
 from atombench.channels import NoiseParams, controlled_phase_matrix
-from atombench.circuit import Circuit, lower_to_native, optimize_native
+from atombench.circuit import (Circuit, lower_to_native, optimize_native,
+                               schedule_layers)
 from atombench.errors import CapacityError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
-from atombench.metrics import quantum_fidelity
 from atombench.runner import execute_native as run_native
 from atombench.state import N_SYMBOLS, QUBIT_FOLD, SYMBOL_PAIRS
 
@@ -282,26 +282,38 @@ def apply_preparation(rho: np.ndarray, params: NoiseParams) -> np.ndarray:
     return rho
 
 
-def execute_native(circuit, params: NoiseParams, prepare: bool = True
-                   ) -> np.ndarray:
-    """Dense replay of a native circuit with per-gate decoherence.
+def _apply_native(rho: np.ndarray, g, params: NoiseParams,
+                  decohere: bool) -> np.ndarray:
+    if g.name == "grot":
+        return apply_grot(rho, g.params[0], g.params[1], params, decohere)
+    if g.name == "rz":
+        return apply_rz(rho, g.sites[0], g.params[0], params, decohere)
+    if g.name == "cz":
+        return apply_cz(rho, g.sites[0], g.sites[1], params, decohere)
+    raise ValueError(f"non-native gate {g.name}")
 
-    Within a scheduled layer all gates act on disjoint sites, so replaying
-    ops in program order is equivalent to the layered execution used by the
-    production runner under the per-gate timing model.
+
+def execute_native(circuit, params: NoiseParams, prepare: bool = True,
+                   timing_model: str = "gate") -> np.ndarray:
+    """Dense replay of a native circuit under either timing model.
+
+    "gate" replays ops in program order, each with its own decoherence:
+    within a scheduled layer all gates act on disjoint sites, so this equals
+    the production runner's layered execution.  "layer" applies each
+    scheduled layer's gates without decoherence and then decoheres every
+    site over the layer's duration.
     """
     rho = initial_rho(circuit.n_qubits)
     if prepare:
         rho = apply_preparation(rho, params)
-    for g in circuit.ops:
-        if g.name == "grot":
-            rho = apply_grot(rho, g.params[0], g.params[1], params)
-        elif g.name == "rz":
-            rho = apply_rz(rho, g.sites[0], g.params[0], params)
-        elif g.name == "cz":
-            rho = apply_cz(rho, g.sites[0], g.sites[1], params)
-        else:
-            raise ValueError(f"non-native gate {g.name}")
+    if timing_model == "gate":
+        for g in circuit.ops:
+            rho = _apply_native(rho, g, params, decohere=True)
+        return rho
+    for layer in schedule_layers(circuit, params)[0]:
+        for g in layer.gates:
+            rho = _apply_native(rho, g, params, decohere=False)
+        rho = apply_decoherence(rho, layer.duration, params)
     return rho
 
 
@@ -320,3 +332,27 @@ def bell_state_fidelity(params: NoiseParams) -> float:
     ideal = np.zeros(4, dtype=complex)
     ideal[0] = ideal[3] = 1.0 / np.sqrt(2.0)
     return quantum_fidelity(np.outer(ideal, ideal.conj()), rho)
+
+
+def _psd_sqrt(m: np.ndarray, floor: float = -1e-8) -> np.ndarray:
+    vals, vecs = np.linalg.eigh(m)
+    if vals.min() < floor:
+        raise ValidationError(f"matrix not PSD (min eigenvalue {vals.min()})")
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+
+
+def quantum_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2 of two density
+    matrices, by Hermitian eigendecomposition."""
+    rho = np.asarray(rho, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    for name, m in (("rho", rho), ("sigma", sigma)):
+        if abs(np.trace(m) - 1.0) > 1e-8:
+            raise ValidationError(f"{name} has trace {np.trace(m)}")
+        if np.max(np.abs(m - m.conj().T)) > 1e-8:
+            raise ValidationError(f"{name} is not Hermitian")
+    sq = _psd_sqrt(rho)
+    inner = _psd_sqrt(sq @ sigma @ sq)
+    f = float(np.real(np.trace(inner)) ** 2)
+    return min(max(f, 0.0), 1.0)

@@ -22,7 +22,7 @@ from atombench.circuit import (Circuit, Gate, cz, grot, lower_to_native,
                                optimize_native, rz)
 from atombench.fit import FitProblem, fit_noise_params
 from atombench.routing import Topology, route
-from atombench.state import SYMBOL_PAIRS, init_state
+from atombench.state import SYMBOL_PAIRS, QuquartState
 
 TABLE = NoiseParams()
 
@@ -68,7 +68,7 @@ def test_random_noisy_circuits_match_dense_reference():
     rng = np.random.default_rng(2024)
     for trial in range(50):
         n_gates = int(rng.integers(5, 31))
-        st = init_state(3)
+        st = QuquartState(3)
         rho = dense_ref.initial_rho(3)
         gatemodel.apply_preparation(st, TABLE)
         rho = dense_ref.apply_preparation(rho, TABLE)
@@ -145,7 +145,6 @@ def test_local_rotation_lowering_identity():
 # -- 5. noiseless end-to-end fidelity and routing equivalence ------------------
 
 
-GENERATED_KINDS = [k for k in bench.KINDS if k != "ExternalCircuit"]
 
 
 def _admissible_widths(kind):
@@ -158,7 +157,7 @@ def _admissible_widths(kind):
 
 def test_noiseless_end_to_end_unit_fidelity():
     noiseless = NoiseParams.noiseless()
-    for kind in GENERATED_KINDS:
+    for kind in bench.KINDS:
         for width in _admissible_widths(kind):
             spec = sample_instances(kind, width, n_samples=1, seed=5)[0]
             for topo in ("all_to_all", "grid"):
@@ -169,7 +168,7 @@ def test_noiseless_end_to_end_unit_fidelity():
 
 def test_routed_noiseless_distribution_matches_unrouted():
     noiseless = NoiseParams.noiseless()
-    for kind in GENERATED_KINDS:
+    for kind in bench.KINDS:
         width = _admissible_widths(kind)[-1]
         spec = sample_instances(kind, width, n_samples=1, seed=5)[0]
         circuit, _ = bench.generate(spec)
@@ -191,7 +190,7 @@ def test_routed_noiseless_distribution_matches_unrouted():
 def test_out_of_pattern_elements_are_exactly_zero():
     # heavy loss so every loss level is populated after the circuit
     lossy = TABLE.replace(cz_loss_dark=0.3, cz_loss_bright=0.3)
-    st = init_state(3)
+    st = QuquartState(3)
     gatemodel.apply_preparation(st, lossy)
     gatemodel.apply_gate(st, grot(0.3, np.pi / 2), lossy)
     gatemodel.apply_gate(st, cz(0, 1), lossy)
@@ -211,7 +210,7 @@ def test_out_of_pattern_elements_are_exactly_zero():
 def test_memory_scales_as_six_to_the_n():
     nbytes = {}
     for n in range(3, 7):
-        st = init_state(n)
+        st = QuquartState(n)
         gatemodel.apply_gate(st, grot(0.1, 0.7), TABLE)
         assert st.blocks.size == 6**n
         nbytes[n] = st.blocks.nbytes

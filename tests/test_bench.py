@@ -103,16 +103,12 @@ def test_hamiltonian_sim_normalized():
 
 def test_width_bounds_cover_all_kinds():
     for kind in KINDS:
-        if kind == "ExternalCircuit":
-            continue
         lo, hi = WIDTH_BOUNDS[kind]
         assert 2 <= lo <= hi <= 11
 
 
 def test_sample_instances_deterministic_and_admissible():
     for kind in KINDS:
-        if kind == "ExternalCircuit":
-            continue
         lo, _ = WIDTH_BOUNDS[kind]
         a = sample_instances(kind, lo, seed=0)
         b = sample_instances(kind, lo, seed=0)

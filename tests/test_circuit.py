@@ -1,5 +1,6 @@
 """Lowering, peephole optimization, scheduling, serialization."""
 
+import json
 import math
 
 import numpy as np
@@ -74,7 +75,7 @@ def test_local_rotation_identity():
         phi, theta = rng.uniform(-2 * np.pi, 2 * np.pi, size=2)
         c = Circuit(2, list(decompose_local_rotation(phi, theta, 0)))
         u = circuit_unitary(c)
-        target = np.kron(bench.gate_unitary_1q(Gate("rphi", (0,), (phi, theta))),
+        target = np.kron(bench.gate_unitary(Gate("rphi", (0,), (phi, theta))),
                          np.eye(2))
         assert_same_up_to_phase(u, target)
 
@@ -199,7 +200,7 @@ def test_circuit_rejects_wrong_arity(gate):
 def test_serialization_round_trip():
     c = random_abstract_circuit(3, 8, np.random.default_rng(1))
     c.metadata["measured_qubits"] = [0, 2]
-    back = Circuit.from_json(c.to_json())
+    back = Circuit.from_dict(json.loads(json.dumps(c.to_dict())))
     assert back.n_qubits == c.n_qubits
     assert back.ops == c.ops
     assert back.measured_qubits == [0, 2]

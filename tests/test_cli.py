@@ -69,6 +69,19 @@ def test_run_command_bad_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("config", [
+    [{"kinds": ["Ghz"]}],            # a JSON array, not an object
+    {"widths": {"min": 2}},
+    {"workers": "2"},
+])
+def test_run_command_rejects_bad_config_shapes(config, tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    rc = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def _write_reference(refs, params):
     """One Ghz w2 reference file simulated at `params`."""
     circuit, _ = bench.generate(BenchmarkSpec("Ghz", 2))
@@ -108,6 +121,16 @@ def test_fit_command_rejects_non_numeric_param(tmp_path, capsys):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override", ["fit.bogus=1", 'fit.max_evals="5"'])
+def test_fit_command_rejects_bad_fit_settings(override, tmp_path, capsys):
+    refs = tmp_path / "refs"
+    _write_reference(refs, NoiseParams())
+    rc = main(["fit", str(refs), "--set", override,
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_fit_command_rejects_wrong_gate_arity(tmp_path, capsys):

@@ -85,6 +85,12 @@ def test_fit_problem_validation():
         FitProblem(references=refs, free_params=("cz_phaseflop",))
     with pytest.raises(ValidationError, match="cz_phaseflip_mode"):
         FitProblem(references=refs, free_params=("cz_phaseflip_mode",))
+    with pytest.raises(ValidationError, match="max_evals"):
+        FitProblem(references=refs, max_evals="5")
+    with pytest.raises(ValidationError, match="xtol"):
+        FitProblem(references=refs, xtol=None)
+    with pytest.raises(ValidationError, match="free_params"):
+        FitProblem(references=refs, free_params="cz_decay")
 
 
 def test_fit_no_free_params_returns_base():

@@ -23,7 +23,7 @@ from atombench.gatemodel import (
     rz_matrix,
 )
 from atombench.runner import run_reference
-from atombench.state import init_state
+from atombench.state import QuquartState
 
 NP = NoiseParams()
 IDEAL_PULSE = NP.replace(uw_depol_per_pi=0.0, dur_uw_pi=1e-30)
@@ -31,14 +31,14 @@ IDEAL_PULSE = NP.replace(uw_depol_per_pi=0.0, dur_uw_pi=1e-30)
 
 def _minus_states(n):
     """|-...-> register prepared with an ideal Ry(-pi/2) global pulse."""
-    st = init_state(n)
+    st = QuquartState(n)
     apply_gate(st, grot(-np.pi / 2, np.pi / 2), IDEAL_PULSE)
     return st
 
 
 def test_noiseless_gates_are_pure_unitaries():
     p = NoiseParams.noiseless()
-    st = init_state(2)
+    st = QuquartState(2)
     apply_gate(st, grot(0.4, 1.3), p)
     apply_gate(st, rz(1, -2.1), p)
     apply_gate(st, cz(0, 1), p)
@@ -76,7 +76,7 @@ def test_noisy_rz_frozen_reference():
 def test_gates_match_dense_reference():
     rng = np.random.default_rng(21)
     p = NoiseParams()
-    st = init_state(3)
+    st = QuquartState(3)
     rho = dense_ref.initial_rho(3)
     apply_preparation(st, p)
     rho = dense_ref.apply_preparation(rho, p)
@@ -145,7 +145,7 @@ def test_apply_gate_rejects_non_native_gate():
 
 
 def test_preparation_error_distribution():
-    st = init_state(2)
+    st = QuquartState(2)
     apply_preparation(st, NP)
     p = NP.prep_error
     dist = dense_ref.ququart_distribution(st)
@@ -178,7 +178,7 @@ FUSED_CASES = (
 @pytest.mark.parametrize("gate,params,decohere", FUSED_CASES)
 def test_fused_gate_equals_unfused_kraus_sequence(gate, params, decohere):
     # a mixed 2-site start with coherences and both loss levels populated
-    st, rho = init_state(2), dense_ref.initial_rho(2)
+    st, rho = QuquartState(2), dense_ref.initial_rho(2)
     apply_preparation(st, STRONG)
     apply_gate(st, grot(0.3, 1.1), STRONG)
     apply_gate(st, cz(0, 1), STRONG)
@@ -216,7 +216,7 @@ def test_fused_cache_stays_bounded():
     assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
     # many angles under one value: 500 random phi, then more rz angles
     # than the cache holds
-    st = init_state(1)
+    st = QuquartState(1)
     for phi in np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 500):
         apply_gate(st, grot(float(phi), np.pi), NP)
     assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
@@ -236,7 +236,7 @@ def test_fused_cache_is_thread_safe():
             yield "rz", (1, 0.3 * k + 0.01 * i)
 
     def run(i):
-        p, st = (NP, STRONG)[i % 2], init_state(2)
+        p, st = (NP, STRONG)[i % 2], QuquartState(2)
         make = {"grot": grot, "cz": cz, "rz": rz}
         for name, args in gates(i):
             apply_gate(st, make[name](*args), p)

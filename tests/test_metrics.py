@@ -9,7 +9,7 @@ import pytest
 
 import dense_ref
 from atombench import gatemodel
-from atombench.channels import NoiseParams
+from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
 from atombench.circuit import cz, grot, rz
 from atombench.errors import DegenerateIdealError, ValidationError
 from atombench.metrics import (
@@ -18,11 +18,9 @@ from atombench.metrics import (
     average_gate_fidelity,
     classical_fidelity,
     marginalize,
-    permute_bits,
-    quantum_fidelity,
     reduce_readout_array,
 )
-from atombench.state import init_state
+from atombench.state import QuquartState, SymbolOp
 
 
 def test_distribution_validation():
@@ -76,16 +74,18 @@ def test_quantum_fidelity_pure_states():
     a /= np.linalg.norm(a)
     b /= np.linalg.norm(b)
     ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
-    assert quantum_fidelity(ra, ra) == pytest.approx(1.0)
-    assert quantum_fidelity(ra, rb) == pytest.approx(abs(np.vdot(a, b)) ** 2)
+    assert dense_ref.quantum_fidelity(ra, ra) == pytest.approx(1.0)
+    assert (dense_ref.quantum_fidelity(ra, rb)
+            == pytest.approx(abs(np.vdot(a, b)) ** 2))
 
 
 def test_quantum_fidelity_mixed_vs_pure():
     rho = np.diag([0.7, 0.3]).astype(complex)
     pure = np.diag([1.0, 0.0]).astype(complex)
-    assert quantum_fidelity(pure, rho) == pytest.approx(0.7)
+    assert dense_ref.quantum_fidelity(pure, rho) == pytest.approx(0.7)
     with pytest.raises(ValidationError):
-        quantum_fidelity(pure, np.diag([0.7, 0.7]).astype(complex))  # trace != 1
+        # trace != 1
+        dense_ref.quantum_fidelity(pure, np.diag([0.7, 0.7]).astype(complex))
 
 
 def test_reduce_readout_folds_loss_states():
@@ -110,7 +110,7 @@ def test_permute_and_marginalize():
     v = np.arange(8, dtype=float)
     v /= v.sum()
     # swap bits 0 and 2
-    w = permute_bits(v, [2, 1, 0])
+    w = marginalize(v, 3, [2, 1, 0])
     t = v.reshape(2, 2, 2).transpose(2, 1, 0).reshape(-1)
     assert np.allclose(w, t)
     m = marginalize(v, 3, [0, 2])
@@ -129,6 +129,21 @@ def test_measurement_error_vector_independent_bits():
     v[0] = 1.0
     out = apply_measurement_error_vector(v, 2, 0.1)
     assert np.allclose(out, [0.81, 0.09, 0.09, 0.01])
+
+
+@pytest.mark.parametrize("mode", ["conditional", "correlated", "per_site"])
+def test_noiseless_native_op_is_the_ideal_unitary(mode):
+    # average_gate_fidelity takes its ideal from the noiseless fused op; it
+    # must equal the op of the bare unitary bit for bit
+    params = NoiseParams.noiseless().replace(cz_phaseflip_mode=mode)
+    cases = [(cz(0, 1), controlled_phase_matrix(-1.0))]
+    for t in (math.pi, 0.4):
+        cases += [(grot(0.0, t), gatemodel.global_rotation_matrix(0.0, t)),
+                  (rz(0, t), gatemodel.rz_matrix(t))]
+    for g, u in cases:
+        got = gatemodel.native_op(g, params).matrix
+        want = SymbolOp.from_kraus(KrausSet((u,))).matrix
+        assert np.array_equal(got, want), g
 
 
 def test_average_gate_fidelity_noiseless_is_one():
@@ -199,7 +214,7 @@ def test_average_gate_fidelity_matches_two_design_mean(gate, theta, params):
         apply = lambda st: gatemodel.apply_gate(st, cz(0, 1), params)
     fids = []
     for psi in _two_design(n):
-        st = apply(dense_ref.set_pure(init_state(n), psi))
+        st = apply(dense_ref.set_pure(QuquartState(n), psi))
         ideal = u @ psi
         fids.append(np.real(ideal.conj() @ dense_ref.reduced_qubit_density(st) @ ideal))
     exact = average_gate_fidelity(gate, params, theta=theta)

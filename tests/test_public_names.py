@@ -1,5 +1,5 @@
-"""Every public module-level function, class and constant of the package has
-a user."""
+"""Every public module-level function, class and constant of the package,
+and every public method of its classes, has a user."""
 
 import ast
 from pathlib import Path
@@ -14,6 +14,16 @@ USERS = ("src", "scripts", "perfbench")
 def _public_definitions(path: Path) -> list:
     return [node.name for node in ast.parse(path.read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _public_methods(path: Path) -> list:
+    """Class.method for every public method of a module-level class."""
+    return [f"{cls.name}.{node.name}"
+            for cls in ast.parse(path.read_text()).body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
             and not node.name.startswith("_")]
 
 
@@ -55,7 +65,8 @@ def _unused(definitions, reads_only: bool = False) -> list:
             used |= _used_names(path, reads_only)
     return [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
             for name in definitions(path)
-            if name not in used and name not in atombench.__all__]
+            if name.rsplit(".", 1)[-1] not in used
+            and name not in atombench.__all__]
 
 
 def test_every_public_definition_is_used_or_exported():
@@ -66,3 +77,9 @@ def test_every_public_definition_is_used_or_exported():
 def test_every_public_constant_is_read():
     unread = _unused(_public_constants, reads_only=True)
     assert not unread, f"constants never read outside tests: {unread}"
+
+
+def test_every_public_method_is_used():
+    # matched by method name alone: a call through any object counts
+    unused = _unused(_public_methods)
+    assert not unused, f"public methods unused outside tests: {unused}"

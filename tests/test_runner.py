@@ -9,7 +9,7 @@ import dense_ref
 from atombench import bench, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
-from atombench.circuit import Circuit, Gate, lower_to_native
+from atombench.circuit import Circuit, Gate, cz, grot, lower_to_native, rz
 from atombench.errors import ValidationError
 from atombench.runner import (
     ResultRecord,
@@ -54,6 +54,11 @@ def test_run_config_from_dict():
     ("samples_per_point", {"Ghzz": 1}),
     ("topologies", ["all_to_all", "ring"]),
     ("topologies", [{"grid": 3}]),
+    ("widths", {"min": 2}),
+    ("workers", "2"),
+    ("workers", 0),
+    ("seed", 1.5),
+    ("memory_cap", "8GiB"),
 ])
 def test_run_config_rejects_unrunnable_values(field, value):
     with pytest.raises(ValidationError):
@@ -77,6 +82,33 @@ def test_execute_native_noiseless_matches_oracle():
     red = dense_ref.reduced_qubit_density(state)
     assert np.max(np.abs(red - np.outer(psi, psi.conj()))) < 1e-10
     assert depth > 0
+
+
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+def test_execute_native_matches_dense_engine(timing_model):
+    # strong noise and long pulses, so every channel and idle interval counts
+    params = NoiseParams(uw_depol_per_pi=0.02, rz_phaseflip_per_pi=0.03,
+                         rz_loss_dark_per_pi=0.02, cz_phaseflip=0.08,
+                         cz_loss_bright=0.07, cz_decay=0.02, cz_phaseshift=0.3,
+                         prep_error=0.05, dur_uw_pi=2e-5, dur_rz_pi=1e-4,
+                         dur_cz=2e-4)
+    rng = np.random.default_rng(17)
+    for trial in range(6):
+        n = 3 + trial % 2
+        c = Circuit(n)
+        for _ in range(int(rng.integers(6, 14))):
+            r = rng.integers(3)
+            if r == 0:
+                c.add(grot(*map(float, rng.uniform(-np.pi, np.pi, size=2))))
+            elif r == 1:
+                c.add(rz(int(rng.integers(n)), float(rng.uniform(-6, 6))))
+            else:
+                c.add(cz(*map(int, rng.choice(n, 2, replace=False))))
+        state, _ = execute_native(c, params, timing_model=timing_model)
+        rho = dense_ref.execute_native(c, params, timing_model=timing_model)
+        err = np.max(np.abs(dense_ref.to_dense(state)
+                            - dense_ref.to_matrix(rho)))
+        assert err < 1e-10, (trial, err)
 
 
 def test_execute_timing_models_differ():

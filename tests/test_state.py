@@ -14,11 +14,11 @@ from atombench.circuit import cz, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
 from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, SYMBOL_PAIRS,
-                             SymbolOp, footprint, init_state)
+                             QuquartState, SymbolOp, footprint)
 
 
 def test_initial_state():
-    st = init_state(2)
+    st = QuquartState(2)
     assert st.trace() == pytest.approx(1.0)
     assert dense_ref.dense_element(st, (0, 0), (0, 0)) == 1.0 + 0j
     assert dense_ref.ququart_distribution(st) == {"0 0": 1.0}
@@ -28,7 +28,7 @@ def test_set_pure_round_trip():
     rng = np.random.default_rng(3)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
     psi /= np.linalg.norm(psi)
-    st = dense_ref.set_pure(init_state(3), psi)
+    st = dense_ref.set_pure(QuquartState(3), psi)
     dense = dense_ref.to_dense(st)
     expect = np.zeros((64, 64), dtype=complex)
     # embed the 2^3 computational state into the 4^3 site space
@@ -43,7 +43,7 @@ def test_set_pure_round_trip():
 
 def test_set_pure_rejects_unnormalized():
     with pytest.raises(ValidationError):
-        dense_ref.set_pure(init_state(1), np.array([1.0, 1.0]))
+        dense_ref.set_pure(QuquartState(1), np.array([1.0, 1.0]))
 
 
 def _op(channel):
@@ -55,7 +55,7 @@ def _unitary(u):
 
 
 def test_site_unitary_matches_dense_conjugation():
-    st = init_state(2)
+    st = QuquartState(2)
     st.apply_channel((0,), _unitary(global_rotation_matrix(0.3, 1.1)))
     st.apply_channel((1,), _unitary(global_rotation_matrix(-0.7, 0.4)))
     st.apply_channel((1,), _unitary(rz_matrix(2.2)))
@@ -69,8 +69,8 @@ def test_site_unitary_matches_dense_conjugation():
 
 def test_global_unitary_equals_per_site():
     u = global_rotation_matrix(0.9, -0.6)
-    a = init_state(3).apply_global_unitary(_unitary(u))
-    b = init_state(3)
+    a = QuquartState(3).apply_global_unitary(_unitary(u))
+    b = QuquartState(3)
     for s in range(3):
         b.apply_channel((s,), _unitary(u))
     assert np.max(np.abs(a.blocks - b.blocks)) < 1e-13
@@ -83,7 +83,7 @@ def test_site_unitary_must_fix_loss_subspace():
 
 
 def test_out_of_pattern_elements_are_exact_zero():
-    st = init_state(2)
+    st = QuquartState(2)
     st.apply_global_unitary(_unitary(global_rotation_matrix(0.0, np.pi / 2)))
     st.apply_channel((0,), _op(ch.loss_channel(0.3, "dark")))
     st.apply_channel((1,), _op(ch.loss_channel(0.2, "bright")))
@@ -110,7 +110,7 @@ def test_pattern_leak_detection():
 
 def test_trace_and_hermiticity_preserved_under_noise():
     rng = np.random.default_rng(9)
-    st = init_state(3)
+    st = QuquartState(3)
     p = NoiseParams()
     for _ in range(25):
         st.apply_channel((int(rng.integers(3)),), _op(ch.depolarization(0.05)))
@@ -125,15 +125,15 @@ def test_trace_and_hermiticity_preserved_under_noise():
 
 def test_storage_is_six_symbols_per_site():
     for n in range(1, 5):
-        st = init_state(n)
+        st = QuquartState(n)
         assert st.blocks.shape == (N_SYMBOLS,) * n
         assert st.blocks.size == 6**n
 
 
 def test_memory_cap():
     with pytest.raises(CapacityError):
-        init_state(8, memory_cap=1 << 20)  # 6^8 complexes > 1 MiB
-    init_state(4, memory_cap=1 << 20)      # 6^4 fits
+        QuquartState(8, memory_cap=1 << 20)  # 6^8 complexes > 1 MiB
+    QuquartState(4, memory_cap=1 << 20)      # 6^4 fits
     # both buffers and the check's tables: the default cap admits 10 sites
     assert footprint(10) <= DEFAULT_MEMORY_CAP < footprint(11)
     assert footprint(4) > 2 * 16 * 6**4
@@ -143,7 +143,7 @@ def test_memory_cap_bounds_gate_peak():
     # with every fused op built, a gate allocates at most what the cap
     # charges beyond the state itself
     n, p = 6, NoiseParams()
-    st = init_state(n)
+    st = QuquartState(n)
     gatemodel.apply_preparation(st, p)
     gates = {
         "grot": lambda: gatemodel.apply_gate(st, grot(0.3, 0.9), p),
@@ -173,7 +173,7 @@ def test_check_matches_per_axis_reference(n):
     rng = np.random.default_rng(n)
     shape = (N_SYMBOLS,) * n
     blocks = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 4**n
-    st = init_state(n)
+    st = QuquartState(n)
     st.blocks = blocks.copy()
     assert st.hermiticity_defect() == dense_ref.hermiticity_defect(blocks)
     assert abs(st.trace() - dense_ref.trace(blocks)) < 1e-12
@@ -189,7 +189,7 @@ def test_kernels_match_reference_on_every_site_and_ordered_pair():
     one = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     cases = [(pair, s) for s in itertools.permutations(range(n), 2)]
     cases += [(one, (s,)) for s in range(n)]
-    st = init_state(n)
+    st = QuquartState(n)
     for matrix, sites in cases:
         st.blocks = blocks.copy()
         st._apply(matrix, sites)
@@ -200,7 +200,7 @@ def test_kernels_match_reference_on_every_site_and_ordered_pair():
 def test_injected_defect_is_caught():
     op = _unitary(global_rotation_matrix(0.4, 1.3))
     for symbol, kind in (((0, 1, 0), "hermiticity"), ((3, 0, 0), "trace")):
-        st = init_state(3).apply_global_unitary(op)
+        st = QuquartState(3).apply_global_unitary(op)
         st.blocks[symbol] += 1e-8
         with pytest.raises(PatternLeakError, match=kind):
             st.apply_channel((2,), op)
@@ -209,7 +209,7 @@ def test_injected_defect_is_caught():
 def test_apply_after_set_pure_rebinds_blocks():
     rng = np.random.default_rng(5)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
-    st = dense_ref.set_pure(init_state(3), psi / np.linalg.norm(psi))
+    st = dense_ref.set_pure(QuquartState(3), psi / np.linalg.norm(psi))
     rho = dense_ref.to_dense(st).reshape((4,) * 6)
     cz_u = controlled_phase_matrix(-1.0)
     steps = [((2, 0), cz_u), ((1,), rz_matrix(0.8)),
@@ -221,7 +221,7 @@ def test_apply_after_set_pure_rebinds_blocks():
 
 
 def test_reduced_qubit_density_folds_loss():
-    st = init_state(1)
+    st = QuquartState(1)
     st.apply_channel((0,), _unitary(global_rotation_matrix(0.0, np.pi / 2)))
     st.apply_channel((0,), _op(ch.loss_channel(0.4, "bright")))
     red = dense_ref.reduced_qubit_density(st)
@@ -234,8 +234,9 @@ def test_reduced_qubit_density_folds_loss():
 
 def test_channel_arity_checked():
     with pytest.raises(ValidationError):
-        init_state(2).apply_channel((0, 1), _op(ch.phase_flip(0.1)))
+        QuquartState(2).apply_channel((0, 1), _op(ch.phase_flip(0.1)))
     with pytest.raises(ValidationError):
-        init_state(2).apply_channel((0,), _op(ch.correlated_phase_flip(0.1)))
+        QuquartState(2).apply_channel((0,), _op(ch.correlated_phase_flip(0.1)))
     with pytest.raises(ValidationError):
-        init_state(2).apply_global_unitary(_op(ch.correlated_phase_flip(0.1)))
+        QuquartState(2).apply_global_unitary(
+            _op(ch.correlated_phase_flip(0.1)))
