@@ -149,11 +149,17 @@ def interaction_placement(circuit: Circuit, topology: Topology) -> list:
     return placement
 
 
-def _swap_native_ops(a: int, b: int) -> list:
-    ops = []
-    for c, t in ((a, b), (b, a), (a, b)):
-        ops.extend(lower_to_native(
-            Circuit(max(a, b) + 1, [Gate("cx", (c, t))])).ops)
+_SWAP_OPS: dict = {}  # (a, b) -> lowered SWAP; Gate is frozen, so shared
+
+
+def _swap_native_ops(a: int, b: int) -> tuple:
+    """SWAP(a, b) as three CX lowered to native gates, lowered once per
+    ordered pair."""
+    ops = _SWAP_OPS.get((a, b))
+    if ops is None:
+        cx = [Gate("cx", ct) for ct in ((a, b), (b, a), (a, b))]
+        ops = _SWAP_OPS[a, b] = tuple(
+            lower_to_native(Circuit(max(a, b) + 1, cx)).ops)
     return ops
 
 

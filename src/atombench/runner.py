@@ -1,14 +1,18 @@
 """Suite orchestration: generate, lower, route, simulate, score.
 
-The runner applies each native gate through ``gatemodel.apply_gate`` under
-one of two timing models.  "gate" (the default) attaches each gate's own
-idle decoherence to its sites, and a global pulse decoheres every site.
+The runner hands each native gate to ``gatemodel.apply_gate`` under one of
+two timing models.  "gate" (the default) attaches each gate's own idle
+decoherence to its sites, and a global pulse decoheres every site.
 "layer" applies the gates of a scheduled layer without their idle
 decoherence and then one decoherence interval, the layer's maximum gate
-duration, to every site.  Readout is reduced to bitstrings, restricted to
-the physical positions of the measured qubits under the router's final
-placement, convolved with the measurement-error channel and scored against
-the ideal distribution.
+duration, to every site.  Every operator but the ``cz`` acts on single
+sites, so each one waits in a pending 6x6 product of its site: a ``cz``
+carries its two sites' products in one checked pass over the state, and the
+products left at the end make one checked pass each.  Ops on disjoint sites
+commute and each site keeps its order, so the result is exact.  Readout is
+reduced to bitstrings, restricted to the physical positions of the measured
+qubits under the router's final placement, convolved with the
+measurement-error channel and scored against the ideal distribution.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from .circuit import Circuit, lower_to_native, optimize_native, schedule_layers
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
 from .metrics import Distribution
 from .routing import Topology, route
-from .state import DEFAULT_MEMORY_CAP, QuquartState
+from .state import DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, SymbolOp
 
 
 @dataclass
@@ -118,6 +122,58 @@ def topology_label(descriptor) -> str:
     return str(descriptor)
 
 
+class _PendingSites:
+    """1-site operators not yet applied to a state, as one 6x6 product per
+    site (None for the identity).
+
+    It takes the state's place in ``gatemodel``: a 1-site or global op
+    multiplies into the pending products, and a pair op makes one pass that
+    first applies the products of its two sites.  A malformed call goes to
+    the state, which rejects it.
+    """
+
+    def __init__(self, state: QuquartState):
+        self.state = state
+        self.n_sites = state.n_sites
+        self.pending = [None] * state.n_sites
+
+    def _defer(self, s: int, m: np.ndarray):
+        p = self.pending[s]
+        self.pending[s] = m if p is None else m @ p
+
+    def apply_channel(self, sites, op: SymbolOp):
+        sites = tuple(sites)
+        if not (len(set(sites)) == len(sites) == op.n_sites
+                and all(0 <= s < self.n_sites for s in sites)):
+            return self.state.apply_channel(sites, op)
+        if len(sites) == 1:
+            self._defer(sites[0], op.matrix)
+            return self
+        pa, pb = (self.pending[s] for s in sites)
+        if pa is not None or pb is not None:
+            eye = np.eye(N_SYMBOLS)
+            op = SymbolOp(op.matrix @ np.kron(eye if pa is None else pa,
+                                              eye if pb is None else pb),
+                          op.label)
+        for s in sites:
+            self.pending[s] = None
+        self.state.apply_channel(sites, op)
+        return self
+
+    def apply_global_unitary(self, op: SymbolOp):
+        for s in range(self.n_sites):
+            self._defer(s, op.matrix)
+        return self
+
+    def flush(self) -> QuquartState:
+        """Apply each site's pending product in one pass; return the state."""
+        for s, p in enumerate(self.pending):
+            if p is not None:
+                self.pending[s] = None
+                self.state.apply_channel((s,), SymbolOp(p, "pending"))
+        return self.state
+
+
 def execute_native(circuit: Circuit, params: NoiseParams,
                    memory_cap: int = DEFAULT_MEMORY_CAP,
                    timing_model: str = "gate") -> tuple[QuquartState, int]:
@@ -126,21 +182,23 @@ def execute_native(circuit: Circuit, params: NoiseParams,
     timing_model "gate" attaches each gate's decoherence interval to its own
     sites (global pulses decohere every site); "layer" instead schedules the
     circuit and applies one decoherence interval of the layer's maximum gate
-    duration to all sites after each layer.  Returns the final state and the
-    transpiled depth (layer count).
+    duration to all sites after each layer.  Passes over the state are made
+    only by a ``cz`` and, at the end, by each site with pending 1-site ops:
+    at most one per ``cz`` plus one per site, each checked.  Returns the
+    final state and the transpiled depth (layer count).
     """
     if timing_model not in ("gate", "layer"):
         raise ValidationError(f"unknown timing_model {timing_model!r}")
     per_gate = timing_model == "gate"
     layers, depth = schedule_layers(circuit, params)
-    state = QuquartState(circuit.n_qubits, memory_cap)
-    gatemodel.apply_preparation(state, params)
+    sites = _PendingSites(QuquartState(circuit.n_qubits, memory_cap))
+    gatemodel.apply_preparation(sites, params)
     for layer in layers:
         for g in layer.gates:
-            gatemodel.apply_gate(state, g, params, decohere=per_gate)
+            gatemodel.apply_gate(sites, g, params, decohere=per_gate)
         if not per_gate:
-            gatemodel.apply_decoherence(state, layer.duration, params)
-    return state, depth
+            gatemodel.apply_decoherence(sites, layer.duration, params)
+    return sites.flush(), depth
 
 
 def output_distribution(state: QuquartState, l2p: list, measured: list,

@@ -9,7 +9,10 @@ entries.  An n-site state therefore stores 6^n complex numbers instead of
     0: rho_00   1: rho_01   2: rho_10   3: rho_11   4: rho_l0l0   5: rho_l1l1
 
 A channel acts as a SymbolOp, its matrix on these symbols, leak-checked once
-when built; each application ends with one trace and hermiticity check.
+when built; each application is one pass over the state and ends with one
+trace and hermiticity check.  A SymbolOp may be a product of several gates'
+ops: the runner folds each site's 1-site ops into one matrix and applies it
+with the site's next pair op, so one checked pass can carry many gates.
 A state owns two buffers of this shape: every pass writes the spare one and
 the two swap, and between passes the spare is the check's scratch, so no
 pass over the state allocates.
@@ -40,8 +43,11 @@ QUBIT_FOLD[(0, 1, 2, 3, 0, 3), range(N_SYMBOLS)] = 1.0
 
 
 def _pattern(k: int) -> tuple:
-    """Rows and columns, in the 4^k x 4^k matrix of k sites, of the stored
-    symbols (in symbol-tensor order) and of every entry outside the pattern."""
+    """Index grids of the 4^k x 4^k matrix of k sites: (stored rows, stored
+    rows), (stored cols, stored cols), (outside rows, stored rows) and
+    (outside cols, stored cols), where "stored" lists the stored symbols'
+    rows or columns in symbol-tensor order and "outside" those of every
+    entry outside the pattern."""
     rows, cols = _ROWS, _COLS
     for _ in range(k - 1):
         rows = (SITE_DIM * rows[:, None] + _ROWS[None, :]).ravel()
@@ -49,7 +55,8 @@ def _pattern(k: int) -> tuple:
     stored = set(zip(rows.tolist(), cols.tolist()))
     out = np.array([(r, c) for r in range(SITE_DIM**k)
                     for c in range(SITE_DIM**k) if (r, c) not in stored])
-    return rows, cols, out[:, 0], out[:, 1]
+    return (np.ix_(rows, rows), np.ix_(cols, cols),
+            np.ix_(out[:, 0], rows), np.ix_(out[:, 1], cols))
 
 
 _PATTERN = {k: _pattern(k) for k in (1, 2)}
@@ -111,8 +118,8 @@ class SymbolOp:
         m = leak = 0
         for a in channel.operators:
             ac = a.conj()
-            m = m + a[np.ix_(rows, rows)] * ac[np.ix_(cols, cols)]
-            leak = leak + a[np.ix_(out_rows, rows)] * ac[np.ix_(out_cols, cols)]
+            m = m + a[rows] * ac[cols]
+            leak = leak + a[out_rows] * ac[out_cols]
         leak = float(np.max(np.abs(leak)))
         if leak > LEAK_ATOL:
             raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")

@@ -102,3 +102,14 @@ def test_interaction_placement_prefers_hub_center():
     topo = Topology.grid(3, rows=1, cols=3)
     placement = interaction_placement(c, topo)
     assert placement[2] == 1
+
+
+@pytest.mark.parametrize("a,b", [(0, 3), (3, 0)])
+def test_swap_is_lowered_once_per_ordered_pair(a, b):
+    from atombench.routing import _swap_native_ops
+
+    cx = [Gate("cx", ct) for ct in ((a, b), (b, a), (a, b))]
+    lowered = lower_to_native(Circuit(4, cx)).ops
+    ops = _swap_native_ops(a, b)
+    assert isinstance(ops, tuple) and list(ops) == lowered
+    assert _swap_native_ops(a, b) is ops

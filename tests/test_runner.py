@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import dense_ref
-from atombench import bench, runner
+from atombench import bench, gatemodel, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
 from atombench.circuit import Circuit, Gate, cz, grot, lower_to_native, rz
-from atombench.errors import ValidationError
+from atombench.errors import PatternLeakError, ValidationError
 from atombench.runner import (
     ResultRecord,
     RunConfig,
@@ -22,6 +22,7 @@ from atombench.runner import (
     save_records,
     topology_label,
 )
+from atombench.state import QuquartState, SymbolOp
 
 NOISELESS = NoiseParams.noiseless()
 
@@ -109,6 +110,78 @@ def test_execute_native_matches_dense_engine(timing_model):
         err = np.max(np.abs(dense_ref.to_dense(state)
                             - dense_ref.to_matrix(rho)))
         assert err < 1e-10, (trial, err)
+
+
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
+                                                      timing_model):
+    passes = []
+    for name in ("apply_channel", "apply_global_unitary"):
+        def counted(self, *args, _name=name, _fn=getattr(QuquartState, name)):
+            passes.append(_name)
+            return _fn(self, *args)
+        monkeypatch.setattr(QuquartState, name, counted)
+    params = NoiseParams(uw_depol_per_pi=0.02, rz_loss_dark_per_pi=0.02,
+                         cz_phaseflip=0.08, cz_loss_bright=0.07,
+                         prep_error=0.05, dur_uw_pi=2e-5, dur_rz_pi=1e-4,
+                         dur_cz=2e-4)
+    rng = np.random.default_rng(23)
+    for trial in range(6):
+        n = 2 + trial % 3
+        c = Circuit(n)
+        for _ in range(int(rng.integers(10, 30))):
+            r = rng.integers(3)
+            if r == 0:
+                c.add(grot(*map(float, rng.uniform(-np.pi, np.pi, size=2))))
+            elif r == 1:
+                c.add(rz(int(rng.integers(n)), float(rng.uniform(-6, 6))))
+            else:
+                c.add(cz(*map(int, rng.choice(n, 2, replace=False))))
+        passes.clear()
+        state, _ = execute_native(c, params, timing_model=timing_model)
+        n_cz = c.gate_counts().get("cz", 0)
+        assert set(passes) <= {"apply_channel"}
+        assert len(passes) <= n_cz + n, (trial, len(passes), n_cz)
+        rho = dense_ref.execute_native(c, params, timing_model=timing_model)
+        err = np.max(np.abs(dense_ref.to_dense(state)
+                            - dense_ref.to_matrix(rho)))
+        assert err < 1e-10, (trial, err)
+
+
+@pytest.mark.parametrize("ops,carrier", [
+    ([rz(0, 0.7), cz(0, 1)], (0, 1)),   # a later cz carries the rz
+    ([cz(0, 1), rz(0, 0.7)], (0,)),     # the end-of-circuit pass carries it
+])
+def test_trace_breaking_pending_op_is_caught_before_readout(monkeypatch, ops,
+                                                            carrier):
+    real = gatemodel.native_op
+
+    def scaled_rz(g, params, decohere=True):
+        op = real(g, params, decohere)
+        if g.name == "rz":
+            op = SymbolOp(1.01 * op.matrix, "scaled rz")
+        return op
+
+    monkeypatch.setattr(gatemodel, "native_op", scaled_rz)
+    calls = []
+    apply_channel = QuquartState.apply_channel
+
+    def recorded(self, sites, op):
+        calls.append(tuple(sites))
+        return apply_channel(self, sites, op)
+
+    monkeypatch.setattr(QuquartState, "apply_channel", recorded)
+    with pytest.raises(PatternLeakError, match="trace"):
+        execute_native(Circuit(2, ops), NOISELESS)
+    assert calls[-1] == carrier
+
+
+@pytest.mark.parametrize("gate", [rz(-1, 0.3), cz(0, -1),
+                                  Gate("cz", (1, 1))])
+def test_execute_native_rejects_sites_off_the_register(gate):
+    # Circuit(n, ops) does not check its ops; the state must still see them
+    with pytest.raises(ValidationError, match="site"):
+        execute_native(Circuit(2, [gate]), NoiseParams())
 
 
 def test_execute_timing_models_differ():
