@@ -307,7 +307,9 @@ def schedule_layers(circuit: Circuit, params=None) -> tuple[list, int]:
 
     A global rotation touches every qubit and so occupies an exclusive layer;
     local gates on disjoint sites share one.  Returns (layers, depth); layer
-    durations are filled in when noise parameters are supplied.
+    durations are filled in when noise parameters are supplied.  A site off
+    the register raises ValidationError, since ``Circuit(n, ops)`` does not
+    check its ops.
     """
     if not circuit.is_native:
         raise ValidationError("schedule_layers requires a lowered circuit")
@@ -315,6 +317,9 @@ def schedule_layers(circuit: Circuit, params=None) -> tuple[list, int]:
     frontier = [0] * circuit.n_qubits  # 1-based index of last layer used per qubit
     for g in circuit.ops:
         sites = range(circuit.n_qubits) if g.name == "grot" else g.sites
+        if not all(0 <= q < circuit.n_qubits for q in g.sites):
+            raise ValidationError(f"{g.name} site(s) {g.sites} off the "
+                                  f"register ({circuit.n_qubits} qubits)")
         at = max((frontier[q] for q in sites), default=0) + 1
         while len(layers) < at:
             layers.append(Layer([]))

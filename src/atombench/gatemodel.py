@@ -93,14 +93,44 @@ def _cz_steps(params: NoiseParams) -> list:
     return steps
 
 
-# channel steps of each operator, in order: steps(*args, params)
-_STEPS = {"grot": _grot_steps, "rz": _rz_steps, "cz": _cz_steps,
-          "decoherence": ch.decoherence,
-          "preparation": lambda params: [ch.bit_flip(params.prep_error)]}
+# idle T1/T2* decoherence, alone or attached to any operator, reads these
+_DECOHERENCE_FIELDS = ("t1", "t2_star", "p0_equilibrium")
+
+# each operator's channel steps, steps(*args, params), and the NoiseParams
+# fields they read: a cached operator is valid while those values hold
+_STEPS = {
+    "grot": (_grot_steps, ("uw_depol_per_pi",)),
+    "rz": (_rz_steps, ("rz_phaseflip_per_pi", "rz_decay_per_pi",
+                       "rz_loss_dark_per_pi", "rz_loss_bright_per_pi")),
+    "cz": (_cz_steps, ("cz_loss_dark", "cz_loss_bright", "cz_decay",
+                       "cz_phaseflip_mode", "cz_phaseflip", "cz_phaseshift")),
+    "decoherence": (ch.decoherence, _DECOHERENCE_FIELDS),
+    "preparation": (lambda params: [ch.bit_flip(params.prep_error)],
+                    ("prep_error",)),
+}
 
 FUSED_CACHE_SIZE = 1024
 _fused_lock = threading.Lock()
-_fused_table: tuple = (None, {})  # (NoiseParams value, {key: SymbolOp})
+_fused_ops: dict = {}  # (name, args, idle) -> (NoiseParams, SymbolOp)
+
+
+def _fields(name: str, idle) -> tuple:
+    """The NoiseParams fields that the operator of `name` reads, with its
+    idle decoherence unless idle is None."""
+    fields = _STEPS[name][1]
+    return fields if idle is None else fields + _DECOHERENCE_FIELDS
+
+
+def _steps(name: str, args: tuple, params: NoiseParams, idle) -> list:
+    """The channel steps of `name`, then (unless idle is None) idle
+    decoherence over `idle` seconds on each of its sites."""
+    steps = list(_STEPS[name][0](*args, params))
+    if idle is not None:
+        dec = ch.decoherence(idle, params)
+        if name == "cz":
+            dec = [(k, i) for i in (0, 1) for k in dec]
+        steps += dec
+    return steps
 
 
 def _fused(name: str, args: tuple, params: NoiseParams, idle=None
@@ -108,28 +138,26 @@ def _fused(name: str, args: tuple, params: NoiseParams, idle=None
     """The steps of `name` fused into one SymbolOp, then (unless idle is
     None) idle decoherence over `idle` seconds on each of its sites.
 
-    Built on first use and then cached.  The table of one NoiseParams value
-    is kept: a lookup under another value starts a new one, and a full table
-    is emptied, so at most FUSED_CACHE_SIZE operators are held.  An operator
-    depends on its key and params alone, so sweep threads share the table.
+    Built on first use and then cached, one entry per (name, args, idle)
+    holding the operator and the NoiseParams it was built under.  A lookup
+    hits when the fields the operator reads (``_fields``) have equal values;
+    otherwise it rebuilds the operator and replaces the entry, so a fit with
+    only ``cz`` rates free rebuilds only the ``cz`` operator.  The entry
+    keeps the immutable record, not a tuple of its values, so a table of one
+    NoiseParams value holds no copies.  A full table is emptied, so at most
+    FUSED_CACHE_SIZE operators are held.  Sweep threads share the table.
     """
-    global _fused_table
     key = (name, args, idle)
     with _fused_lock:
-        owner, ops = _fused_table
-        if owner is not params and owner != params:
-            owner, ops = _fused_table = (params, {})
-        op = ops.get(key)
-        if op is None:
-            if len(ops) >= FUSED_CACHE_SIZE:
-                ops.clear()
-            steps = _STEPS[name](*args, params)
-            if idle is not None:
-                dec = ch.decoherence(idle, params)
-                if name == "cz":
-                    dec = [(k, i) for i in (0, 1) for k in dec]
-                steps += dec
-            op = ops[key] = fuse(steps, name)
+        entry = _fused_ops.get(key)
+        if entry is not None and (entry[0] is params or all(
+                getattr(entry[0], f) == getattr(params, f)
+                for f in _fields(name, idle))):
+            return entry[1]
+        if entry is None and len(_fused_ops) >= FUSED_CACHE_SIZE:
+            _fused_ops.clear()
+        op = fuse(_steps(name, args, params, idle), name)
+        _fused_ops[key] = (params, op)
     return op
 
 

@@ -142,7 +142,6 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
          "cz": cz(0, 1)}.get(gate)
     if g is None:
         raise ValidationError(f"unknown gate {gate!r}")
-    # the ideal first: the fused cache then keeps the table of `params`
     ideal = gatemodel.native_op(g, NoiseParams.noiseless()).matrix
     op = gatemodel.native_op(g, params)
     comp, fold = np.arange(4), QUBIT_FOLD

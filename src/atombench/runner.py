@@ -17,6 +17,7 @@ measurement-error channel and scored against the ideal distribution.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +31,8 @@ from .circuit import Circuit, lower_to_native, optimize_native, schedule_layers
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
 from .metrics import Distribution
 from .routing import Topology, route
-from .state import DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, SymbolOp
+from .state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, SymbolOp,
+                    pair_kron)
 
 
 @dataclass
@@ -152,8 +154,8 @@ class _PendingSites:
         pa, pb = (self.pending[s] for s in sites)
         if pa is not None or pb is not None:
             eye = np.eye(N_SYMBOLS)
-            op = SymbolOp(op.matrix @ np.kron(eye if pa is None else pa,
-                                              eye if pb is None else pb),
+            op = SymbolOp(op.matrix @ pair_kron(eye if pa is None else pa,
+                                                eye if pb is None else pb),
                           op.label)
         for s in sites:
             self.pending[s] = None
@@ -237,11 +239,25 @@ def run_instance(spec: bench.BenchmarkSpec, topology, params: NoiseParams,
     return rec
 
 
+@functools.lru_cache(maxsize=64)
+def _native(n_qubits: int, ops: tuple) -> Circuit:
+    """The optimized native circuit of the abstract circuit (n_qubits, ops).
+
+    Keyed on content, not identity: a ``Circuit`` is mutable.  The result is
+    shared between callers, which only read it.
+    """
+    return optimize_native(lower_to_native(Circuit(n_qubits, list(ops))))
+
+
 def run_reference(circuit: Circuit, params: NoiseParams,
                   memory_cap: int = DEFAULT_MEMORY_CAP,
                   timing_model: str = "gate") -> Distribution:
-    """Simulate an already-built abstract circuit on all-to-all connectivity."""
-    native = optimize_native(lower_to_native(circuit))
+    """Simulate an already-built abstract circuit on all-to-all connectivity.
+
+    Each distinct circuit is lowered and optimized once (``_native``), so
+    the objective evaluations of a fit only simulate.
+    """
+    native = _native(circuit.n_qubits, tuple(circuit.ops))
     state, _ = execute_native(native, params, memory_cap,
                               timing_model=timing_model)
     return output_distribution(state, list(range(state.n_sites)),

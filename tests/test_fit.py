@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from atombench import fit, gatemodel
+from atombench.bench import BenchmarkSpec, generate
 from atombench.channels import NoiseParams
 from atombench.errors import ValidationError
 from atombench.fit import (
@@ -16,6 +18,7 @@ from atombench.fit import (
     mean_reference_fidelity,
     nelder_mead,
 )
+from atombench.runner import run_reference
 
 
 def test_nelder_mead_quadratic():
@@ -102,3 +105,34 @@ def test_fit_no_free_params_returns_base():
     assert params == problem.base_params
     assert 0.0 < fid < 1.0
     assert report["evals"] == 0
+
+
+def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
+    planted = NoiseParams(cz_phaseflip=0.045, cz_loss_dark=0.012)
+    refs = []
+    for spec in (BenchmarkSpec("Ghz", 2), BenchmarkSpec("BernsteinVazirani", 2,
+                                                        "11")):
+        circuit, _ = generate(spec)
+        refs.append((circuit, run_reference(circuit, planted)))
+    built, evals = [], []
+    fuse, evaluate = gatemodel.fuse, fit.mean_reference_fidelity
+
+    def counted_fuse(steps, name):
+        built.append((len(evals), name))
+        return fuse(steps, name)
+
+    def counted_evaluate(*args, **kwargs):
+        evals.append(None)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(gatemodel, "_fused_ops", {})
+    monkeypatch.setattr(gatemodel, "fuse", counted_fuse)
+    monkeypatch.setattr(fit, "mean_reference_fidelity", counted_evaluate)
+    problem = FitProblem(refs, free_params=("cz_phaseflip", "cz_loss_dark",
+                                            "cz_decay", "cz_phaseshift"),
+                         n_starts=2, max_evals=40)
+    fit_noise_params(problem)
+    assert len(evals) > 2
+    assert {name for at, name in built if at == 1} == {
+        "grot", "rz", "cz", "preparation"}
+    assert {name for at, name in built if at > 1} == {"cz"}

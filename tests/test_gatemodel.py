@@ -213,37 +213,51 @@ def test_fused_cache_stays_bounded():
                          free_params=("cz_phaseflip",), n_starts=1,
                          max_evals=30)
     fit_noise_params(problem)
-    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
+    assert len(gatemodel._fused_ops) <= FUSED_CACHE_SIZE
     # many angles under one value: 500 random phi, then more rz angles
     # than the cache holds
     st = QuquartState(1)
     for phi in np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 500):
         apply_gate(st, grot(float(phi), np.pi), NP)
-    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
+    assert len(gatemodel._fused_ops) <= FUSED_CACHE_SIZE
     for theta in np.linspace(0.1, 3.0, FUSED_CACHE_SIZE + 50):
         apply_gate(st, rz(0, float(theta)), NP)
-        assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
+        assert len(gatemodel._fused_ops) <= FUSED_CACHE_SIZE
+
+
+# Each differs from NP in one cz field alone and shares its durations, so
+# the cz operator of NP serves it only if the cache ignores that field.
+ONE_CZ_FIELD = [NP.replace(**{f: getattr(STRONG, f)})
+                for f in NoiseParams.__dataclass_fields__
+                if f.startswith("cz_") and f != "cz_phaseflip_mode"
+                ] + [NP.replace(cz_phaseflip_mode="per_site")]
 
 
 def test_fused_cache_is_thread_safe():
-    # threads alternate between two NoiseParams values, so tables are
-    # replaced while other threads look up and build; an operator stored
-    # under the wrong value would move a final state off the dense reference
+    # threads alternate between NP and other NoiseParams values, so cached
+    # operators are replaced while other threads look up and build; an
+    # operator stored under the wrong value would move a final state off the
+    # dense reference
     def gates(i):
         for k in range(15):
             yield "grot", (0.1 * k, 1.0 + 0.01 * i)
             yield "cz", (0, 1)
             yield "rz", (1, 0.3 * k + 0.01 * i)
 
+    others = [STRONG, *ONE_CZ_FIELD]
+
+    def params(i):
+        return NP if i % 2 == 0 else others[(i // 2) % len(others)]
+
     def run(i):
-        p, st = (NP, STRONG)[i % 2], QuquartState(2)
+        p, st = params(i), QuquartState(2)
         make = {"grot": grot, "cz": cz, "rz": rz}
         for name, args in gates(i):
             apply_gate(st, make[name](*args), p)
         return dense_ref.to_dense(st)
 
     def reference(i):
-        p, rho = (NP, STRONG)[i % 2], dense_ref.initial_rho(2)
+        p, rho = params(i), dense_ref.initial_rho(2)
         apply = {"grot": dense_ref.apply_grot, "cz": dense_ref.apply_cz,
                  "rz": dense_ref.apply_rz}
         for name, args in gates(i):
@@ -259,4 +273,49 @@ def test_fused_cache_is_thread_safe():
         sys.setswitchinterval(interval)
     for i, have in enumerate(got):
         assert np.max(np.abs(have - reference(i))) < 1e-12, i
-    assert len(gatemodel._fused_table[1]) <= FUSED_CACHE_SIZE
+    assert len(gatemodel._fused_ops) <= FUSED_CACHE_SIZE
+
+
+class _ReadRecorder:
+    """A NoiseParams stand-in that records which fields are read."""
+
+    def __init__(self, params):
+        self.params, self.read = params, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.params, name)
+
+
+OPERATORS = [("grot", (0.3, 1.1)), ("rz", (0.7,)), ("cz", ()),
+             ("decoherence", (7e-4,)), ("preparation", ())]
+
+
+def _changed(params, field):
+    if field == "cz_phaseflip_mode":
+        return params.replace(cz_phaseflip_mode="per_site")
+    return params.replace(**{field: 1.1 * getattr(params, field)})
+
+
+@pytest.mark.parametrize("idle", [None, 3e-6])
+@pytest.mark.parametrize("name,args", OPERATORS)
+def test_fused_op_reads_only_its_declared_fields(name, args, idle):
+    for params in (STRONG, STRONG.replace(cz_phaseflip_mode="correlated"),
+                   STRONG.replace(cz_phaseflip_mode="per_site",
+                                  cz_phaseshift=0.0)):
+        recorder = _ReadRecorder(params)
+        gatemodel._steps(name, args, recorder, idle)
+        assert recorder.read <= set(gatemodel._fields(name, idle))
+
+
+@pytest.mark.parametrize("idle", [None, 3e-6])
+@pytest.mark.parametrize("name,args", OPERATORS)
+def test_fused_op_is_rebuilt_only_for_its_declared_fields(name, args, idle):
+    declared = gatemodel._fields(name, idle)
+    for field in NoiseParams.__dataclass_fields__:
+        op = gatemodel._fused(name, args, STRONG, idle)
+        other = gatemodel._fused(name, args, _changed(STRONG, field), idle)
+        if field in declared:
+            assert not np.array_equal(other.matrix, op.matrix), field
+        else:
+            assert other is op, field

@@ -179,9 +179,40 @@ def test_trace_breaking_pending_op_is_caught_before_readout(monkeypatch, ops,
 @pytest.mark.parametrize("gate", [rz(-1, 0.3), cz(0, -1),
                                   Gate("cz", (1, 1))])
 def test_execute_native_rejects_sites_off_the_register(gate):
-    # Circuit(n, ops) does not check its ops; the state must still see them
+    # Circuit(n, ops) does not check its ops; they must still be rejected
     with pytest.raises(ValidationError, match="site"):
         execute_native(Circuit(2, [gate]), NoiseParams())
+
+
+@pytest.mark.parametrize("gate", [rz(2, 0.3), rz(-1, 0.3), cz(0, 2)])
+def test_schedule_rejects_sites_off_the_register(gate):
+    # the scheduler indexes per-site lists: it must reject these itself,
+    # not wrap a negative index or raise a bare IndexError
+    with pytest.raises(ValidationError, match="off the register"):
+        execute_native(Circuit(2, [gate]), NoiseParams())
+
+
+def test_run_reference_lowers_each_circuit_once(monkeypatch):
+    lowered, lower = [], runner.lower_to_native
+    monkeypatch.setattr(runner, "lower_to_native",
+                        lambda c: lowered.append(c) or lower(c))
+    runner._native.cache_clear()
+    circuit, _ = bench.generate(BenchmarkSpec("Ghz", 3))
+    p = NoiseParams()
+    first = run_reference(circuit, p)
+    assert run_reference(circuit, p).entries == first.entries
+    assert len(lowered) == 1
+    # keyed on content: a mutated circuit gives what a fresh copy gives
+    circuit.ops.append(Gate("x", (0,)))
+    fresh = Circuit(3, list(circuit.ops), dict(circuit.metadata))
+    mutated = run_reference(circuit, p)
+    assert mutated.entries != first.entries
+    assert mutated.entries == run_reference(fresh, p).entries
+    assert len(lowered) == 2
+    maxsize = runner._native.cache_info().maxsize
+    for k in range(maxsize + 5):
+        run_reference(Circuit(1, [rz(0, 0.01 * k)]), NOISELESS)
+    assert runner._native.cache_info().currsize <= maxsize
 
 
 def test_execute_timing_models_differ():
