@@ -18,7 +18,7 @@ from . import gatemodel
 from .channels import NoiseParams
 from .circuit import cz, grot, rz
 from .errors import DegenerateIdealError, ValidationError
-from .state import DIAG_SYMBOLS, N_SYMBOLS, QUBIT_FOLD
+from .state import BASIS, BASIS_INV, DIAG_SYMBOLS, QUBIT_FOLD
 
 _UNIFORM_TOL = 1e-12
 
@@ -144,10 +144,11 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
         raise ValidationError(f"unknown gate {gate!r}")
     ideal = gatemodel.native_op(g, NoiseParams.noiseless()).matrix
     op = gatemodel.native_op(g, params)
-    comp, fold = np.arange(4), QUBIT_FOLD
+    # the ops' real matrices back on the symbols: qubit symbols in through
+    # BASIS, out through BASIS_INV
+    comp, fold = BASIS[:, :4], QUBIT_FOLD @ BASIS_INV
     if op.n_sites == 2:
-        comp = (N_SYMBOLS * comp[:, None] + comp).ravel()
-        fold = np.kron(fold, fold)
+        comp, fold = np.kron(comp, comp), np.kron(fold, fold)
     d = 2**op.n_sites
-    f_e = np.vdot(fold @ ideal[:, comp], fold @ op.matrix[:, comp]).real / d**2
+    f_e = np.vdot(fold @ ideal @ comp, fold @ op.matrix @ comp).real / d**2
     return float((d * f_e + 1.0) / (d + 1.0))

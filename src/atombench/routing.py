@@ -43,7 +43,7 @@ class Topology:
     rows: int = 0
     cols: int = 0
     n_qubits: int = 0
-    adjacency: set = field(default_factory=set)
+    adjacency: dict = field(default_factory=dict)  # node -> sorted neighbours
 
     @classmethod
     def all_to_all(cls, n_qubits: int) -> "Topology":
@@ -59,25 +59,25 @@ class Topology:
                 f"grid {rows}x{cols} cannot hold {n_qubits} qubits"
             )
         topo = cls("grid", rows=rows, cols=cols, n_qubits=n_qubits)
-        # occupied nodes are the first n in row-major order
+        # occupied nodes are the first n in row-major order; neighbours
+        # above, left, right and below are in ascending order
         for node in range(n_qubits):
-            r, c = divmod(node, cols)
-            for dr, dc in ((0, 1), (1, 0)):
-                rr, cc = r + dr, c + dc
-                if rr < rows and cc < cols:
-                    other = rr * cols + cc
-                    if other < n_qubits:
-                        topo.adjacency.add((node, other))
-                        topo.adjacency.add((other, node))
+            c = node % cols
+            topo.adjacency[node] = tuple(
+                other for other, inside in ((node - cols, node >= cols),
+                                            (node - 1, c > 0),
+                                            (node + 1, c + 1 < cols),
+                                            (node + cols, True))
+                if inside and other < n_qubits)
         return topo
 
     def adjacent(self, a: int, b: int) -> bool:
         if self.mode == "all_to_all":
             return a != b
-        return (a, b) in self.adjacency
+        return b in self.neighbors(a)
 
-    def neighbors(self, node: int):
-        return [b for (a, b) in self.adjacency if a == node]
+    def neighbors(self, node: int) -> tuple:
+        return self.adjacency.get(node, ())
 
     def distance(self, a: int, b: int) -> int:
         """Hop count between occupied nodes."""
@@ -91,7 +91,7 @@ class Topology:
             cur = queue.popleft()
             if cur == b:
                 break
-            for nxt in sorted(self.neighbors(cur)):
+            for nxt in self.neighbors(cur):
                 if nxt not in prev:
                     prev[nxt] = cur
                     queue.append(nxt)

@@ -3,19 +3,20 @@
 Loss states are populated only by loss channels (never coherently), so per
 site only six entries of the 4x4 single-site block structure can be nonzero:
 the full 2x2 computational coherence block plus the two loss-state diagonal
-entries.  An n-site state therefore stores 6^n complex numbers instead of
-16^n, as a (6,)*n tensor with per-site symbol order
+entries.  As rho is hermitian, six real coordinates per site hold them:
 
-    0: rho_00   1: rho_01   2: rho_10   3: rho_11   4: rho_l0l0   5: rho_l1l1
+    0: rho_00  1: Re rho_01  2: Im rho_10  3: rho_11  4: rho_l0l0  5: rho_l1l1
 
-A channel acts as a SymbolOp, its matrix on these symbols, leak-checked once
-when built; each application is one pass over the state and ends with one
-trace and hermiticity check.  A SymbolOp may be a product of several gates'
-ops: the runner folds each site's 1-site ops into one matrix and applies it
-with the site's next pair op, so one checked pass can carry many gates.
-A state owns two buffers of this shape: every pass writes the spare one and
-the two swap, and between passes the spare is the check's scratch, so no
-pass over the state allocates.
+An n-site state stores 6^n float64 numbers instead of 16^n complex ones, as
+a (6,)*n tensor, and so cannot hold a non-hermitian rho.  A channel acts as
+a SymbolOp, its real matrix on these coordinates, checked once when built to
+keep the block pattern and keep rho hermitian; each application is one pass
+over the state and ends with one trace check.  A SymbolOp may be a product
+of several gates' ops: the runner folds each site's 1-site ops into one
+matrix and applies it with the site's next pair op, so one checked pass can
+carry many gates.  A state owns two buffers of this shape: every pass writes
+the spare one and the two swap, and between passes the spare is the check's
+scratch, so no pass over the state allocates.
 """
 
 from __future__ import annotations
@@ -34,8 +35,12 @@ _ROWS = np.array([p[0] for p in SYMBOL_PAIRS])
 _COLS = np.array([p[1] for p in SYMBOL_PAIRS])
 # Symbols on the density-matrix diagonal, in site-basis order |0>,|1>,|l0>,|l1>.
 DIAG_SYMBOLS = (0, 3, 4, 5)
-# Hermitian conjugation permutes rho_01 <-> rho_10 per site.
-_HERM_PERM = np.array([0, 2, 1, 3, 4, 5], dtype=np.intp)
+# One site's coordinates from its symbols (x = BASIS @ s) and back, both
+# written out: a first np.linalg.inv call adds about 0.9 MB of resident code.
+BASIS = np.eye(N_SYMBOLS, dtype=complex)
+BASIS[1:3, 1:3] = [[0.5, 0.5], [0.5j, -0.5j]]
+BASIS_INV = np.eye(N_SYMBOLS, dtype=complex)
+BASIS_INV[1:3, 1:3] = [[1.0, -1j], [1.0, 1j]]
 # Readout reduction of one site's symbols onto its qubit (row, col) pairs
 # 00, 01, 10, 11: loss populations fold onto the diagonal (l0 -> 0, l1 -> 1).
 QUBIT_FOLD = np.zeros((4, N_SYMBOLS))
@@ -61,47 +66,52 @@ def _pattern(k: int) -> tuple:
 
 _PATTERN = {k: _pattern(k) for k in (1, 2)}
 
+
+def pair_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 6x6 site matrices, a on the pair's first site: the
+    same products, without np.kron's per-call overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        N_SYMBOLS**2, N_SYMBOLS**2)
+
+
+# (basis, inverse) of a site or a pair, by matrix size, built once
+_BASES = {N_SYMBOLS: (BASIS, BASIS_INV), N_SYMBOLS**2: (
+    pair_kron(BASIS, BASIS), pair_kron(BASIS_INV, BASIS_INV))}
+
 TRACE_ATOL = 1e-10
 HERM_ATOL = 1e-12
 LEAK_ATOL = 1e-12
 
-DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 10 sites
+DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 11 sites
 
 @functools.cache
-def _check_tables(n: int) -> tuple:
-    """(perm, diag) index tables of the invariant check on n sites, shared
-    by every state (and every run_suite thread).
-
-    perm maps each flat index of the last n - 1 sites to that of its
-    hermitian conjugate; diag holds the position, in the float64 view of the
-    state, of the real part of every diagonal symbol (4^n of them).
-    """
-    perm = diag = np.zeros(1, dtype=np.intp)
-    for _ in range(n - 1):
-        perm = (N_SYMBOLS * perm[:, None] + _HERM_PERM).ravel()
+def _diag_table(n: int) -> np.ndarray:
+    """Flat positions of the 4^n diagonal coordinates of an n-site state,
+    the trace check's index table, shared by every state (and every
+    run_suite thread)."""
+    diag = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         diag = (N_SYMBOLS * diag[:, None] + DIAG_SYMBOLS).ravel()
-    diag = 2 * diag
-    perm.flags.writeable = diag.flags.writeable = False
-    return perm, diag
+    diag.flags.writeable = False
+    return diag
 
 
 def footprint(n_sites: int) -> int:
-    """Bytes a state of n sites holds: two 6^n complex buffers and the
-    check's index tables."""
-    index = np.dtype(np.intp).itemsize
-    return (2 * 16 * N_SYMBOLS**n_sites
-            + index * (N_SYMBOLS ** (n_sites - 1) + len(DIAG_SYMBOLS)**n_sites))
+    """Bytes a state of n sites holds: two 6^n float64 buffers and the
+    trace check's index table."""
+    return (2 * 8 * N_SYMBOLS**n_sites
+            + np.dtype(np.intp).itemsize * len(DIAG_SYMBOLS)**n_sites)
 
 
 class SymbolOp:
-    """A channel as one matrix on the stored symbols, checked when built.
+    """A channel as one real matrix on the coordinates, checked when built.
 
     The matrix is 6x6 on one site, or 36x36 on a site pair, whose pair
-    symbol is 6*sym_a + sym_b.  `from_kraus` and `fuse` reject a channel that
-    moves amplitude out of the block pattern; a product of pattern-preserving
-    maps preserves the pattern, so applying a SymbolOp needs no leak check.
-    The matrix is read-only, so one op can be cached and shared.
+    coordinate is 6*x_a + x_b.  `from_kraus` and `fuse` reject a channel
+    that moves amplitude out of the block pattern, and `from_symbols`, which
+    they call, rejects a map that does not keep rho hermitian; products of
+    such maps keep both, so applying a SymbolOp needs neither check.  The
+    matrix is read-only, so one op can be cached and shared.
     """
 
     __slots__ = ("matrix", "n_sites", "label")
@@ -123,26 +133,39 @@ class SymbolOp:
         leak = float(np.max(np.abs(leak)))
         if leak > LEAK_ATOL:
             raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")
-        return cls(m, channel.label)
+        return cls.from_symbols(m, channel.label)
 
-
-def pair_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 6x6 site matrices, a on the pair's first site: the
-    same products, without np.kron's per-call overhead."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        N_SYMBOLS**2, N_SYMBOLS**2)
+    @classmethod
+    def from_symbols(cls, m: np.ndarray, label: str) -> "SymbolOp":
+        """The op of the map whose matrix on the complex symbols is m: T m
+        T^-1, T the Kronecker power of BASIS, which is real iff the map keeps
+        rho hermitian.  An imaginary part above HERM_ATOL is rejected."""
+        t, t_inv = _BASES[m.shape[0]]
+        m = t @ m @ t_inv
+        imag = float(np.max(np.abs(m.imag)))
+        if imag > HERM_ATOL:
+            raise PatternLeakError(
+                f"{label}: imaginary part {imag} on the real coordinates; "
+                f"the map does not keep rho hermitian")
+        return cls(m.real.copy(), label)
 
 
 def fuse(steps, label: str) -> SymbolOp:
     """One SymbolOp for Kraus channels applied in the order given.
 
     A step is a KrausSet on every site of the result or, for a pair result,
-    (KrausSet, i): a one-site channel on site i (0 or 1) of the pair.
+    (KrausSet, i): a one-site channel on site i (0 or 1) of the pair.  A
+    one-site channel that recurs, as on both sites of a pair, is converted
+    once (keyed on its id: a KrausSet is not hashable).
     """
     m = None
+    eye = np.eye(N_SYMBOLS)
+    site_ms = {}
     for step in steps:
         if isinstance(step, tuple):
-            one, eye = SymbolOp.from_kraus(step[0]).matrix, np.eye(N_SYMBOLS)
+            one = site_ms.get(id(step[0]))
+            if one is None:
+                one = site_ms[id(step[0])] = SymbolOp.from_kraus(step[0]).matrix
             step_m = pair_kron(one, eye) if step[1] == 0 else pair_kron(eye, one)
         else:
             step_m = SymbolOp.from_kraus(step).matrix
@@ -166,53 +189,28 @@ class QuquartState:
         if nbytes > memory_cap:
             raise CapacityError(
                 f"{n_sites} sites need {nbytes} bytes (two buffers of 6^n "
-                f"complex entries and the check's index tables), "
+                f"float64 coordinates and the trace check's index table), "
                 f"cap is {memory_cap}"
             )
         self.n_sites = n_sites
-        self.blocks = np.zeros((N_SYMBOLS,) * n_sites, dtype=complex)
+        self.blocks = np.zeros((N_SYMBOLS,) * n_sites)
         self.blocks[(0,) * n_sites] = 1.0  # |0...0><0...0|
         self._spare = np.empty_like(self.blocks)
-        self._tables = _check_tables(n_sites)
+        self._diag = _diag_table(n_sites)
 
     # -- bookkeeping -------------------------------------------------------
 
     def trace(self) -> float:
-        diag = self._tables[1]
-        re = self._spare.reshape(-1).view(np.float64)[:diag.size]
+        d = self._spare.reshape(-1)[:self._diag.size]
         # the default mode="raise" copies `out` through a buffer; every
         # index is in range
-        np.take(self.blocks.reshape(-1).view(np.float64), diag, out=re,
-                mode="clip")
-        return float(re.sum())
-
-    def hermiticity_defect(self) -> float:
-        """max |rho^dagger - rho| over the stored symbols, built in the spare.
-
-        One gather swaps rho_01 <-> rho_10 on every site but the first.  The
-        first site's swap is made by subtracting row _HERM_PERM[a] of rho
-        from row a of the conjugated gather: that relabels the entries, so
-        the maximum is unchanged.
-        """
-        rows = N_SYMBOLS ** (self.n_sites - 1)
-        b = self.blocks.reshape(N_SYMBOLS, rows)
-        h = self._spare.reshape(N_SYMBOLS, rows)
-        np.take(b, self._tables[0], axis=1, out=h, mode="clip")
-        np.conjugate(h, out=h)
-        for dst, src in ((0, 0), (1, 2), (2, 1), (slice(3, None),) * 2):
-            np.subtract(h[dst], b[src], out=h[dst])
-        # |.| cast into the complex buffer: the real parts hold the exact
-        # np.abs values and the imaginary parts are 0
-        np.abs(h, out=h)
-        return float(h.reshape(-1).view(np.float64).max())
+        np.take(self.blocks.reshape(-1), self._diag, out=d, mode="clip")
+        return float(d.sum())
 
     def _check_invariants(self):
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_ATOL:
             raise PatternLeakError(f"trace drifted to {tr}")
-        defect = self.hermiticity_defect()
-        if defect > HERM_ATOL:
-            raise PatternLeakError(f"hermiticity defect {defect}")
 
     def _check_sites(self, sites):
         if len(set(sites)) != len(sites):
@@ -280,6 +278,6 @@ class QuquartState:
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of rho as a (4,)*n real tensor in site-basis order."""
-        re = np.take(self.blocks.reshape(-1).view(np.float64), self._tables[1])
-        return re.reshape((len(DIAG_SYMBOLS),) * self.n_sites)
+        d = np.take(self.blocks.reshape(-1), self._diag)
+        return d.reshape((len(DIAG_SYMBOLS),) * self.n_sites)
 

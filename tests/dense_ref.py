@@ -1,9 +1,10 @@
 """Dense 4^n density-matrix reference engine, used only by the tests.
 
-The production simulator stores 6^n symbols per state; this module applies
-the same gates and Kraus channels to the full (4,)*2n density tensor with no
-sparsity assumptions, so any bookkeeping error in the sparse engine shows up
-as an elementwise mismatch.
+The production simulator stores 6^n real coordinates per state; this module
+applies the same gates and Kraus channels to the full complex (4,)*2n
+density tensor with no sparsity assumptions, so any bookkeeping error in the
+sparse engine shows up as an elementwise mismatch.  `symbols` maps a state's
+coordinates back to its complex symbols, one site axis at a time.
 """
 
 from __future__ import annotations
@@ -20,13 +21,24 @@ from atombench.circuit import (Circuit, lower_to_native, optimize_native,
 from atombench.errors import CapacityError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
 from atombench.runner import execute_native as run_native
-from atombench.state import N_SYMBOLS, QUBIT_FOLD, SYMBOL_PAIRS
+from atombench.state import (BASIS, BASIS_INV, N_SYMBOLS, QUBIT_FOLD,
+                             SYMBOL_PAIRS)
 
 D = 4
 SITE_LABELS = ("0", "1", "l0", "l1")
 
 
 # -- views and loading of a sparse QuquartState ---------------------------------
+
+
+def symbols(blocks: np.ndarray, basis: np.ndarray = BASIS_INV) -> np.ndarray:
+    """The complex symbols of a (6,)*n coordinate tensor (with basis=BASIS,
+    the coordinates of a symbol tensor), one site axis at a time."""
+    t = blocks
+    for _ in range(blocks.ndim):
+        # contract the leading axis, appending the new one last
+        t = np.tensordot(t, basis, axes=([0], [1]))
+    return t
 
 
 def to_dense(state, max_sites: int = 6) -> np.ndarray:
@@ -38,7 +50,7 @@ def to_dense(state, max_sites: int = 6) -> np.ndarray:
     e = np.zeros((D * D, N_SYMBOLS))
     for s, (r, c) in enumerate(SYMBOL_PAIRS):
         e[D * r + c, s] = 1.0
-    t = state.blocks
+    t = symbols(state.blocks)
     for _ in range(n):
         # contract the leading symbol axis, appending the pair axis last,
         # so after n steps axes are (pair_1, ..., pair_n)
@@ -55,7 +67,7 @@ def dense_element(state, row, col) -> complex:
         if (r, c) not in SYMBOL_PAIRS:
             return 0j
         sym.append(SYMBOL_PAIRS.index((r, c)))
-    return complex(state.blocks[tuple(sym)])
+    return complex(symbols(state.blocks)[tuple(sym)])
 
 
 def ququart_distribution(state) -> dict[str, float]:
@@ -79,7 +91,7 @@ def reduced_qubit_density(state, max_sites: int = 6) -> np.ndarray:
     n = state.n_sites
     if n > max_sites:
         raise CapacityError(f"qubit reduction capped at {max_sites} sites")
-    t = state.blocks
+    t = symbols(state.blocks)
     for _ in range(n):
         t = np.tensordot(t, QUBIT_FOLD, axes=([0], [1]))
     t = t.reshape((2, 2) * n)
@@ -102,9 +114,10 @@ def set_pure(state, psi: np.ndarray):
     order = []
     for i in range(n):
         order += [i, n + i]
-    comp = outer.transpose(order).reshape((4,) * n)
-    state.blocks = np.zeros((N_SYMBOLS,) * n, dtype=complex)
-    state.blocks[(slice(0, 4),) * n] = comp
+    comp = np.zeros((N_SYMBOLS,) * n, dtype=complex)
+    comp[(slice(0, 4),) * n] = outer.transpose(order).reshape((4,) * n)
+    # a hermitian rho has real coordinates
+    state.blocks = symbols(comp, BASIS).real.copy()
     state._check_invariants()
     return state
 

@@ -319,3 +319,12 @@ def test_fused_op_is_rebuilt_only_for_its_declared_fields(name, args, idle):
             assert not np.array_equal(other.matrix, op.matrix), field
         else:
             assert other is op, field
+
+
+@pytest.mark.parametrize("name,args", OPERATORS)
+def test_every_native_op_is_float64(name, args):
+    for mode in ("conditional", "correlated", "per_site"):
+        params = STRONG.replace(cz_phaseflip_mode=mode, cz_phaseshift=0.3)
+        for idle in (None, 3e-6):
+            op = gatemodel._fused(name, args, params, idle)
+            assert op.matrix.dtype == np.float64, (mode, idle)

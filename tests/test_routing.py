@@ -1,5 +1,7 @@
 """Placement and SWAP routing on the occupied grid patch."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,14 @@ def test_swap_is_lowered_once_per_ordered_pair(a, b):
     ops = _swap_native_ops(a, b)
     assert isinstance(ops, tuple) and list(ops) == lowered
     assert _swap_native_ops(a, b) is ops
+
+
+def test_grover_w8_grid_route_digest():
+    # 50 496 CZs: the routed ops and final placement, digested, are those
+    # recorded from the router that scanned the adjacency set per lookup
+    spec = bench.sample_instances("Grover", 8, 1, seed=0)[0]
+    routed, l2p = route(lower_to_native(generate(spec)[0]), Topology.grid(8))
+    ops = [(g.name, g.sites, tuple(map(float, g.params))) for g in routed.ops]
+    assert l2p == [0, 1, 2, 4, 7, 5, 6, 3]
+    assert hashlib.sha256(repr((ops, l2p)).encode()).hexdigest() == (
+        "8b2e63e471bccccc27452686d855ad8df08cde578697fa8b8d412a59aac167ce")

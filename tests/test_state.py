@@ -10,11 +10,12 @@ import dense_ref
 from atombench import channels as ch
 from atombench import gatemodel
 from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
-from atombench.circuit import cz, grot, rz
+from atombench.circuit import cz, gate_duration, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
 from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, SYMBOL_PAIRS,
-                             QuquartState, SymbolOp, footprint)
+                             QuquartState, SymbolOp, footprint, fuse,
+                             pair_kron)
 
 
 def test_initial_state():
@@ -120,7 +121,7 @@ def test_trace_and_hermiticity_preserved_under_noise():
             global_rotation_matrix(float(rng.uniform(-3, 3)),
                                    float(rng.uniform(-3, 3)))))
     assert st.trace() == pytest.approx(1.0, abs=1e-10)
-    assert st.hermiticity_defect() < 1e-10
+    assert dense_ref.hermiticity_defect(dense_ref.symbols(st.blocks)) < 1e-10
 
 
 def test_storage_is_six_symbols_per_site():
@@ -132,11 +133,12 @@ def test_storage_is_six_symbols_per_site():
 
 def test_memory_cap():
     with pytest.raises(CapacityError):
-        QuquartState(8, memory_cap=1 << 20)  # 6^8 complexes > 1 MiB
+        QuquartState(8, memory_cap=1 << 20)  # 6^8 float64s > 1 MiB
     QuquartState(4, memory_cap=1 << 20)      # 6^4 fits
-    # both buffers and the check's tables: the default cap admits 10 sites
-    assert footprint(10) <= DEFAULT_MEMORY_CAP < footprint(11)
-    assert footprint(4) > 2 * 16 * 6**4
+    # both buffers and the check's table: the default cap admits 11 sites
+    # (arithmetic only: an 11-site state takes about 5.8 GB)
+    assert footprint(11) <= DEFAULT_MEMORY_CAP < footprint(12)
+    assert footprint(4) > 2 * 8 * 6**4
 
 
 def test_memory_cap_bounds_gate_peak():
@@ -169,13 +171,11 @@ def test_memory_cap_bounds_gate_peak():
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_check_matches_per_axis_reference(n):
-    # a non-hermitian tensor whose trace is of order one, as for a state
+    # a random tensor whose trace is of order one, as for a state
     rng = np.random.default_rng(n)
-    shape = (N_SYMBOLS,) * n
-    blocks = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) / 4**n
+    blocks = rng.normal(size=(N_SYMBOLS,) * n) / 4**n
     st = QuquartState(n)
     st.blocks = blocks.copy()
-    assert st.hermiticity_defect() == dense_ref.hermiticity_defect(blocks)
     assert abs(st.trace() - dense_ref.trace(blocks)) < 1e-12
     assert np.array_equal(st.blocks, blocks)
 
@@ -184,9 +184,9 @@ def test_kernels_match_reference_on_every_site_and_ordered_pair():
     n = 4
     rng = np.random.default_rng(11)
     shape = (N_SYMBOLS,) * n
-    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    pair = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
-    one = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    blocks = rng.normal(size=shape)
+    pair = rng.normal(size=(36, 36))
+    one = rng.normal(size=(6, 6))
     cases = [(pair, s) for s in itertools.permutations(range(n), 2)]
     cases += [(one, (s,)) for s in range(n)]
     st = QuquartState(n)
@@ -199,11 +199,31 @@ def test_kernels_match_reference_on_every_site_and_ordered_pair():
 
 def test_injected_defect_is_caught():
     op = _unitary(global_rotation_matrix(0.4, 1.3))
-    for symbol, kind in (((0, 1, 0), "hermiticity"), ((3, 0, 0), "trace")):
-        st = QuquartState(3).apply_global_unitary(op)
-        st.blocks[symbol] += 1e-8
-        with pytest.raises(PatternLeakError, match=kind):
-            st.apply_channel((2,), op)
+    st = QuquartState(3).apply_global_unitary(op)
+    st.blocks[3, 0, 0] += 1e-8
+    with pytest.raises(PatternLeakError, match="trace"):
+        st.apply_channel((2,), op)
+    # rho -> U rho does not keep rho hermitian: its matrix on the symbols,
+    # U_rk on (k, c) -> (r, c), is rejected when converted, on a site and
+    # on a pair
+    u = rz_matrix(0.8)
+    left = np.array([[u[r, k] if c == c2 else 0.0 for k, c2 in SYMBOL_PAIRS]
+                     for r, c in SYMBOL_PAIRS])
+    for m in (left, pair_kron(left, np.eye(N_SYMBOLS))):
+        with pytest.raises(PatternLeakError, match="hermitian"):
+            SymbolOp.from_symbols(m, "left multiplication")
+
+
+def test_fuse_converts_each_site_channel_once(monkeypatch):
+    # a cz with idle decoherence: its loss, decay and decoherence channels
+    # each act on both sites, so 8 of its 13 steps are distinct channels
+    calls, convert = [], SymbolOp.from_kraus
+    monkeypatch.setattr(SymbolOp, "from_kraus",
+                        lambda channel: calls.append(channel) or convert(channel))
+    p = NoiseParams()
+    steps = gatemodel._steps("cz", (), p, gate_duration(cz(0, 1), p))
+    fuse(steps, "cz")
+    assert (len(steps), len(calls)) == (13, 8)
 
 
 def test_apply_after_set_pure_rebinds_blocks():
