@@ -6,6 +6,10 @@ distributions are always computed by the statevector oracle in this module,
 never substituted from closed forms, so the generators double as a check on
 the gate definitions.
 
+Each kind is one row of ``_KIND_TABLE``: generator, widths, instance space
+and default sample count.  ``KINDS`` is its key order (a kind's index seeds
+its instance draws) and ``WIDTH_BOUNDS`` a view of its widths.
+
 Bit-order convention: qubit 0 is the leftmost character of a bitstring (most
 significant).
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -23,26 +28,6 @@ from .errors import SchemaError, ValidationError
 from .metrics import Distribution, marginalize
 
 HALF_PI = math.pi / 2.0
-
-# width bounds of each kind, in order; simulation memory is guarded separately
-WIDTH_BOUNDS = {
-    "BernsteinVazirani": (2, 10),   # one ancilla site on top of the width
-    "DeutschJozsa": (2, 10),
-    "HiddenShift": (2, 10),
-    "QftMethod1": (2, 11),
-    "QftMethod2": (2, 11),
-    "PhaseEstimation": (2, 11),
-    "AmplitudeEstimation": (3, 11),
-    "Grover": (2, 8),
-    "HamiltonianSim": (2, 11),
-    "MonteCarlo": (3, 11),
-    "Ghz": (2, 11),
-    "GhzParity": (2, 11),
-}
-# the index of a kind seeds its instance draws
-KINDS = tuple(WIDTH_BOUNDS)
-
-DEFAULT_SAMPLES = {"AmplitudeEstimation": 2, "MonteCarlo": 1}
 
 # Trotterization constants for the Heisenberg-chain benchmark
 HAMSIM_STEPS = 1
@@ -63,16 +48,16 @@ class BenchmarkSpec:
             raise ValidationError(f"unknown benchmark kind {self.kind!r}")
         if not width_allowed(self.kind, self.width):
             lo, hi = WIDTH_BOUNDS[self.kind]
-            even = " and even" if self.kind == "HiddenShift" else ""
+            even = " and even" if _KIND_TABLE[self.kind].even else ""
             raise ValidationError(f"{self.kind} width must be in "
                                   f"[{lo}, {hi}]{even}, got {self.width}")
 
 
 def width_allowed(kind: str, width: int) -> bool:
     """Whether a known kind has instances of this width: inside its
-    WIDTH_BOUNDS, and even for HiddenShift (its oracle acts on pairs)."""
+    WIDTH_BOUNDS, and even if its row says so."""
     lo, hi = WIDTH_BOUNDS[kind]
-    return lo <= width <= hi and not (kind == "HiddenShift" and width % 2)
+    return lo <= width <= hi and not (_KIND_TABLE[kind].even and width % 2)
 
 
 # -- statevector oracle ----------------------------------------------------
@@ -254,10 +239,13 @@ def _bernstein_vazirani(spec: BenchmarkSpec) -> Circuit:
     return c
 
 
+_DJ_VARIANTS = ("constant_0", "constant_1", "balanced")
+
+
 def _deutsch_jozsa(spec: BenchmarkSpec) -> Circuit:
     w = spec.width
     variant = spec.instance_param
-    if variant not in ("constant_0", "constant_1", "balanced"):
+    if variant not in _DJ_VARIANTS:
         raise ValidationError(f"bad DeutschJozsa variant {variant!r}")
     anc = w
     c = Circuit(w + 1, metadata={"measured_qubits": list(range(w))})
@@ -474,79 +462,87 @@ def _ghz_parity(spec: BenchmarkSpec) -> Circuit:
     return c
 
 
-_GENERATORS = {
-    "BernsteinVazirani": _bernstein_vazirani,
-    "DeutschJozsa": _deutsch_jozsa,
-    "HiddenShift": _hidden_shift,
-    "QftMethod1": _qft_method1,
-    "QftMethod2": _qft_method2,
-    "PhaseEstimation": _phase_estimation,
-    "AmplitudeEstimation": _amplitude_estimation,
-    "Grover": _grover,
-    "HamiltonianSim": _hamiltonian_sim,
-    "MonteCarlo": _monte_carlo,
-    "Ghz": _ghz,
-    "GhzParity": _ghz_parity,
+# -- the kind table ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Enumerable:
+    """A finite instance space: count(width) instances, the i-th of them
+    value(width, i).  A draw of n takes every instance when there are at
+    most n, else n distinct seeded indices."""
+    count: Callable
+    value: Callable
+
+    def __call__(self, width: int, rng, n: int) -> list:
+        count = self.count(width)
+        picks = (range(count) if count <= n
+                 else rng.choice(count, size=n, replace=False))
+        return [self.value(width, int(i)) for i in picks]
+
+
+@dataclass(frozen=True)
+class _Kind:
+    generator: Callable
+    lo: int              # lowest and highest width; simulation memory is
+    hi: int              # guarded separately
+    draw: Callable       # (width, rng, n) -> n instance parameters
+    samples: int = 3     # default draw size
+    even: bool = False   # even widths only
+
+
+_NONZERO_BITSTRINGS = _Enumerable(lambda w: 2**w - 1,
+                                  lambda w, i: format(i + 1, f"0{w}b"))
+_BITSTRINGS = _Enumerable(lambda w: 2**w, lambda w, i: format(i, f"0{w}b"))
+_VALUES = _Enumerable(lambda w: 2**w, lambda w, i: i)
+_PHASES = _Enumerable(lambda w: 2 ** (w - 1) - 1, lambda w, i: i + 1)
+
+_KIND_TABLE = {
+    # one ancilla site on top of the width
+    "BernsteinVazirani": _Kind(_bernstein_vazirani, 2, 10, _NONZERO_BITSTRINGS),
+    "DeutschJozsa": _Kind(_deutsch_jozsa, 2, 10, _Enumerable(
+        lambda w: len(_DJ_VARIANTS), lambda w, i: _DJ_VARIANTS[i])),
+    # the oracle acts on pairs
+    "HiddenShift": _Kind(_hidden_shift, 2, 10, _NONZERO_BITSTRINGS, even=True),
+    "QftMethod1": _Kind(_qft_method1, 2, 11, _VALUES),
+    "QftMethod2": _Kind(_qft_method2, 2, 11, _VALUES),
+    "PhaseEstimation": _Kind(_phase_estimation, 2, 11, _PHASES),
+    "AmplitudeEstimation": _Kind(_amplitude_estimation, 3, 11, _PHASES,
+                                 samples=2),
+    "Grover": _Kind(_grover, 2, 8, _BITSTRINGS),
+    "HamiltonianSim": _Kind(_hamiltonian_sim, 2, 11, lambda w, rng, n: [
+        int(s) for s in rng.integers(0, 2**31, size=n)]),
+    "MonteCarlo": _Kind(_monte_carlo, 3, 11, lambda w, rng, n: [
+        float(a) for a in rng.uniform(0.05, 0.95, size=n)], samples=1),
+    "Ghz": _Kind(_ghz, 2, 11, _Enumerable(lambda w: 1, lambda w, i: None)),
+    "GhzParity": _Kind(_ghz_parity, 2, 11, lambda w, rng, n: [
+        float(phi) for phi in rng.uniform(0.0, 2 * math.pi, size=n)]),
 }
+# the index of a kind seeds its instance draws
+KINDS = tuple(_KIND_TABLE)
+WIDTH_BOUNDS = {kind: (k.lo, k.hi) for kind, k in _KIND_TABLE.items()}
 
 
 def generate(spec: BenchmarkSpec) -> tuple[Circuit, Distribution]:
     """Build the circuit for a benchmark instance and its ideal distribution."""
-    circuit = _GENERATORS[spec.kind](spec)
+    circuit = _KIND_TABLE[spec.kind].generator(spec)
     circuit.metadata.setdefault("kind", spec.kind)
     circuit.metadata.setdefault("width", spec.width)
     return circuit, ideal_distribution(circuit)
 
 
-# -- instance sampling -------------------------------------------------------
-
-
-def _admissible(kind: str, width: int):
-    """(count, value_fn) for enumerable instance spaces, or None if continuous."""
-    if kind in ("BernsteinVazirani", "HiddenShift"):
-        return 2**width - 1, lambda i: format(i + 1, f"0{width}b")
-    if kind == "Grover":
-        return 2**width, lambda i: format(i, f"0{width}b")
-    if kind == "DeutschJozsa":
-        values = ("constant_0", "constant_1", "balanced")
-        return 3, lambda i: values[i]
-    if kind in ("QftMethod1", "QftMethod2"):
-        return 2**width, lambda i: i
-    if kind in ("PhaseEstimation", "AmplitudeEstimation"):
-        return 2 ** (width - 1) - 1, lambda i: i + 1
-    if kind == "Ghz":
-        return 1, lambda i: None
-    return None
-
-
 def sample_instances(kind: str, width: int, n_samples: int = None,
                      seed: int = 0) -> list:
     """Distinct seeded instance draws; enumerates small instance spaces."""
-    if n_samples is None:
-        n_samples = DEFAULT_SAMPLES.get(kind, 3)
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
     if kind not in KINDS:
         raise ValidationError(f"unknown benchmark kind {kind!r}")
+    row = _KIND_TABLE[kind]
+    if n_samples is None:
+        n_samples = row.samples
+    if n_samples < 1:
+        raise ValidationError("n_samples must be >= 1")
     rng = np.random.default_rng((KINDS.index(kind), width, seed))
-    space = _admissible(kind, width)
-    if space is not None:
-        count, value = space
-        if count <= n_samples:
-            picks = range(count)
-        else:
-            picks = rng.choice(count, size=n_samples, replace=False)
-        return [BenchmarkSpec(kind, width, value(int(i)), seed) for i in picks]
-    if kind == "HamiltonianSim":
-        seeds = rng.integers(0, 2**31, size=n_samples)
-        return [BenchmarkSpec(kind, width, int(s), seed) for s in seeds]
-    if kind == "MonteCarlo":
-        vals = rng.uniform(0.05, 0.95, size=n_samples)
-        return [BenchmarkSpec(kind, width, float(v), seed) for v in vals]
-    if kind == "GhzParity":
-        phis = rng.uniform(0.0, 2 * math.pi, size=n_samples)
-        return [BenchmarkSpec(kind, width, float(p), seed) for p in phis]
-    raise ValidationError(f"cannot sample instances for kind {kind!r}")
+    return [BenchmarkSpec(kind, width, param, seed)
+            for param in row.draw(width, rng, n_samples)]
 
 
 # -- external circuits --------------------------------------------------------

@@ -80,9 +80,8 @@ class Circuit:
     def _check(self, gate: Gate):
         for s in gate.sites:
             if not 0 <= s < self.n_qubits:
-                raise ValidationError(
-                    f"{gate.name} site {s} out of range ({self.n_qubits} qubits)"
-                )
+                raise ValidationError(f"{gate.name} site {s} off the "
+                                      f"register ({self.n_qubits} qubits)")
         if len(set(gate.sites)) != len(gate.sites):
             raise ValidationError(f"{gate.name} has repeated sites {gate.sites}")
         n_sites, n_params = GATE_ARITY.get(gate.name, (None, None))
@@ -296,37 +295,26 @@ def gate_duration(g: Gate, params) -> float:
     raise ValidationError(f"no duration for non-native gate {g.name!r}")
 
 
-@dataclass
-class Layer:
-    gates: list
-    duration: float = 0.0
-
-
-def schedule_layers(circuit: Circuit, params=None) -> tuple[list, int]:
-    """Greedy ASAP layering of a native circuit.
+def schedule_layers(circuit: Circuit) -> tuple[list, int]:
+    """Greedy ASAP layering of a native circuit into lists of gates.
 
     A global rotation touches every qubit and so occupies an exclusive layer;
-    local gates on disjoint sites share one.  Returns (layers, depth); layer
-    durations are filled in when noise parameters are supplied.  A site off
-    the register raises ValidationError, since ``Circuit(n, ops)`` does not
+    local gates on disjoint sites share one.  Returns (layers, depth).  Each
+    gate is checked as ``Circuit.add`` checks it (sites on the register and
+    distinct, site and parameter counts), since ``Circuit(n, ops)`` does not
     check its ops.
     """
     if not circuit.is_native:
         raise ValidationError("schedule_layers requires a lowered circuit")
-    layers: list[Layer] = []
+    layers: list[list] = []
     frontier = [0] * circuit.n_qubits  # 1-based index of last layer used per qubit
     for g in circuit.ops:
+        circuit._check(g)
         sites = range(circuit.n_qubits) if g.name == "grot" else g.sites
-        if not all(0 <= q < circuit.n_qubits for q in g.sites):
-            raise ValidationError(f"{g.name} site(s) {g.sites} off the "
-                                  f"register ({circuit.n_qubits} qubits)")
         at = max((frontier[q] for q in sites), default=0) + 1
-        while len(layers) < at:
-            layers.append(Layer([]))
-        layers[at - 1].gates.append(g)
+        if at > len(layers):
+            layers.append([])
+        layers[at - 1].append(g)
         for q in sites:
             frontier[q] = at
-    if params is not None:
-        for layer in layers:
-            layer.duration = max(gate_duration(g, params) for g in layer.gates)
     return layers, len(layers)

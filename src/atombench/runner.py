@@ -27,7 +27,8 @@ import numpy as np
 
 from . import bench, gatemodel, metrics
 from .channels import NoiseParams
-from .circuit import Circuit, lower_to_native, optimize_native, schedule_layers
+from .circuit import (Circuit, gate_duration, lower_to_native, optimize_native,
+                      schedule_layers)
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
 from .metrics import Distribution
 from .routing import Topology, route
@@ -130,8 +131,7 @@ class _PendingSites:
 
     It takes the state's place in ``gatemodel``: a 1-site or global op
     multiplies into the pending products, and a pair op makes one pass that
-    first applies the products of its two sites.  A malformed call goes to
-    the state, which rejects it.
+    first applies the products of its two sites.
     """
 
     def __init__(self, state: QuquartState):
@@ -145,9 +145,6 @@ class _PendingSites:
 
     def apply_channel(self, sites, op: SymbolOp):
         sites = tuple(sites)
-        if not (len(set(sites)) == len(sites) == op.n_sites
-                and all(0 <= s < self.n_sites for s in sites)):
-            return self.state.apply_channel(sites, op)
         if len(sites) == 1:
             self._defer(sites[0], op.matrix)
             return self
@@ -181,25 +178,27 @@ def execute_native(circuit: Circuit, params: NoiseParams,
                    timing_model: str = "gate") -> tuple[QuquartState, int]:
     """Run a native circuit with SPAM preparation and idle decoherence.
 
+    The circuit is scheduled first, which rejects a malformed gate.
     timing_model "gate" attaches each gate's decoherence interval to its own
-    sites (global pulses decohere every site); "layer" instead schedules the
-    circuit and applies one decoherence interval of the layer's maximum gate
-    duration to all sites after each layer.  Passes over the state are made
-    only by a ``cz`` and, at the end, by each site with pending 1-site ops:
-    at most one per ``cz`` plus one per site, each checked.  Returns the
-    final state and the transpiled depth (layer count).
+    sites (global pulses decohere every site); "layer" instead applies one
+    decoherence interval to all sites after each layer, the duration of the
+    layer's slowest gate.  Passes over the state are made only by a ``cz``
+    and, at the end, by each site with pending 1-site ops: at most one per
+    ``cz`` plus one per site, each checked.  Returns the final state and the
+    transpiled depth (layer count).
     """
     if timing_model not in ("gate", "layer"):
         raise ValidationError(f"unknown timing_model {timing_model!r}")
     per_gate = timing_model == "gate"
-    layers, depth = schedule_layers(circuit, params)
+    layers, depth = schedule_layers(circuit)
     sites = _PendingSites(QuquartState(circuit.n_qubits, memory_cap))
     gatemodel.apply_preparation(sites, params)
     for layer in layers:
-        for g in layer.gates:
+        for g in layer:
             gatemodel.apply_gate(sites, g, params, decohere=per_gate)
         if not per_gate:
-            gatemodel.apply_decoherence(sites, layer.duration, params)
+            interval = max(gate_duration(g, params) for g in layer)
+            gatemodel.apply_decoherence(sites, interval, params)
     return sites.flush(), depth
 
 
@@ -250,16 +249,15 @@ def _native(n_qubits: int, ops: tuple) -> Circuit:
 
 
 def run_reference(circuit: Circuit, params: NoiseParams,
-                  memory_cap: int = DEFAULT_MEMORY_CAP,
-                  timing_model: str = "gate") -> Distribution:
-    """Simulate an already-built abstract circuit on all-to-all connectivity.
+                  memory_cap: int = DEFAULT_MEMORY_CAP) -> Distribution:
+    """Simulate an already-built abstract circuit on all-to-all connectivity
+    under the "gate" timing model.
 
     Each distinct circuit is lowered and optimized once (``_native``), so
     the objective evaluations of a fit only simulate.
     """
     native = _native(circuit.n_qubits, tuple(circuit.ops))
-    state, _ = execute_native(native, params, memory_cap,
-                              timing_model=timing_model)
+    state, _ = execute_native(native, params, memory_cap)
     return output_distribution(state, list(range(state.n_sites)),
                                circuit.measured_qubits, params.meas_error)
 

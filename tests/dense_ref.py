@@ -16,8 +16,8 @@ import numpy as np
 from atombench import channels as ch
 from atombench.bench import _ghz_ops
 from atombench.channels import NoiseParams, controlled_phase_matrix
-from atombench.circuit import (Circuit, lower_to_native, optimize_native,
-                               schedule_layers)
+from atombench.circuit import (Circuit, gate_duration, lower_to_native,
+                               optimize_native, schedule_layers)
 from atombench.errors import CapacityError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
 from atombench.runner import execute_native as run_native
@@ -323,10 +323,11 @@ def execute_native(circuit, params: NoiseParams, prepare: bool = True,
         for g in circuit.ops:
             rho = _apply_native(rho, g, params, decohere=True)
         return rho
-    for layer in schedule_layers(circuit, params)[0]:
-        for g in layer.gates:
+    for layer in schedule_layers(circuit)[0]:
+        for g in layer:
             rho = _apply_native(rho, g, params, decohere=False)
-        rho = apply_decoherence(rho, layer.duration, params)
+        rho = apply_decoherence(
+            rho, max(gate_duration(g, params) for g in layer), params)
     return rho
 
 

@@ -1,5 +1,6 @@
 """Benchmark generators: ideal distributions, instance sampling, loading."""
 
+import hashlib
 import json
 import math
 
@@ -116,6 +117,25 @@ def test_sample_instances_deterministic_and_admissible():
         assert all(s.kind == kind and s.width == lo for s in a)
         for s in a:
             generate(s)  # must be constructible
+
+
+def test_sample_instances_draws_are_pinned():
+    # every trend window and every run_suite result depends on these draws:
+    # one digest over each parameter's value and type, recorded once
+    h = hashlib.sha256()
+    for kind in KINDS:
+        lo, hi = WIDTH_BOUNDS[kind]
+        for width in range(lo, hi + 1):
+            if not bench.width_allowed(kind, width):
+                continue
+            for seed in (0, 1, 5):
+                for n in (None, 1, 2, 3, 7):
+                    for s in sample_instances(kind, width, n, seed):
+                        p = s.instance_param
+                        h.update(f"{s.kind}|{s.width}|{s.seed}|"
+                                 f"{type(p).__name__}|{p!r};".encode())
+    assert h.hexdigest() == ("26222d1691ea405976d0f76a188fbda6"
+                             "cf561837a6d5f3c7d020d634bfaf233c")
 
 
 def test_sample_instances_enumerates_small_spaces():

@@ -9,7 +9,8 @@ import dense_ref
 from atombench import bench, gatemodel, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
-from atombench.circuit import Circuit, Gate, cz, grot, lower_to_native, rz
+from atombench.circuit import (Circuit, Gate, cz, gate_duration, grot,
+                               lower_to_native, rz)
 from atombench.errors import PatternLeakError, ValidationError
 from atombench.runner import (
     ResultRecord,
@@ -176,12 +177,32 @@ def test_trace_breaking_pending_op_is_caught_before_readout(monkeypatch, ops,
     assert calls[-1] == carrier
 
 
-@pytest.mark.parametrize("gate", [rz(-1, 0.3), cz(0, -1),
-                                  Gate("cz", (1, 1))])
+@pytest.mark.parametrize("gate", [
+    rz(-1, 0.3), cz(0, -1), Gate("cz", (1, 1)),
+    # wrong parameter or site counts
+    Gate("grot", (), (0.3,)), Gate("rz", (0,), ()), Gate("cz", (0, 1), (0.2,)),
+    Gate("rz", (0, 1), (0.3,)), Gate("cz", (0,))])
 def test_execute_native_rejects_sites_off_the_register(gate):
-    # Circuit(n, ops) does not check its ops; they must still be rejected
-    with pytest.raises(ValidationError, match="site"):
-        execute_native(Circuit(2, [gate]), NoiseParams())
+    # Circuit(n, ops) does not check its ops; they must still be rejected,
+    # under either timing model, before any simulation
+    for timing_model in ("gate", "layer"):
+        with pytest.raises(ValidationError, match="site"):
+            execute_native(Circuit(2, [gate]), NoiseParams(),
+                           timing_model=timing_model)
+
+
+def test_layer_decoheres_for_its_slowest_gate(monkeypatch):
+    intervals = []
+    decohere = gatemodel.apply_decoherence
+    monkeypatch.setattr(gatemodel, "apply_decoherence",
+                        lambda s, t, p: intervals.append(t) or decohere(s, t, p))
+    c = Circuit(4, [rz(0, 1.0), rz(1, 1.0), cz(2, 3), grot(0.0, 1.0)])
+    p = NoiseParams()
+    execute_native(c, p, timing_model="layer")
+    # a layer lasts as long as its slowest gate
+    assert intervals == [
+        max(gate_duration(rz(0, 1.0), p), gate_duration(cz(2, 3), p)),
+        gate_duration(grot(0.0, 1.0), p)]
 
 
 @pytest.mark.parametrize("gate", [rz(2, 0.3), rz(-1, 0.3), cz(0, 2)])
