@@ -58,26 +58,19 @@ def _apply_override(config: dict, assignment: str) -> None:
     node[parts[-1]] = value
 
 
-def _write_summary(aggregates: list, path) -> None:
+_SUMMARY_COLUMNS = ("kind", "width", "topology", "n_instances", "n_failed",
+                    "mean_fidelity", "mean_depth")
+# long format: (width, mean depth, fidelity) per topology and kind
+_HEATMAP_COLUMNS = ("topology", "kind", "width", "mean_depth", "mean_fidelity")
+_FORMATS = {"mean_fidelity": "{:.6f}", "mean_depth": "{:.2f}"}
+
+
+def _write_csv(aggregates: list, columns: tuple, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["kind", "width", "topology", "n_instances", "n_failed",
-                    "mean_fidelity", "mean_depth"])
+        w.writerow(columns)
         for a in aggregates:
-            w.writerow([a["kind"], a["width"], a["topology"],
-                        a["n_instances"], a["n_failed"],
-                        f"{a['mean_fidelity']:.6f}", f"{a['mean_depth']:.2f}"])
-
-
-def _write_heatmap(aggregates: list, path) -> None:
-    """Long-format (width, mean depth, fidelity) grid per topology and kind."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["topology", "kind", "width", "mean_depth", "mean_fidelity"])
-        for a in sorted(aggregates,
-                        key=lambda r: (r["topology"], r["kind"], r["width"])):
-            w.writerow([a["topology"], a["kind"], a["width"],
-                        f"{a['mean_depth']:.2f}", f"{a['mean_fidelity']:.6f}"])
+            w.writerow([_FORMATS.get(c, "{}").format(a[c]) for c in columns])
 
 
 def cmd_run(args) -> int:
@@ -86,12 +79,13 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     runner.save_records(records, out / "results.json")
-    _write_summary(aggregates, out / "summary.csv")
-    _write_heatmap(aggregates, out / "heatmap.csv")
+    _write_csv(aggregates, _SUMMARY_COLUMNS, out / "summary.csv")
+    _write_csv(sorted(aggregates, key=lambda a: (a["topology"], a["kind"],
+                                                 a["width"])),
+               _HEATMAP_COLUMNS, out / "heatmap.csv")
     failures = [r for r in records if r.status == "error"]
     if failures:
-        with open(out / "failures.json", "w") as fh:
-            json.dump([r.to_dict() for r in failures], fh, indent=1)
+        runner.save_records(failures, out / "failures.json")
         print(f"{len(failures)} of {len(records)} instances failed; "
               f"see {out / 'failures.json'}", file=sys.stderr)
         return 1

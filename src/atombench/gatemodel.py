@@ -7,8 +7,11 @@ decay and both loss channels, (for the CZ) loss channels, decay, phase-flip
 and the conditional-phase offset; T1/T2* decoherence over the pulse length
 ``circuit.gate_duration`` is always last.
 
-The CZ phase-flip is applied either as one correlated ZZ flip or as an
-independent flip on each site, selected by ``NoiseParams.cz_phaseflip_mode``.
+Every CZ channel acts alike on both atoms of the pair: a one-site channel
+(loss, decay, a per-site phase flip, idle decoherence) is listed once and
+``state.fuse`` applies it to each site.  The CZ phase-flip is applied either
+as one correlated ZZ flip or as an independent flip on each site, selected by
+``NoiseParams.cz_phaseflip_mode``.
 The Table-derived conditional phase offset is coherent: diag(1,1,1,e^{i d})
 on the computational block of the pair.
 
@@ -72,21 +75,18 @@ def _rz_steps(theta: float, params: NoiseParams) -> list:
 
 
 def _cz_steps(params: NoiseParams) -> list:
-    """Steps on a pair; one-site steps are (channel, 0 or 1)."""
-    steps = [KrausSet((ch.controlled_phase_matrix(-1.0),), label="cz")]
-    for target, p in (("dark", params.cz_loss_dark),
-                      ("bright", params.cz_loss_bright)):
-        loss = ch.loss_channel(p, target)
-        steps += [(loss, 0), (loss, 1)]
-    dec = ch.decay(params.cz_decay)
-    steps += [(dec, 0), (dec, 1)]
+    """Steps on a pair, each channel listed once: a one-site step (loss,
+    decay, a per-site phase flip) acts on both sites when fused."""
+    steps = [KrausSet((ch.controlled_phase_matrix(-1.0),), label="cz"),
+             ch.loss_channel(params.cz_loss_dark, "dark"),
+             ch.loss_channel(params.cz_loss_bright, "bright"),
+             ch.decay(params.cz_decay)]
     if params.cz_phaseflip_mode == "conditional":
         steps.append(ch.conditional_phase_flip(params.cz_phaseflip))
     elif params.cz_phaseflip_mode == "correlated":
         steps.append(ch.correlated_phase_flip(params.cz_phaseflip))
     else:
-        pf = ch.phase_flip(params.cz_phaseflip)
-        steps += [(pf, 0), (pf, 1)]
+        steps.append(ch.phase_flip(params.cz_phaseflip))
     if params.cz_phaseshift != 0.0:
         shift = ch.controlled_phase_matrix(np.exp(1j * params.cz_phaseshift))
         steps.append(KrausSet((shift,), label="cz_phaseshift"))
@@ -126,10 +126,7 @@ def _steps(name: str, args: tuple, params: NoiseParams, idle) -> list:
     decoherence over `idle` seconds on each of its sites."""
     steps = list(_STEPS[name][0](*args, params))
     if idle is not None:
-        dec = ch.decoherence(idle, params)
-        if name == "cz":
-            dec = [(k, i) for i in (0, 1) for k in dec]
-        steps += dec
+        steps += ch.decoherence(idle, params)
     return steps
 
 

@@ -238,12 +238,14 @@ def run_instance(spec: bench.BenchmarkSpec, topology, params: NoiseParams,
     return rec
 
 
-@functools.lru_cache(maxsize=64)
+@functools.cache
 def _native(n_qubits: int, ops: tuple) -> Circuit:
     """The optimized native circuit of the abstract circuit (n_qubits, ops).
 
     Keyed on content, not identity: a ``Circuit`` is mutable.  The result is
-    shared between callers, which only read it.
+    shared between callers, which only read it.  The memo never evicts: it
+    keeps every distinct circuit passed to ``run_reference``, so a fit
+    lowers each reference once however many it has.
     """
     return optimize_native(lower_to_native(Circuit(n_qubits, list(ops))))
 
@@ -265,12 +267,14 @@ def run_reference(circuit: Circuit, params: NoiseParams,
 def run_suite(config: RunConfig) -> tuple[list, list]:
     """Run every (kind, width, topology, instance); aggregate per point.
 
-    Returns (records, aggregates); aggregates are dicts with mean fidelity and
-    mean transpiled depth.  Per-instance failures (package errors and
-    MemoryError) are recorded with status "error" and excluded from the means.
+    Every point is sampled first and one pool of ``config.workers`` threads
+    runs the whole job list, so up to that many states are live at once.
+    Returns (records, aggregates); records are in job order, and aggregates
+    are dicts with mean fidelity and mean transpiled depth.  Per-instance
+    failures (package errors and MemoryError) are recorded with status
+    "error" and excluded from the means.
     """
-    records = []
-    aggregates = []
+    points, jobs = [], []
     for kind in config.kinds:
         for width in config.widths:
             if not bench.width_allowed(kind, width):
@@ -278,35 +282,40 @@ def run_suite(config: RunConfig) -> tuple[list, list]:
             specs = bench.sample_instances(
                 kind, width, config.samples_per_point.get(kind), config.seed)
             for topology in config.topologies:
-                def one(spec, topology=topology):
-                    try:
-                        return run_instance(spec, topology, config.noise,
-                                            config.memory_cap,
-                                            config.timing_model)
-                    except (AtombenchError, MemoryError) as exc:
-                        return ResultRecord(
-                            kind, width, topology_label(topology),
-                            spec.instance_param, status="error",
-                            error=f"{type(exc).__name__}: {exc}")
+                points.append((kind, width, topology_label(topology),
+                               len(specs)))
+                jobs += [(spec, topology) for spec in specs]
 
-                if config.workers > 1:
-                    with ThreadPoolExecutor(config.workers) as pool:
-                        point = list(pool.map(one, specs))
-                else:
-                    point = [one(s) for s in specs]
-                records.extend(point)
-                good = [r for r in point if r.status == "ok"]
-                aggregates.append({
-                    "kind": kind, "width": width,
-                    "topology": topology_label(topology),
-                    "n_instances": len(point),
-                    "n_failed": len(point) - len(good),
-                    "mean_fidelity": float(np.mean([r.f for r in good]))
-                    if good else float("nan"),
-                    "mean_depth": float(np.mean([r.transpiled_depth
-                                                 for r in good]))
-                    if good else float("nan"),
-                })
+    def one(job):
+        spec, topology = job
+        try:
+            return run_instance(spec, topology, config.noise,
+                                config.memory_cap, config.timing_model)
+        except (AtombenchError, MemoryError) as exc:
+            return ResultRecord(spec.kind, spec.width,
+                                topology_label(topology),
+                                spec.instance_param, status="error",
+                                error=f"{type(exc).__name__}: {exc}")
+
+    if config.workers > 1:
+        with ThreadPoolExecutor(config.workers) as pool:
+            records = list(pool.map(one, jobs))
+    else:
+        records = [one(job) for job in jobs]
+    aggregates, start = [], 0
+    for kind, width, label, n in points:
+        point = records[start:start + n]
+        start += n
+        good = [r for r in point if r.status == "ok"]
+        aggregates.append({
+            "kind": kind, "width": width, "topology": label,
+            "n_instances": n,
+            "n_failed": n - len(good),
+            "mean_fidelity": float(np.mean([r.f for r in good]))
+            if good else float("nan"),
+            "mean_depth": float(np.mean([r.transpiled_depth for r in good]))
+            if good else float("nan"),
+        })
     return records, aggregates
 
 

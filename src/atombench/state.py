@@ -153,22 +153,15 @@ class SymbolOp:
 def fuse(steps, label: str) -> SymbolOp:
     """One SymbolOp for Kraus channels applied in the order given.
 
-    A step is a KrausSet on every site of the result or, for a pair result,
-    (KrausSet, i): a one-site channel on site i (0 or 1) of the pair.  A
-    one-site channel that recurs, as on both sites of a pair, is converted
-    once (keyed on its id: a KrausSet is not hashable).
+    The op is as wide as the widest channel: in a pair op, a one-site
+    channel acts on both sites, so each channel is converted once.
     """
+    n_sites = max(k.n_sites for k in steps)
     m = None
-    eye = np.eye(N_SYMBOLS)
-    site_ms = {}
     for step in steps:
-        if isinstance(step, tuple):
-            one = site_ms.get(id(step[0]))
-            if one is None:
-                one = site_ms[id(step[0])] = SymbolOp.from_kraus(step[0]).matrix
-            step_m = pair_kron(one, eye) if step[1] == 0 else pair_kron(eye, one)
-        else:
-            step_m = SymbolOp.from_kraus(step).matrix
+        step_m = SymbolOp.from_kraus(step).matrix
+        if step.n_sites < n_sites:
+            step_m = pair_kron(step_m, step_m)
         m = step_m if m is None else step_m @ m
     return SymbolOp(m, label)
 

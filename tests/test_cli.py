@@ -35,6 +35,48 @@ def test_run_command(tmp_path):
     assert (out / "heatmap.csv").exists()
 
 
+# summary.csv in sweep order, heatmap.csv sorted by (topology, kind,
+# width); both end rows in "\r\n" (the csv module's default)
+SUMMARY_CSV = (
+    "kind,width,topology,n_instances,n_failed,mean_fidelity,mean_depth\n"
+    "Ghz,2,grid,1,0,1.000000,7.00\n"
+    "Ghz,2,all_to_all,1,0,1.000000,7.00\n"
+    "Ghz,3,grid,1,0,1.000000,11.00\n"
+    "Ghz,3,all_to_all,1,0,1.000000,11.00\n"
+    "BernsteinVazirani,2,grid,3,0,1.000000,11.33\n"
+    "BernsteinVazirani,2,all_to_all,3,0,1.000000,11.33\n"
+    "BernsteinVazirani,3,grid,3,0,1.000000,17.33\n"
+    "BernsteinVazirani,3,all_to_all,3,0,1.000000,12.33\n")
+HEATMAP_CSV = (
+    "topology,kind,width,mean_depth,mean_fidelity\n"
+    "all_to_all,BernsteinVazirani,2,11.33,1.000000\n"
+    "all_to_all,BernsteinVazirani,3,12.33,1.000000\n"
+    "all_to_all,Ghz,2,7.00,1.000000\n"
+    "all_to_all,Ghz,3,11.00,1.000000\n"
+    "grid,BernsteinVazirani,2,11.33,1.000000\n"
+    "grid,BernsteinVazirani,3,17.33,1.000000\n"
+    "grid,Ghz,2,7.00,1.000000\n"
+    "grid,Ghz,3,11.00,1.000000\n")
+
+
+def test_run_command_csv_bytes(tmp_path):
+    cfg = {
+        "noise": "noiseless",
+        "kinds": ["Ghz", "BernsteinVazirani"],
+        "widths": [2, 3],
+        "topologies": ["grid", "all_to_all"],
+        "samples_per_point": {"Ghz": 1, "BernsteinVazirani": 3},
+    }
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    for name, text in (("summary.csv", SUMMARY_CSV),
+                       ("heatmap.csv", HEATMAP_CSV)):
+        expected = text.replace("\n", "\r\n").encode()
+        assert (out / name).read_bytes() == expected, name
+
+
 def test_run_command_with_overrides(tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--set", "kinds=[\"Ghz\"]", "--set", "widths=[2]",

@@ -230,10 +230,18 @@ def test_run_reference_lowers_each_circuit_once(monkeypatch):
     assert mutated.entries != first.entries
     assert mutated.entries == run_reference(fresh, p).entries
     assert len(lowered) == 2
-    maxsize = runner._native.cache_info().maxsize
-    for k in range(maxsize + 5):
-        run_reference(Circuit(1, [rz(0, 0.01 * k)]), NOISELESS)
-    assert runner._native.cache_info().currsize <= maxsize
+
+
+def test_run_reference_lowers_each_of_many_circuits_once():
+    # a fit walks its references in the same order every evaluation: a
+    # bounded memo would evict each one just before it is needed again
+    runner._native.cache_clear()
+    refs = [Circuit(2, [Gate("rx", (0,), (0.01 * k,)), Gate("cx", (0, 1))])
+            for k in range(65)]
+    for _ in range(3):
+        for circuit in refs:
+            run_reference(circuit, NOISELESS)
+    assert runner._native.cache_info().misses == 65
 
 
 def test_execute_timing_models_differ():
@@ -328,6 +336,21 @@ def test_run_suite_records_do_not_depend_on_worker_count():
     assert serial and all(r.status == "ok" for r in serial)
     assert without_time(serial) == without_time(parallel)
     assert serial_agg == parallel_agg
+
+
+def test_run_suite_maps_one_pool_over_every_point(monkeypatch):
+    pools, pool = [], runner.ThreadPoolExecutor
+    monkeypatch.setattr(runner, "ThreadPoolExecutor",
+                        lambda *a: pools.append(a) or pool(*a))
+    records, aggregates = run_suite(RunConfig.from_dict({
+        "noise": "noiseless", "kinds": ["Ghz", "BernsteinVazirani"],
+        "widths": [2, 3], "topologies": ["all_to_all", "grid"],
+        "samples_per_point": {"Ghz": 1, "BernsteinVazirani": 2},
+        "workers": 2}))
+    assert len(pools) == 1
+    assert len(aggregates) == 8 and len(records) == 12
+    # each point's aggregate counts its own records, in job order
+    assert [a["n_instances"] for a in aggregates] == [1] * 4 + [2] * 4
 
 
 def test_run_suite_records_memory_error(monkeypatch):

@@ -216,14 +216,19 @@ def test_injected_defect_is_caught():
 
 def test_fuse_converts_each_site_channel_once(monkeypatch):
     # a cz with idle decoherence: its loss, decay and decoherence channels
-    # each act on both sites, so 8 of its 13 steps are distinct channels
+    # each act on both sites but are listed once, so each of its 8 steps is
+    # a KrausSet converted once
     calls, convert = [], SymbolOp.from_kraus
     monkeypatch.setattr(SymbolOp, "from_kraus",
                         lambda channel: calls.append(channel) or convert(channel))
     p = NoiseParams()
     steps = gatemodel._steps("cz", (), p, gate_duration(cz(0, 1), p))
     fuse(steps, "cz")
-    assert (len(steps), len(calls)) == (13, 8)
+    assert (len(steps), len(calls)) == (8, 8)
+    for mode in ("conditional", "correlated", "per_site"):
+        steps = gatemodel._steps("cz", (), p.replace(cz_phaseflip_mode=mode),
+                                 gate_duration(cz(0, 1), p))
+        assert all(isinstance(step, KrausSet) for step in steps), mode
 
 
 def test_apply_after_set_pure_rebinds_blocks():
