@@ -148,9 +148,8 @@ def _g(name, sites, *params):
 
 
 def _mcp_ops(theta: float, qubits: tuple) -> list:
-    """Multi-controlled phase on the last qubit, recursive and ancilla-free."""
-    if len(qubits) == 1:
-        return [_g("rz", qubits, theta)]
+    """Multi-controlled phase on the last of two or more qubits, recursive
+    and ancilla-free."""
     if len(qubits) == 2:
         return [_g("cp", qubits, theta)]
     *controls, last_c, target = qubits

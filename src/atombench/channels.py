@@ -9,6 +9,7 @@ to itself.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -34,6 +35,14 @@ PAULI_Z = np.array(
 CPTP_ATOL = 1e-10
 
 
+def _param(kind: str, default: float):
+    """A numeric NoiseParams field and its kind, from which validation,
+    :meth:`NoiseParams.noiseless` and fitting derive their rules: "rate"
+    and "population" lie in [0, 1], "phase" is in radians, "duration" is a
+    gate time (> 0, seconds) and "time" is T1 or T2* (seconds)."""
+    return field(default=default, metadata={"kind": kind})
+
+
 @dataclass(frozen=True)
 class NoiseParams:
     """Full noise-parameter record (channel rates, SPAM, decoherence, timing).
@@ -44,59 +53,51 @@ class NoiseParams:
     reference values (see ``scripts/calibrate_durations.py``).
     """
 
-    uw_depol_per_pi: float = 1.8e-6
+    uw_depol_per_pi: float = _param("rate", 1.8e-6)
 
-    rz_phaseflip_per_pi: float = 3.2e-4
-    rz_loss_dark_per_pi: float = 1.9e-4
-    rz_loss_bright_per_pi: float = 2.7e-4
-    rz_decay_per_pi: float = 2.0e-8
+    rz_phaseflip_per_pi: float = _param("rate", 3.2e-4)
+    rz_loss_dark_per_pi: float = _param("rate", 1.9e-4)
+    rz_loss_bright_per_pi: float = _param("rate", 2.7e-4)
+    rz_decay_per_pi: float = _param("rate", 2.0e-8)
 
-    cz_phaseflip: float = 3.3e-2
-    cz_loss_dark: float = 1.8e-2
-    cz_loss_bright: float = 2.9e-2
-    cz_decay: float = 2.1e-5
-    cz_phaseshift: float = -2.0e-3  # radians, coherent conditional-phase offset
+    cz_phaseflip: float = _param("rate", 3.3e-2)
+    cz_loss_dark: float = _param("rate", 1.8e-2)
+    cz_loss_bright: float = _param("rate", 2.9e-2)
+    cz_decay: float = _param("rate", 2.1e-5)
+    cz_phaseshift: float = _param("phase", -2.0e-3)  # coherent CZ phase offset
 
-    prep_error: float = 5.2e-3
-    meas_error: float = 5.3e-3
+    prep_error: float = _param("rate", 5.2e-3)
+    meas_error: float = _param("rate", 5.3e-3)
 
-    t1: float = 10.0
-    t2_star: float = 3.5e-3
-    p0_equilibrium: float = 0.42
+    t1: float = _param("time", 10.0)
+    t2_star: float = _param("time", 3.5e-3)
+    p0_equilibrium: float = _param("population", 0.42)
 
-    # Calibrated gate durations (seconds); see module docstring.
-    dur_uw_pi: float = 5.243e-6
-    dur_rz_pi: float = 4.772e-5
-    dur_cz: float = 5.0e-7
+    # Calibrated gate durations; see the class docstring.
+    dur_uw_pi: float = _param("duration", 5.243e-6)
+    dur_rz_pi: float = _param("duration", 4.772e-5)
+    dur_cz: float = _param("duration", 5.0e-7)
 
     # "correlated": one ZZ phase-flip per CZ; "per_site": independent Z flip
     # on each participating site.
     cz_phaseflip_mode: str = "conditional"
 
-    _PROB_FIELDS = (
-        "uw_depol_per_pi",
-        "rz_phaseflip_per_pi",
-        "rz_loss_dark_per_pi",
-        "rz_loss_bright_per_pi",
-        "rz_decay_per_pi",
-        "cz_phaseflip",
-        "cz_loss_dark",
-        "cz_loss_bright",
-        "cz_decay",
-        "prep_error",
-        "meas_error",
-        "p0_equilibrium",
-    )
-
     def __post_init__(self):
         self.validate()
 
+    @staticmethod
+    @functools.cache
+    def names(*kinds: str) -> tuple:
+        """Names of the fields of the given kinds, in declaration order."""
+        return tuple(f.name for f in fields(NoiseParams)
+                     if f.metadata.get("kind") in kinds)
+
     def validate(self):
-        for name in self._PROB_FIELDS:
+        for name in self.names("rate", "population"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name}={v} outside [0, 1]")
-        for name in ("dur_uw_pi", "dur_rz_pi", "dur_cz"):
+        for name in self.names("duration"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be > 0")
         if not self.t1 >= self.t2_star > 0:
@@ -151,26 +152,11 @@ class NoiseParams:
 
     @classmethod
     def noiseless(cls) -> "NoiseParams":
-        """Zero error rates and negligible durations; for identity checks."""
-        return cls(
-            uw_depol_per_pi=0.0,
-            rz_phaseflip_per_pi=0.0,
-            rz_loss_dark_per_pi=0.0,
-            rz_loss_bright_per_pi=0.0,
-            rz_decay_per_pi=0.0,
-            cz_phaseflip=0.0,
-            cz_loss_dark=0.0,
-            cz_loss_bright=0.0,
-            cz_decay=0.0,
-            cz_phaseshift=0.0,
-            prep_error=0.0,
-            meas_error=0.0,
-            t1=1e30,
-            t2_star=1e29,
-            dur_uw_pi=1e-30,
-            dur_rz_pi=1e-30,
-            dur_cz=1e-30,
-        )
+        """Zero error rates and phase offset, negligible durations and
+        decoherence; for identity checks."""
+        return cls(t1=1e30, t2_star=1e29,
+                   **dict.fromkeys(cls.names("rate", "phase"), 0.0),
+                   **dict.fromkeys(cls.names("duration"), 1e-30))
 
 
 @dataclass(frozen=True)
@@ -190,8 +176,8 @@ class KrausSet:
             if a.shape != (dim, dim):
                 raise ValidationError(f"{self.label}: non-square or mixed-dim operators")
         s = sum(a.conj().T @ a for a in ops)
-        if not np.allclose(s, np.eye(dim), atol=CPTP_ATOL):
-            err = np.max(np.abs(s - np.eye(dim)))
+        err = np.max(np.abs(s - np.eye(dim)))
+        if not err <= CPTP_ATOL:  # also rejects NaN
             raise ValidationError(f"{self.label}: not CPTP (|sum A^dag A - I| = {err:.2e})")
 
     @property

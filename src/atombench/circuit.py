@@ -138,8 +138,6 @@ def decompose_local_rotation(phi: float, theta: float, site: int) -> list:
 def _lower_gate(g: Gate) -> list:
     """One lowering step; may emit abstract gates that lower further."""
     s = g.sites
-    if g.is_native:
-        return [g]
     if g.name == "rphi":
         return decompose_local_rotation(g.params[0], g.params[1], s[0])
     if g.name == "rx":

@@ -22,7 +22,7 @@ class LoweringError(AtombenchError):
 
 
 class RoutingError(AtombenchError):
-    """Internal routing inconsistency (non-adjacent two-qubit gate post-routing)."""
+    """No path joins two nodes of a topology, e.g. a node off the register."""
 
 
 class SchemaError(AtombenchError):

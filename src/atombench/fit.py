@@ -1,7 +1,8 @@
 """Nelder-Mead calibration of noise parameters against measured distributions.
 
-Probability-type parameters (``NoiseParams._PROB_FIELDS``) are optimized
-through a logistic map so the simplex explores an unconstrained space while
+Each numeric ``NoiseParams`` field declares its kind, and the kind sets how
+the field is fitted.  Rates and the equilibrium population are optimized
+through a logistic map, so the simplex explores an unconstrained space while
 the physical values stay in (0, 1).  Durations live on a log scale when
 freed; the coherent CZ phase offset is linear.  T1 and T2* and the
 non-numeric ``cz_phaseflip_mode`` are never fitted.
@@ -21,14 +22,13 @@ from .runner import run_reference
 from .state import DEFAULT_MEMORY_CAP
 
 # parameters in [0, 1], logistic-reparameterized
-PROB_PARAMS = NoiseParams._PROB_FIELDS
-LINEAR_PARAMS = ("cz_phaseshift",)
-LOG_PARAMS = ("dur_uw_pi", "dur_rz_pi", "dur_cz")
-NEVER_FREE = ("t1", "t2_star")
+PROB_PARAMS = NoiseParams.names("rate", "population")
+LOG_PARAMS = NoiseParams.names("duration")
+# every numeric parameter but T1 and T2*
+FITTABLE = NoiseParams.names("rate", "population", "phase", "duration")
 
 # every error rate and the phase offset, not the decoherence equilibrium
-DEFAULT_FREE = tuple(p for p in PROB_PARAMS + LINEAR_PARAMS
-                     if p != "p0_equilibrium")
+DEFAULT_FREE = NoiseParams.names("rate") + NoiseParams.names("phase")
 
 
 def _logit(p: float) -> float:
@@ -159,17 +159,9 @@ class FitProblem:
                     want, int if want is float else want):
                 raise ValidationError(
                     f"{f.name} must be a {want.__name__}, got {value!r}")
-        bad = [p for p in self.free_params if p in NEVER_FREE]
+        bad = [p for p in self.free_params if p not in FITTABLE]
         if bad:
             raise ValidationError(f"parameters {bad} cannot be fitted")
-        fields = NoiseParams.__dataclass_fields__
-        unknown = [p for p in self.free_params if p not in fields]
-        if unknown:
-            raise ValidationError(f"unknown parameters {unknown}")
-        non_float = [p for p in self.free_params
-                     if not isinstance(fields[p].default, float)]
-        if non_float:
-            raise ValidationError(f"parameters {non_float} are not numbers")
 
 
 def _params_from_vector(problem: FitProblem, x: np.ndarray) -> NoiseParams:

@@ -47,7 +47,10 @@ class Topology:
 
     @classmethod
     def all_to_all(cls, n_qubits: int) -> "Topology":
-        return cls("all_to_all", n_qubits=n_qubits)
+        nodes = range(n_qubits)
+        return cls("all_to_all", n_qubits=n_qubits, adjacency={
+            node: tuple(other for other in nodes if other != node)
+            for node in nodes})
 
     @classmethod
     def grid(cls, n_qubits: int, rows: int | None = None,
@@ -72,8 +75,6 @@ class Topology:
         return topo
 
     def adjacent(self, a: int, b: int) -> bool:
-        if self.mode == "all_to_all":
-            return a != b
         return b in self.neighbors(a)
 
     def neighbors(self, node: int) -> tuple:
@@ -106,9 +107,10 @@ class Topology:
 def interaction_placement(circuit: Circuit, topology: Topology) -> list:
     """Greedy initial placement matching CZ-heavy qubits to central nodes.
 
-    The most-interacting logical qubit goes to the best-connected node; each
-    subsequent qubit (strongest total coupling to already-placed ones first)
-    takes the free node minimizing its distance-weighted coupling.
+    Qubits are ordered once, up front, by their total time-weighted CZ
+    degree.  The first goes to the best-connected node; each later one takes
+    the free node minimizing its distance-weighted coupling to the qubits
+    already placed.
     """
     n = circuit.n_qubits
     czs = [g for g in circuit.ops if g.name == "cz"]
@@ -129,8 +131,6 @@ def interaction_placement(circuit: Circuit, topology: Topology) -> list:
     placed: list = []
     remaining = sorted(range(n), key=lambda q: (-degree[q], q))
     for q in remaining:
-        if placement[q] >= 0:
-            continue
         if not placed:
             node = max(free, key=lambda v: (len([u for u in topology.neighbors(v)
                                                  if u in free]), -v))
@@ -216,15 +216,11 @@ def route(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
                                          (b, path[-1], path[-2])):
                     trial = list(l2p)
                     trial[logical] = to
-                    if p2l[to] is not None:
-                        trial[p2l[to]] = frm
+                    trial[p2l[to]] = frm
                     candidates.append((lookahead_cost(trial), logical, frm, to))
                 candidates.sort(key=lambda cand: (cand[0], cand[1]))
                 _, _, frm, to = candidates[0]
                 swap_phys(frm, to)
-            pa, pb = l2p[a], l2p[b]
-            if not topology.adjacent(pa, pb):
-                raise RoutingError(f"cz on non-adjacent nodes {pa}, {pb}")
-            out.add(cz_gate := Gate("cz", (pa, pb)))
+            out.add(Gate("cz", (l2p[a], l2p[b])))
             cz_cursor += 1
     return out, l2p

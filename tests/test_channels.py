@@ -1,6 +1,7 @@
 """Channel constructors: CPTP property, parameter validation, scaling."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -52,6 +53,11 @@ def test_cptp_parameter_sweep():
 def test_kraus_set_rejects_non_cptp():
     with pytest.raises(ValidationError):
         KrausSet((np.eye(4) * 0.5,), label="broken")
+    # sum A^dag A = (1 + 5e-6) I is off by far more than CPTP_ATOL
+    with pytest.raises(ValidationError, match="not CPTP"):
+        KrausSet((np.eye(4) * math.sqrt(1 + 5e-6),), label="scaled")
+    with pytest.raises(ValidationError, match="not CPTP"):
+        KrausSet((np.full((4, 4), np.nan),), label="nan")
 
 
 def test_probability_validation():
@@ -80,7 +86,21 @@ def test_noise_params_validation():
     with pytest.raises(ValidationError):
         NoiseParams(dur_cz=0.0)
     with pytest.raises(ValidationError):
+        NoiseParams(p0_equilibrium=1.5)
+    with pytest.raises(ValidationError):
         NoiseParams(cz_phaseflip_mode="sometimes")
+
+
+def test_every_numeric_noise_param_has_a_kind():
+    kinds = ("rate", "population", "phase", "duration", "time")
+    for f in fields(NoiseParams):
+        if f.type in ("float", float):
+            assert f.metadata.get("kind") in kinds, f.name
+        else:
+            assert "kind" not in f.metadata, f.name
+    assert NoiseParams.names("population", "phase", "time") == (
+        "cz_phaseshift", "t1", "t2_star", "p0_equilibrium")
+    assert len(NoiseParams.names(*kinds)) == len(fields(NoiseParams)) - 1
 
 
 def test_noise_params_round_trip_and_unknown_key():

@@ -72,7 +72,7 @@ def test_param_encoding_round_trip():
     assert 0.0 <= decode_param("cz_phaseflip", 500.0) <= 1.0
     assert 0.0 <= decode_param("p0_equilibrium", 20.0) <= 1.0
     # every probability but p0_equilibrium is free by default
-    assert set(DEFAULT_FREE) == set(NoiseParams._PROB_FIELDS) - {
+    assert set(DEFAULT_FREE) == set(NoiseParams.names("rate", "population")) - {
         "p0_equilibrium"} | {"cz_phaseshift"}
     # durations stay positive
     assert decode_param("dur_cz", -100.0) > 0.0
@@ -94,6 +94,21 @@ def test_fit_problem_validation():
         FitProblem(references=refs, xtol=None)
     with pytest.raises(ValidationError, match="free_params"):
         FitProblem(references=refs, free_params="cz_decay")
+    with pytest.raises(ValidationError, match="t2_star"):
+        FitProblem(references=refs, free_params=("cz_decay", "t2_star"))
+    FitProblem(references=refs, free_params=("p0_equilibrium", "dur_cz",
+                                             "cz_phaseshift"))
+
+
+def test_fit_scales_and_default_free_params():
+    assert fit.PROB_PARAMS == (
+        "uw_depol_per_pi", "rz_phaseflip_per_pi", "rz_loss_dark_per_pi",
+        "rz_loss_bright_per_pi", "rz_decay_per_pi", "cz_phaseflip",
+        "cz_loss_dark", "cz_loss_bright", "cz_decay", "prep_error",
+        "meas_error", "p0_equilibrium")
+    assert fit.LOG_PARAMS == ("dur_uw_pi", "dur_rz_pi", "dur_cz")
+    # the simplex's axes: every rate in declaration order, then the phase
+    assert DEFAULT_FREE == fit.PROB_PARAMS[:-1] + ("cz_phaseshift",)
 
 
 def test_fit_no_free_params_returns_base():

@@ -29,6 +29,14 @@ def test_grid_adjacency():
     assert topo.distance(2, 3) == 3
 
 
+def test_all_to_all_adjacency():
+    topo = Topology.all_to_all(4)
+    assert topo.neighbors(2) == (0, 1, 3)
+    assert topo.adjacent(0, 3) and not topo.adjacent(1, 1)
+    assert topo.distance(0, 3) == 1 and topo.distance(2, 2) == 0
+    assert topo.shortest_path(3, 0) == [3, 0]
+
+
 def test_all_to_all_passthrough():
     c = lower_to_native(Circuit(3, [Gate("cx", (0, 2))]))
     routed, l2p = route(c, Topology.all_to_all(3))

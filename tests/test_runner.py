@@ -1,6 +1,7 @@
 """Runner pipeline: execute, score, sweep, serialize."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -282,6 +283,11 @@ def test_run_instance_degenerate_ideal():
     from atombench.metrics import Distribution, classical_fidelity
     with pytest.raises(DegenerateIdealError):
         classical_fidelity(Distribution({"0": 0.5, "1": 0.5}, 1), out)
+    # GhzParity at phase pi/4 on two qubits has a uniform ideal
+    rec = run_instance(BenchmarkSpec("GhzParity", 2, math.pi / 4),
+                       "all_to_all", NoiseParams())
+    assert rec.status == "degenerate_ideal"
+    assert math.isfinite(rec.f_s) and math.isnan(rec.f)
 
 
 def test_run_suite_aggregates(tmp_path):

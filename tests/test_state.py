@@ -257,6 +257,15 @@ def test_reduced_qubit_density_folds_loss():
     assert abs(red[0, 1]) == pytest.approx(0.5 * np.sqrt(0.6))
 
 
+def test_channel_sites_checked():
+    pair = _op(ch.correlated_phase_flip(0.1))
+    for sites in ((1, 1), (0, 2), (-1, 0)):
+        with pytest.raises(ValidationError):
+            QuquartState(2).apply_channel(sites, pair)
+    with pytest.raises(ValidationError):
+        QuquartState(2).apply_channel((2,), _op(ch.phase_flip(0.1)))
+
+
 def test_channel_arity_checked():
     with pytest.raises(ValidationError):
         QuquartState(2).apply_channel((0, 1), _op(ch.phase_flip(0.1)))
