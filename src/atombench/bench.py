@@ -565,8 +565,10 @@ def load_external(path) -> tuple[Circuit, Distribution]:
                                  "ops": data["ops"],
                                  "metadata": data.get("metadata", {})})
     measured = data["measured"]
-    if not isinstance(measured, dict) or not measured:
-        raise SchemaError("'measured' must be a non-empty mapping")
+    if not isinstance(measured, dict) or not measured or not all(
+            type(p) in (int, float) for p in measured.values()):
+        raise SchemaError("'measured' must be a non-empty mapping of "
+                          "bitstrings to numbers")
     total = sum(measured.values())
     if abs(total - 1.0) > 1e-6:
         raise SchemaError(f"measured distribution sums to {total}, not 1")
@@ -575,5 +577,12 @@ def load_external(path) -> tuple[Circuit, Distribution]:
         dist = Distribution({k: v / total for k, v in measured.items()}, n_bits)
     except ValidationError as exc:
         raise SchemaError(f"bad measured distribution: {exc}") from exc
-    circuit.metadata.setdefault("measured_qubits", list(range(circuit.n_qubits)))
+    qubits = circuit.metadata.setdefault("measured_qubits",
+                                         list(range(circuit.n_qubits)))
+    if not (isinstance(qubits, list) and len(qubits) == n_bits
+            and len(set(qubits)) == n_bits and all(
+                type(q) is int and 0 <= q < circuit.n_qubits for q in qubits)):
+        raise SchemaError(
+            f"measured_qubits {qubits!r} must list {n_bits} distinct qubits "
+            f"of the {circuit.n_qubits}-qubit register, one per measured bit")
     return circuit, dist

@@ -120,7 +120,11 @@ class Circuit:
             n = int(d["n_qubits"])
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"bad circuit document: {exc}") from exc
-        circ = cls(n, metadata=dict(d.get("metadata", {})))
+        metadata = d.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise SchemaError(f"circuit metadata must be a mapping, "
+                              f"got {metadata!r}")
+        circ = cls(n, metadata=dict(metadata))
         for rec in d.get("ops", []):
             circ.add(Gate.from_record(rec))
         return circ

@@ -35,8 +35,9 @@ class Distribution:
         for key, p in self.entries.items():
             if len(key) != self.n_bits or set(key) - {"0", "1"}:
                 raise ValidationError(f"bad bitstring key {key!r} for n_bits={self.n_bits}")
-            if p < -1e-12:
-                raise ValidationError(f"negative probability {p} at {key!r}")
+            if not math.isfinite(p) or p < -1e-12:
+                raise ValidationError(f"probability {p} at {key!r} is not "
+                                      f"finite and non-negative")
             total += p
         if abs(total - 1.0) > 1e-9:
             raise ValidationError(f"distribution sums to {total}, not 1")
@@ -56,6 +57,9 @@ class Distribution:
         v = np.asarray(v, dtype=float)
         if v.shape != (2**n_bits,):
             raise ValidationError(f"vector length {v.shape} != 2^{n_bits}")
+        if not np.isfinite(v).all():
+            # pruning would drop a NaN entry silently
+            raise ValidationError(f"probabilities are not all finite: {v}")
         entries = {
             format(i, f"0{n_bits}b"): float(p)
             for i, p in enumerate(v)

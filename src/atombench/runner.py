@@ -6,12 +6,15 @@ decoherence to its sites, and a global pulse decoheres every site.
 "layer" applies the gates of a scheduled layer without their idle
 decoherence and then one decoherence interval, the layer's maximum gate
 duration, to every site.  Every operator but the ``cz`` acts on single
-sites, so each one waits in a pending 6x6 product of its site: a ``cz``
-carries its two sites' products in one checked pass over the state, and the
-products left at the end make one checked pass each.  Ops on disjoint sites
-commute and each site keeps its order, so the result is exact.  Readout is
-reduced to bitstrings, restricted to the physical positions of the measured
-qubits under the router's final placement, convolved with the
+sites, and the executor records every operator before it applies any, so
+it makes one checked pass over the state per ``cz`` and no other: a
+``cz`` carries its two sites' 1-site ops since their previous ``cz`` and,
+at a site's last ``cz``, every op after it too; a site with no ``cz``
+starts in the product of all its ops applied to |0>, and the initial state
+is the product of one such vector per site, checked once.  Ops on disjoint
+sites commute and each site keeps its order, so the result is exact.
+Readout is reduced to bitstrings, restricted to the physical positions of
+the measured qubits under the router's final placement, convolved with the
 measurement-error channel and scored against the ideal distribution.
 """
 
@@ -126,51 +129,90 @@ def topology_label(descriptor) -> str:
 
 
 class _PendingSites:
-    """1-site operators not yet applied to a state, as one 6x6 product per
-    site (None for the identity).
+    """A native circuit's operators, recorded as ``gatemodel`` hands them
+    over and applied by ``flush`` in one checked pass per ``cz``.
 
-    It takes the state's place in ``gatemodel``: a 1-site or global op
-    multiplies into the pending products, and a pair op makes one pass that
-    first applies the products of its two sites.
+    It takes the state's place in ``gatemodel``: ``apply_channel`` and
+    ``apply_global_unitary`` record (sites, op), sites None for a global op.
+    Only references to the cached ops are kept, never products, so a long
+    circuit holds no matrix per gate.
     """
 
     def __init__(self, state: QuquartState):
         self.state = state
         self.n_sites = state.n_sites
-        self.pending = [None] * state.n_sites
-
-    def _defer(self, s: int, m: np.ndarray):
-        p = self.pending[s]
-        self.pending[s] = m if p is None else m @ p
+        self.ops = []
 
     def apply_channel(self, sites, op: SymbolOp):
-        sites = tuple(sites)
-        if len(sites) == 1:
-            self._defer(sites[0], op.matrix)
-            return self
-        pa, pb = (self.pending[s] for s in sites)
-        if pa is not None or pb is not None:
-            eye = np.eye(N_SYMBOLS)
-            op = SymbolOp(op.matrix @ pair_kron(eye if pa is None else pa,
-                                                eye if pb is None else pb),
-                          op.label)
-        for s in sites:
-            self.pending[s] = None
-        self.state.apply_channel(sites, op)
+        self.ops.append((tuple(sites), op))
         return self
 
     def apply_global_unitary(self, op: SymbolOp):
-        for s in range(self.n_sites):
-            self._defer(s, op.matrix)
+        self.ops.append((None, op))
         return self
 
     def flush(self) -> QuquartState:
-        """Apply each site's pending product in one pass; return the state."""
-        for s, p in enumerate(self.pending):
-            if p is not None:
-                self.pending[s] = None
-                self.state.apply_channel((s,), SymbolOp(p, "pending"))
+        """Apply the recorded ops; return the state.
+
+        One backward walk finds each site's last ``cz`` and the product T_s
+        of its 1-site ops after it.  A site with no ``cz`` starts in T_s e0:
+        the state starts as the product of one vector per site, checked once.
+        Then each ``cz`` makes one checked pass with
+        ``kron(T_a, T_b) @ cz_op @ kron(P_a, P_b)``: P_s is the product of the
+        site's 1-site ops since its previous ``cz``, and T_s is taken only at
+        the site's last ``cz`` (the identity elsewhere).
+        """
+        every = range(self.n_sites)
+        last, tail = [-1] * self.n_sites, [None] * self.n_sites
+        open_sites = set(every)
+        for i in range(len(self.ops) - 1, -1, -1):
+            if not open_sites:
+                break
+            sites, op = self.ops[i]
+            for s in every if sites is None else sites:
+                if s not in open_sites:
+                    continue
+                if op.n_sites == 2:
+                    last[s] = i
+                    open_sites.discard(s)
+                else:
+                    t = tail[s]
+                    tail[s] = op.matrix if t is None else t @ op.matrix
+        if any(tail[s] is not None for s in open_sites):
+            ground = np.eye(N_SYMBOLS)[0]
+            self.state.set_product([
+                ground if last[s] >= 0 or tail[s] is None else tail[s][:, 0]
+                for s in every])
+        pending = [None] * self.n_sites
+        for i, (sites, op) in enumerate(self.ops):
+            if op.n_sites == 1:
+                for s in every if sites is None else sites:
+                    if i < last[s]:
+                        p = pending[s]
+                        pending[s] = op.matrix if p is None else op.matrix @ p
+                continue
+            a, b = sites
+            m = op.matrix
+            before = _pair(pending[a], pending[b])
+            after = _pair(tail[a] if last[a] == i else None,
+                          tail[b] if last[b] == i else None)
+            pending[a] = pending[b] = None
+            if before is not None:
+                m = m @ before
+            if after is not None:
+                m = after @ m
+            self.state.apply_channel(
+                sites, op if m is op.matrix else SymbolOp(m, op.label))
         return self.state
+
+
+def _pair(a, b):
+    """kron(a, b) of two site matrices, None standing for the identity;
+    None if both are."""
+    if a is None and b is None:
+        return None
+    eye = np.eye(N_SYMBOLS)
+    return pair_kron(eye if a is None else a, eye if b is None else b)
 
 
 def execute_native(circuit: Circuit, params: NoiseParams,
@@ -182,10 +224,10 @@ def execute_native(circuit: Circuit, params: NoiseParams,
     timing_model "gate" attaches each gate's decoherence interval to its own
     sites (global pulses decohere every site); "layer" instead applies one
     decoherence interval to all sites after each layer, the duration of the
-    layer's slowest gate.  Passes over the state are made only by a ``cz``
-    and, at the end, by each site with pending 1-site ops: at most one per
-    ``cz`` plus one per site, each checked.  Returns the final state and the
-    transpiled depth (layer count).
+    layer's slowest gate.  Passes over the state are made only by a ``cz``:
+    one checked pass per ``cz``, carrying its sites' 1-site ops, and the
+    sites without a ``cz`` set the checked initial product state.  Returns
+    the final state and the transpiled depth (layer count).
     """
     if timing_model not in ("gate", "layer"):
         raise ValidationError(f"unknown timing_model {timing_model!r}")

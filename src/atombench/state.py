@@ -12,11 +12,12 @@ a (6,)*n tensor, and so cannot hold a non-hermitian rho.  A channel acts as
 a SymbolOp, its real matrix on these coordinates, checked once when built to
 keep the block pattern and keep rho hermitian; each application is one pass
 over the state and ends with one trace check.  A SymbolOp may be a product
-of several gates' ops: the runner folds each site's 1-site ops into one
-matrix and applies it with the site's next pair op, so one checked pass can
-carry many gates.  A state owns two buffers of this shape: every pass writes
-the spare one and the two swap, and between passes the spare is the check's
-scratch, so no pass over the state allocates.
+of several gates' ops: the runner folds each site's 1-site ops into the
+pair ops on that site, so one checked pass can carry many gates, and
+starts a site that has no pair op in the product of its ops applied to
+|0> (``set_product``).  A state owns two buffers of this shape: every pass
+writes the spare one and the two swap, and between passes the spare is the
+check's scratch, so no pass over the state allocates.
 """
 
 from __future__ import annotations
@@ -88,11 +89,11 @@ DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 11 sites
 def _diag_table(n: int) -> np.ndarray:
     """Flat positions of the 4^n diagonal coordinates of an n-site state,
     the trace check's index table, shared by every state (and every
-    run_suite thread)."""
+    run_suite thread).  Nothing writes it, but it is left writeable:
+    np.take copies a read-only index array on every call."""
     diag = np.zeros(1, dtype=np.intp)
     for _ in range(n):
         diag = (N_SYMBOLS * diag[:, None] + DIAG_SYMBOLS).ravel()
-    diag.flags.writeable = False
     return diag
 
 
@@ -264,6 +265,33 @@ class QuquartState:
         _check_arity(op, 1)
         for s in range(self.n_sites):
             self._apply(op.matrix, (s,))
+        self._check_invariants()
+        return self
+
+    def set_product(self, vectors):
+        """rho <- the product state of one 6-vector of coordinates per site,
+        site 0 first, then one check.
+
+        Built from the last site back, alternating between the two buffers:
+        each site writes the product so far times each of its coordinates,
+        one slab each, so the build allocates nothing that grows with n.
+        """
+        if len(vectors) != self.n_sites:
+            raise ValidationError(f"{len(vectors)} site vectors for "
+                                  f"{self.n_sites} sites")
+        # the last of the n - 1 slab steps writes self.blocks
+        src, dst = self.blocks.reshape(-1), self._spare.reshape(-1)
+        if self.n_sites % 2 == 0:
+            src, dst = dst, src
+        src[:N_SYMBOLS] = vectors[-1]
+        size = N_SYMBOLS
+        for v in reversed(vectors[:-1]):
+            rest = src[:size]
+            slabs = dst[:N_SYMBOLS * size].reshape(N_SYMBOLS, size)
+            for j in range(N_SYMBOLS):
+                np.multiply(rest, v[j], out=slabs[j])
+            src, dst = dst, src
+            size *= N_SYMBOLS
         self._check_invariants()
         return self
 

@@ -186,3 +186,58 @@ def test_load_external_schema_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         bench.load_external(path)
+
+
+def _external(tmp_path, measured, **metadata):
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps({
+        "n_qubits": 2, "ops": [{"gate": "h", "sites": [0]}],
+        "measured": measured, "metadata": metadata}))
+    return path
+
+
+def test_load_external_rejects_non_finite_probabilities(tmp_path):
+    path = tmp_path / "ref.json"
+    path.write_text('{"n_qubits": 1, "ops": [], '
+                    '"measured": {"0": NaN, "1": 1.0}}')
+    with pytest.raises(SchemaError, match="finite"):
+        bench.load_external(path)
+
+
+@pytest.mark.parametrize("doc", [
+    {"measured": {"0": "0.5", "1": 0.5}},
+    {"measured": {"0": True}},
+    {"measured": {"0": 1.0}, "metadata": [1]},
+])
+def test_load_external_rejects_malformed_documents(tmp_path, doc):
+    path = tmp_path / "ref.json"
+    path.write_text(json.dumps({"n_qubits": 1, "ops": [], **doc}))
+    with pytest.raises(SchemaError):
+        bench.load_external(path)
+
+
+@pytest.mark.parametrize("qubits", [
+    [0, 0],         # a repeated qubit
+    [0, 5],         # off the register
+    [-1, 0],        # off the register, from the end
+    [1],            # fewer qubits than measured bits
+    [0, 1, 0],      # more qubits than measured bits
+    [0, True],
+    "01",
+])
+def test_load_external_checks_measured_qubits(tmp_path, qubits):
+    measured = {"00": 0.5, "10": 0.5}
+    path = _external(tmp_path, measured, measured_qubits=qubits)
+    with pytest.raises(SchemaError, match="measured_qubits"):
+        bench.load_external(path)
+    # the same file with measured qubits that fit loads
+    circuit, dist = bench.load_external(
+        _external(tmp_path, measured, measured_qubits=[1, 0]))
+    assert circuit.measured_qubits == [1, 0] and dist.n_bits == 2
+
+
+def test_load_external_default_measured_qubits_match_the_bits(tmp_path):
+    # without measured_qubits every qubit is measured, so the bitstrings
+    # must be as wide as the register
+    with pytest.raises(SchemaError, match="measured_qubits"):
+        bench.load_external(_external(tmp_path, {"0": 0.5, "1": 0.5}))

@@ -33,6 +33,15 @@ def test_distribution_validation():
         Distribution({"02": 1.0}, 2)                # non-binary key
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
+def test_distribution_rejects_non_finite_probabilities(p):
+    # abs(nan - 1) > tol is false, so the sum check alone lets NaN through
+    with pytest.raises(ValidationError, match="finite"):
+        Distribution({"0": p, "1": 1.0}, 1)
+    with pytest.raises(ValidationError, match="finite"):
+        Distribution.from_vector(np.array([p, 1.0]), 1, prune=-1.0)
+
+
 def test_distribution_vector_round_trip():
     d = Distribution({"01": 0.25, "10": 0.75}, 2)
     v = d.to_vector()

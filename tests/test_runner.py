@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,14 +88,24 @@ def test_execute_native_noiseless_matches_oracle():
     assert depth > 0
 
 
+# strong noise and long pulses, so every channel and idle interval counts
+STRONG = NoiseParams(uw_depol_per_pi=0.02, rz_phaseflip_per_pi=0.03,
+                     rz_loss_dark_per_pi=0.02, cz_phaseflip=0.08,
+                     cz_loss_bright=0.07, cz_decay=0.02, cz_phaseshift=0.3,
+                     prep_error=0.05, dur_uw_pi=2e-5, dur_rz_pi=1e-4,
+                     dur_cz=2e-4)
+
+
+def dense_error(c: Circuit, params: NoiseParams, timing_model: str) -> float:
+    state, _ = execute_native(c, params, timing_model=timing_model)
+    rho = dense_ref.execute_native(c, params, timing_model=timing_model)
+    return float(np.max(np.abs(dense_ref.to_dense(state)
+                               - dense_ref.to_matrix(rho))))
+
+
 @pytest.mark.parametrize("timing_model", ["gate", "layer"])
 def test_execute_native_matches_dense_engine(timing_model):
-    # strong noise and long pulses, so every channel and idle interval counts
-    params = NoiseParams(uw_depol_per_pi=0.02, rz_phaseflip_per_pi=0.03,
-                         rz_loss_dark_per_pi=0.02, cz_phaseflip=0.08,
-                         cz_loss_bright=0.07, cz_decay=0.02, cz_phaseshift=0.3,
-                         prep_error=0.05, dur_uw_pi=2e-5, dur_rz_pi=1e-4,
-                         dur_cz=2e-4)
+    params = STRONG
     rng = np.random.default_rng(17)
     for trial in range(6):
         n = 3 + trial % 2
@@ -107,11 +118,27 @@ def test_execute_native_matches_dense_engine(timing_model):
                 c.add(rz(int(rng.integers(n)), float(rng.uniform(-6, 6))))
             else:
                 c.add(cz(*map(int, rng.choice(n, 2, replace=False))))
-        state, _ = execute_native(c, params, timing_model=timing_model)
-        rho = dense_ref.execute_native(c, params, timing_model=timing_model)
-        err = np.max(np.abs(dense_ref.to_dense(state)
-                            - dense_ref.to_matrix(rho)))
+        err = dense_error(c, params, timing_model)
         assert err < 1e-10, (trial, err)
+
+
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+@pytest.mark.parametrize("n,ops", [
+    # no cz: every site starts in its own product
+    (3, [grot(0.3, 1.1), rz(0, 0.7), rz(2, -1.9), grot(1.2, 0.4)]),
+    # a one-site register
+    (1, [rz(0, 0.4), grot(0.2, 2.1), rz(0, -0.8)]),
+    # a cz first, then many 1-site ops on its sites fold into its pass
+    (3, [cz(0, 1)] + [rz(s % 2, 0.3 * s) for s in range(12)]
+     + [grot(0.5, 0.9), rz(2, 1.3)]),
+    # a grot after every cz
+    (4, [g for a, b in ((0, 1), (2, 3), (1, 2), (3, 0))
+         for g in (cz(a, b), grot(0.4 * a, 0.7 + b))]),
+])
+def test_execute_native_matches_dense_engine_on_folded_ops(timing_model, n,
+                                                           ops):
+    err = dense_error(Circuit(n, ops), STRONG, timing_model)
+    assert err < 1e-10, err
 
 
 @pytest.mark.parametrize("timing_model", ["gate", "layer"])
@@ -142,8 +169,10 @@ def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
         passes.clear()
         state, _ = execute_native(c, params, timing_model=timing_model)
         n_cz = c.gate_counts().get("cz", 0)
+        # one pass per cz and none for 1-site ops: each site's ops ride its
+        # cz passes or the initial product state
         assert set(passes) <= {"apply_channel"}
-        assert len(passes) <= n_cz + n, (trial, len(passes), n_cz)
+        assert len(passes) == n_cz, (trial, len(passes), n_cz)
         rho = dense_ref.execute_native(c, params, timing_model=timing_model)
         err = np.max(np.abs(dense_ref.to_dense(state)
                             - dense_ref.to_matrix(rho)))
@@ -152,7 +181,8 @@ def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
 
 @pytest.mark.parametrize("ops,carrier", [
     ([rz(0, 0.7), cz(0, 1)], (0, 1)),   # a later cz carries the rz
-    ([cz(0, 1), rz(0, 0.7)], (0,)),     # the end-of-circuit pass carries it
+    ([cz(0, 1), rz(0, 0.7)], (0, 1)),   # so does the site's last cz
+    ([cz(0, 1), rz(2, 0.7)], None),     # the initial product state, no pass
 ])
 def test_trace_breaking_pending_op_is_caught_before_readout(monkeypatch, ops,
                                                             carrier):
@@ -174,8 +204,23 @@ def test_trace_breaking_pending_op_is_caught_before_readout(monkeypatch, ops,
 
     monkeypatch.setattr(QuquartState, "apply_channel", recorded)
     with pytest.raises(PatternLeakError, match="trace"):
-        execute_native(Circuit(2, ops), NOISELESS)
-    assert calls[-1] == carrier
+        execute_native(Circuit(3, ops), NOISELESS)
+    assert calls[-1:] == ([carrier] if carrier else [])
+
+
+def test_execute_native_holds_no_matrix_per_gate():
+    # the executor records references to the cached ops; holding one fused
+    # 36x36 op per cz until the end would take about 10 KB per cz
+    c = Circuit(3, [g for k in range(3000)
+                    for g in (cz(k % 3, (k + 1) % 3), rz(k % 3, 0.3))])
+    execute_native(c, STRONG)
+    tracemalloc.start()
+    try:
+        execute_native(c, STRONG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
 
 
 @pytest.mark.parametrize("gate", [

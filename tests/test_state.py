@@ -1,5 +1,6 @@
 """Sparse block-structured density matrix: pattern, invariants, capacity."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -274,3 +275,43 @@ def test_channel_arity_checked():
     with pytest.raises(ValidationError):
         QuquartState(2).apply_global_unitary(
             _op(ch.correlated_phase_flip(0.1)))
+
+
+def _site_vectors(rng, n):
+    """n random coordinate vectors, each of trace one."""
+    vs = rng.uniform(0.1, 1.0, size=(n, N_SYMBOLS))
+    return list(vs / vs[:, [0, 3, 4, 5]].sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_set_product_is_the_kronecker_product(n):
+    vs = _site_vectors(np.random.default_rng(n), n)
+    st = QuquartState(n).apply_global_unitary(
+        _unitary(global_rotation_matrix(0.4, 1.3)))
+    st.set_product(vs)
+    expect = functools.reduce(np.kron, vs).reshape((N_SYMBOLS,) * n)
+    assert np.max(np.abs(st.blocks - expect)) < 1e-15
+    with pytest.raises(PatternLeakError, match="trace"):
+        st.set_product([1.01 * vs[0]] + vs[1:])
+    with pytest.raises(ValidationError):
+        st.set_product(vs + vs[:1])
+
+
+def test_set_product_allocates_nothing_per_site():
+    # the build writes only into the state's two buffers, and its trace
+    # check gathers into the spare: neither allocates with n
+    vs = _site_vectors(np.random.default_rng(8), 8)
+    st = QuquartState(8).set_product(vs)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for call in (st.trace, lambda: st.set_product(vs)):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    check, product = peaks
+    assert check < 2048, check
+    assert product - check < 1024, peaks
