@@ -117,9 +117,12 @@ class Circuit:
     @classmethod
     def from_dict(cls, d: dict) -> "Circuit":
         try:
-            n = int(d["n_qubits"])
-        except (KeyError, TypeError, ValueError) as exc:
+            n = d["n_qubits"]
+        except (KeyError, TypeError) as exc:
             raise SchemaError(f"bad circuit document: {exc}") from exc
+        # bool is an int subclass; a float or string is no qubit count
+        if type(n) is not int or n < 1:
+            raise SchemaError(f"n_qubits must be an int >= 1, got {n!r}")
         metadata = d.get("metadata", {})
         if not isinstance(metadata, dict):
             raise SchemaError(f"circuit metadata must be a mapping, "

@@ -247,9 +247,15 @@ def execute_native(circuit: Circuit, params: NoiseParams,
 def output_distribution(state: QuquartState, l2p: list, measured: list,
                         meas_error: float) -> Distribution:
     """Readout pipeline: reduce, keep the measured qubits' physical bits
-    (qubit q sits at l2p[q]), measurement error."""
-    v = metrics.reduce_readout_array(state.diagonal())
-    v = metrics.marginalize(v, state.n_sites, [l2p[q] for q in measured])
+    (qubit q sits at l2p[q]), measurement error.
+
+    The diagonal is reduced in the state's buffer order, which needs no
+    copy, so bit p of the reduced vector is site ``state.axes[p]``.
+    """
+    axes = state.axes
+    v = metrics.reduce_readout_array(state.diagonal().transpose(axes))
+    v = metrics.marginalize(v, state.n_sites,
+                            [axes.index(l2p[q]) for q in measured])
     v = metrics.apply_measurement_error_vector(v, len(measured), meas_error)
     return Distribution.from_vector(v, len(measured), prune=1e-15)
 

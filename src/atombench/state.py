@@ -17,7 +17,14 @@ pair ops on that site, so one checked pass can carry many gates, and
 starts a site that has no pair op in the product of its ops applied to
 |0> (``set_product``).  A state owns two buffers of this shape: every pass
 writes the spare one and the two swap, and between passes the spare is the
-check's scratch, so no pass over the state allocates.
+check's scratch, so no pass allocates anything state-sized.
+
+The buffer keeps its own site order, ``axes`` (buffer axis p holds site
+axes[p]).  A pair op on neighbouring axes multiplies them where they are;
+otherwise one copy into the spare first moves one of the two axes next to
+the other, and the new order is kept, never moved back.  Only the kernel
+sees this order: ``blocks`` and ``diagonal()`` are views in natural site
+order, and the readout maps bit positions through ``axes``.
 """
 
 from __future__ import annotations
@@ -187,18 +194,45 @@ class QuquartState:
                 f"cap is {memory_cap}"
             )
         self.n_sites = n_sites
-        self.blocks = np.zeros((N_SYMBOLS,) * n_sites)
-        self.blocks[(0,) * n_sites] = 1.0  # |0...0><0...0|
-        self._spare = np.empty_like(self.blocks)
+        self._buf = np.zeros((N_SYMBOLS,) * n_sites)
+        self._buf[(0,) * n_sites] = 1.0  # |0...0><0...0|
+        self._spare = np.empty_like(self._buf)
+        self._axes = list(range(n_sites))
         self._diag = _diag_table(n_sites)
+
+    # -- views in natural site order -----------------------------------------
+
+    @property
+    def axes(self) -> tuple:
+        """The site held by each axis of the buffer, in buffer order."""
+        return tuple(self._axes)
+
+    def _positions(self) -> list:
+        """The buffer axis of each site, site 0 first."""
+        return [self._axes.index(s) for s in range(self.n_sites)]
+
+    @property
+    def blocks(self) -> np.ndarray:
+        """The (6,)*n coordinates in natural site order: a view of the
+        buffer, axis s holding site s."""
+        return self._buf.transpose(self._positions())
+
+    @blocks.setter
+    def blocks(self, value: np.ndarray):
+        if np.shape(value) != self._buf.shape:
+            raise ValidationError(f"coordinates of shape {np.shape(value)} "
+                                  f"for {self.n_sites} sites")
+        self._axes = list(range(self.n_sites))
+        np.copyto(self._buf, value)
 
     # -- bookkeeping -------------------------------------------------------
 
     def trace(self) -> float:
+        # the diagonal positions are the same under any order of the axes
         d = self._spare.reshape(-1)[:self._diag.size]
         # the default mode="raise" copies `out` through a buffer; every
         # index is in range
-        np.take(self.blocks.reshape(-1), self._diag, out=d, mode="clip")
+        np.take(self._buf.reshape(-1), self._diag, out=d, mode="clip")
         return float(d.sum())
 
     def _check_invariants(self):
@@ -218,34 +252,41 @@ class QuquartState:
     def _apply(self, matrix: np.ndarray, sites: tuple):
         """One pass over the state: blocks <- matrix acting on `sites`.
 
-        The result is written into the spare buffer and the buffers swap.
+        The matrix multiplies its axes where they are, writing the spare
+        buffer, and the buffers swap.  A pair on axes that are not
+        neighbours first moves the later axis to just behind the earlier one
+        by one copy into the spare, and keeps that order: of the four ways
+        to move one axis, this was the fastest on the benchmark's circuits
+        (BENCH_pair_axes.json), and the pair lands off the last two axes,
+        where matmul is slowest.
         """
-        b, out = self.blocks, self._spare
+        b, out, axes = self._buf, self._spare, self._axes
+        p = axes.index(sites[0])
+        width = N_SYMBOLS
         if len(sites) == 2:
-            # gather the pair axes to the front into the spare, multiply into
-            # the old buffer, scatter back in natural axis order
-            order = list(sites) + [ax for ax in range(self.n_sites)
-                                   if ax not in sites]
-            np.copyto(out, b.transpose(order))
-            pair = N_SYMBOLS * N_SYMBOLS
-            np.matmul(matrix, out.reshape(pair, -1), out=b.reshape(pair, -1))
-            # the inverse permutation in Python: np.argsort would map its
-            # sort kernels into memory, about 0.25 MB of resident code
-            np.copyto(out, b.transpose([order.index(ax)
-                                        for ax in range(self.n_sites)]))
+            q = axes.index(sites[1])
+            if abs(p - q) > 1:
+                perm = list(range(self.n_sites))
+                perm.insert(min(p, q) + 1, perm.pop(max(p, q)))
+                np.copyto(out, b.transpose(perm))
+                self._axes = axes = [axes[k] for k in perm]
+                b, out = out, b
+                p, q = axes.index(sites[0]), axes.index(sites[1])
+            if p > q:
+                # the pair's coordinate is 6*x_first + x_second
+                matrix = matrix.reshape((N_SYMBOLS,) * 4).transpose(
+                    1, 0, 3, 2).reshape(N_SYMBOLS**2, N_SYMBOLS**2)
+                p = q
+            width *= N_SYMBOLS
+        lead = N_SYMBOLS**p
+        trail = b.size // (lead * width)
+        if trail == 1:
+            np.matmul(b.reshape(lead, width), matrix.T,
+                      out=out.reshape(lead, width))
         else:
-            # a 1-site matrix multiplies its axis of the C-ordered blocks, so
-            # the result keeps their layout
-            s = sites[0]
-            lead = N_SYMBOLS**s
-            trail = N_SYMBOLS ** (self.n_sites - s - 1)
-            if trail == 1:
-                np.matmul(b.reshape(lead, N_SYMBOLS), matrix.T,
-                          out=out.reshape(lead, N_SYMBOLS))
-            else:
-                np.matmul(matrix, b.reshape(lead, N_SYMBOLS, trail),
-                          out=out.reshape(lead, N_SYMBOLS, trail))
-        self.blocks, self._spare = out, b
+            np.matmul(matrix, b.reshape(lead, width, trail),
+                      out=out.reshape(lead, width, trail))
+        self._buf, self._spare = out, b
 
     def apply_channel(self, sites, op: SymbolOp):
         """In-place rho -> op(rho) on one or two sites, then one check."""
@@ -275,12 +316,14 @@ class QuquartState:
         Built from the last site back, alternating between the two buffers:
         each site writes the product so far times each of its coordinates,
         one slab each, so the build allocates nothing that grows with n.
+        The buffer ends in natural site order.
         """
         if len(vectors) != self.n_sites:
             raise ValidationError(f"{len(vectors)} site vectors for "
                                   f"{self.n_sites} sites")
-        # the last of the n - 1 slab steps writes self.blocks
-        src, dst = self.blocks.reshape(-1), self._spare.reshape(-1)
+        self._axes = list(range(self.n_sites))
+        # the last of the n - 1 slab steps writes self._buf
+        src, dst = self._buf.reshape(-1), self._spare.reshape(-1)
         if self.n_sites % 2 == 0:
             src, dst = dst, src
         src[:N_SYMBOLS] = vectors[-1]
@@ -298,7 +341,9 @@ class QuquartState:
     # -- readout -----------------------------------------------------------
 
     def diagonal(self) -> np.ndarray:
-        """Diagonal of rho as a (4,)*n real tensor in site-basis order."""
-        d = np.take(self.blocks.reshape(-1), self._diag)
-        return d.reshape((len(DIAG_SYMBOLS),) * self.n_sites)
-
+        """Diagonal of rho as a (4,)*n real tensor in site-basis order: a
+        view of the buffer-order diagonal, which ``.transpose(axes)`` gives
+        back without a copy."""
+        d = np.take(self._buf.reshape(-1), self._diag)
+        return d.reshape((len(DIAG_SYMBOLS),) * self.n_sites).transpose(
+            self._positions())

@@ -203,3 +203,10 @@ def test_serialization_round_trip():
         Circuit.from_dict({"ops": []})
     with pytest.raises(SchemaError):
         Circuit.from_dict({"n_qubits": 2, "ops": [{"sites": [0]}]})
+
+
+@pytest.mark.parametrize("n_qubits", [2.7, True, "3", 0, -1, None])
+def test_from_dict_rejects_a_qubit_count_that_is_no_positive_int(n_qubits):
+    # int() would load 2.7, True and "3" as 2, 1 and 3 qubits
+    with pytest.raises(SchemaError, match="n_qubits"):
+        Circuit.from_dict({"n_qubits": n_qubits, "ops": []})

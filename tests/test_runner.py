@@ -12,8 +12,9 @@ from atombench import bench, gatemodel, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
 from atombench.circuit import (Circuit, Gate, cz, gate_duration, grot,
-                               lower_to_native, rz)
+                               lower_to_native, optimize_native, rz)
 from atombench.errors import PatternLeakError, ValidationError
+from atombench.routing import route
 from atombench.runner import (
     ResultRecord,
     RunConfig,
@@ -177,6 +178,46 @@ def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
         err = np.max(np.abs(dense_ref.to_dense(state)
                             - dense_ref.to_matrix(rho)))
         assert err < 1e-10, (trial, err)
+
+
+def dense_readout(rho, l2p, measured, meas_error):
+    """The readout distribution of a dense rho, as a 2^k vector: loss folds
+    onto its bit, the measured qubits' physical sites are kept in qubit
+    order, and each bit flips with probability meas_error."""
+    n = rho.ndim // 2
+    diag = np.diagonal(dense_ref.to_matrix(rho)).real
+    # a site index 0..3 is (loss flag, bit) for |0>, |1>, |l0>, |l1>
+    bits = diag.reshape((2, 2) * n).sum(axis=tuple(range(0, 2 * n, 2)))
+    keep = [l2p[q] for q in measured]
+    t = bits.sum(axis=tuple(s for s in range(n) if s not in keep))
+    t = t.transpose([sorted(keep).index(k) for k in keep])
+    for ax in range(t.ndim):
+        t = (1 - meas_error) * t + meas_error * np.flip(t, axis=ax)
+    return t.reshape(-1)
+
+
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+@pytest.mark.parametrize("spec,topology", [
+    # a star: every cz shares the ancilla, the last site
+    (BenchmarkSpec("BernsteinVazirani", 3, "101"), "all_to_all"),
+    # routed, so qubits sit at permuted physical sites too
+    (BenchmarkSpec("Ghz", 4), "grid"),
+])
+def test_readout_maps_sites_through_a_permuted_axis_order(spec, topology,
+                                                          timing_model):
+    circuit, _ = bench.generate(spec)
+    native = optimize_native(lower_to_native(circuit))
+    routed, l2p = route(native, make_topology(topology, native.n_qubits))
+    routed = optimize_native(routed)
+    params = NoiseParams(meas_error=0.03)
+    state, _ = execute_native(routed, params, timing_model=timing_model)
+    assert state.axes != tuple(range(state.n_sites))
+    out = runner.output_distribution(state, l2p, circuit.measured_qubits,
+                                     params.meas_error)
+    rho = dense_ref.execute_native(routed, params, timing_model=timing_model)
+    expect = dense_readout(rho, l2p, circuit.measured_qubits,
+                           params.meas_error)
+    assert np.max(np.abs(out.to_vector() - expect)) < 1e-12
 
 
 @pytest.mark.parametrize("ops,carrier", [

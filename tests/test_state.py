@@ -14,9 +14,9 @@ from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
 from atombench.circuit import cz, gate_duration, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
-from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, SYMBOL_PAIRS,
-                             QuquartState, SymbolOp, footprint, fuse,
-                             pair_kron)
+from atombench.state import (DEFAULT_MEMORY_CAP, DIAG_SYMBOLS, N_SYMBOLS,
+                             SYMBOL_PAIRS, QuquartState, SymbolOp, footprint,
+                             fuse, pair_kron)
 
 
 def test_initial_state():
@@ -154,13 +154,21 @@ def test_memory_cap_bounds_gate_peak():
         "cz": lambda: gatemodel.apply_gate(st, cz(1, 4), p),
         "cz reversed": lambda: gatemodel.apply_gate(st, cz(4, 1), p),
         "decoherence": lambda: gatemodel.apply_decoherence(st, 2e-6, p),
+        # the first and last axes of the buffer are never neighbours, so
+        # this cz moves an axis of an already permuted state
+        "cz moving an axis": lambda: gatemodel.apply_gate(
+            st, cz(st.axes[0], st.axes[-1]), p),
     }
     for gate in gates.values():
         gate()
+    gatemodel.apply_gate(st, cz(0, 5), p)
+    gatemodel.apply_gate(st, cz(5, 2), p)
+    assert st.axes != tuple(range(n))
     allowed = footprint(n) - st.blocks.nbytes
     tracemalloc.start()
     try:
         for name, gate in gates.items():
+            before = st.axes
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             gate()
@@ -168,6 +176,9 @@ def test_memory_cap_bounds_gate_peak():
             assert peak <= allowed, (name, peak, allowed)
     finally:
         tracemalloc.stop()
+    assert st.axes != before  # the last case took the move path
+    # and its copy went into the spare buffer, not into a new array
+    assert peak < st.blocks.nbytes // 10, peak
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -196,6 +207,66 @@ def test_kernels_match_reference_on_every_site_and_ordered_pair():
         st._apply(matrix, sites)
         expect = dense_ref.apply_symbol_matrix(blocks, matrix, sites)
         assert np.max(np.abs(st.blocks - expect)) < 1e-12, sites
+
+
+def _natural_diagonal(blocks):
+    return blocks[np.ix_(*[list(DIAG_SYMBOLS)] * blocks.ndim)]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_random_sequences_carry_the_axis_order_between_passes(n):
+    # every pass starts from the order the last one left, so a wrong order
+    # would show up in a later pass, in any reader or in the check
+    rng = np.random.default_rng(100 + n)
+    ones = [_unitary(global_rotation_matrix(0.7, 1.9)), _unitary(rz_matrix(1.3)),
+            _op(ch.loss_channel(0.2, "dark")), _op(ch.depolarization(0.1))]
+    cz_op = _unitary(controlled_phase_matrix(-1.0))
+    # different ops on the two sites, so a pair applied the wrong way round
+    # gives a different state
+    pairs = [cz_op, SymbolOp(pair_kron(ones[0].matrix, ones[2].matrix)
+                             @ cz_op.matrix @ pair_kron(ones[1].matrix,
+                                                        ones[3].matrix))]
+    st, ref = QuquartState(n), np.zeros((N_SYMBOLS,) * n)
+    ref[(0,) * n] = 1.0
+    orders = set()
+    for step in range(60):
+        kind = rng.choice(["pair"] * 6 + ["site", "global", "product", "set"])
+        if kind == "pair":
+            sites = tuple(int(s) for s in rng.choice(n, 2, replace=False))
+            op = pairs[int(rng.integers(2))]
+            st.apply_channel(sites, op)
+            ref = dense_ref.apply_symbol_matrix(ref, op.matrix, sites)
+        elif kind == "site":
+            s, op = int(rng.integers(n)), ones[int(rng.integers(4))]
+            st.apply_channel((s,), op)
+            ref = dense_ref.apply_symbol_matrix(ref, op.matrix, (s,))
+        elif kind == "global":
+            op = ones[int(rng.integers(4))]
+            st.apply_global_unitary(op)
+            for s in range(n):
+                ref = dense_ref.apply_symbol_matrix(ref, op.matrix, (s,))
+        elif kind == "product":
+            vs = _site_vectors(rng, n)
+            st.set_product(vs)
+            ref = functools.reduce(np.kron, vs).reshape((N_SYMBOLS,) * n)
+        else:
+            ref = dense_ref.apply_symbol_matrix(
+                functools.reduce(np.kron, _site_vectors(rng, n)).reshape(
+                    (N_SYMBOLS,) * n), pairs[1].matrix, (n - 1, 0))
+            st.blocks = ref.copy()
+        if kind in ("product", "set"):
+            assert st.axes == tuple(range(n))
+        orders.add(st.axes)
+        assert np.max(np.abs(st.blocks - ref)) < 1e-12, (step, kind)
+        assert np.max(np.abs(st.diagonal() - _natural_diagonal(ref))) < 1e-12
+        assert abs(st.trace() - dense_ref.trace(ref)) < 1e-12
+    assert orders - {tuple(range(n))}, "no step left a permuted order"
+
+
+def test_blocks_setter_checks_the_shape():
+    st = QuquartState(3)
+    with pytest.raises(ValidationError):
+        st.blocks = np.zeros((N_SYMBOLS,) * 2)
 
 
 def test_injected_defect_is_caught():
