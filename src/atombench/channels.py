@@ -9,6 +9,7 @@ to itself.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -113,11 +114,14 @@ class NoiseParams:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "NoiseParams":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
+    def _check_names(cls, names):
+        unknown = set(names) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValidationError(f"unknown noise parameter(s): {sorted(unknown)}")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NoiseParams":
+        cls._check_names(d)
         return cls(**d)
 
     def to_json(self, path):
@@ -146,9 +150,9 @@ class NoiseParams:
         return cls.from_dict(d)
 
     def replace(self, **kw) -> "NoiseParams":
-        d = self.to_dict()
-        d.update(kw)
-        return NoiseParams.from_dict(d)
+        """A copy with the named fields changed, validated as a new record."""
+        self._check_names(kw)
+        return dataclasses.replace(self, **kw)
 
     @classmethod
     def noiseless(cls) -> "NoiseParams":

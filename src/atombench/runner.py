@@ -1,21 +1,31 @@
 """Suite orchestration: generate, lower, route, simulate, score.
 
-The runner hands each native gate to ``gatemodel.apply_gate`` under one of
-two timing models.  "gate" (the default) attaches each gate's own idle
-decoherence to its sites, and a global pulse decoheres every site.
-"layer" applies the gates of a scheduled layer without their idle
-decoherence and then one decoherence interval, the layer's maximum gate
-duration, to every site.  Every operator but the ``cz`` acts on single
-sites, and the executor records every operator before it applies any, so
-it makes one checked pass over the state per ``cz`` and no other: a
-``cz`` carries its two sites' 1-site ops since their previous ``cz`` and,
-at a site's last ``cz``, every op after it too; a site with no ``cz``
-starts in the product of all its ops applied to |0>, and the initial state
-is the product of one such vector per site, checked once.  Ops on disjoint
-sites commute and each site keeps its order, so the result is exact.
-Readout is reduced to bitstrings, restricted to the physical positions of
-the measured qubits under the router's final placement, convolved with the
-measurement-error channel and scored against the ideal distribution.
+The executor runs a native circuit in two steps under one of two timing
+models.  "gate" (the default) attaches each gate's own idle decoherence to
+its sites, and a global pulse decoheres every site.  "layer" applies the
+gates of a scheduled layer without their idle decoherence and then one
+decoherence interval, the layer's maximum gate duration, to every site.
+
+Compile (``_compile``) schedules the circuit and records every 1-site op
+that ``gatemodel`` gives, and each ``cz`` as its gate.  Ops on disjoint
+sites commute and each site keeps its order, so the 1-site ops fold into
+the ``cz`` passes: a ``cz`` carries its two sites' 1-site ops since their
+previous ``cz`` (before) and, at a site's last ``cz``, every op after it
+(after); a site with no ``cz`` starts in the product of all its ops
+applied to |0>, and the initial state is the product of one such vector
+per site.  Run (``execute_native``) sets that product state, checked once,
+and makes one checked pass per ``cz``: after @ cz_op @ before, the ``cz``
+op looked up under the run's params.
+
+A plan is streamed, so a long circuit holds no matrix per gate, except for
+the circuits of ``run_reference``: their plans are kept, one per circuit,
+keyed on the value of every ``NoiseParams`` field but the ``cz`` op's own
+and the readout error.  So a fit with only ``cz`` rates free compiles each
+reference once, and each evaluation builds one ``cz`` op and makes two
+36x36 products per pass.  Readout is reduced to bitstrings, restricted to
+the physical positions of the measured qubits under the router's final
+placement, convolved with the measurement-error channel and scored against
+the ideal distribution.
 """
 
 from __future__ import annotations
@@ -128,82 +138,97 @@ def topology_label(descriptor) -> str:
     return str(descriptor)
 
 
-class _PendingSites:
+class _Recorder:
     """A native circuit's operators, recorded as ``gatemodel`` hands them
-    over and applied by ``flush`` in one checked pass per ``cz``.
+    over; ``_compile`` adds each ``cz`` as (sites, None).
 
     It takes the state's place in ``gatemodel``: ``apply_channel`` and
-    ``apply_global_unitary`` record (sites, op), sites None for a global op.
-    Only references to the cached ops are kept, never products, so a long
-    circuit holds no matrix per gate.
+    ``apply_global_unitary`` record (sites, op.matrix), sites None for a
+    global op.  Only references to the cached ops' matrices are kept, never
+    products, so a long circuit holds no matrix per gate.
     """
 
-    def __init__(self, state: QuquartState):
-        self.state = state
-        self.n_sites = state.n_sites
+    def __init__(self):
         self.ops = []
 
     def apply_channel(self, sites, op: SymbolOp):
-        self.ops.append((tuple(sites), op))
+        self.ops.append((tuple(sites), op.matrix))
         return self
 
     def apply_global_unitary(self, op: SymbolOp):
-        self.ops.append((None, op))
+        self.ops.append((None, op.matrix))
         return self
 
-    def flush(self) -> QuquartState:
-        """Apply the recorded ops; return the state.
 
-        One backward walk finds each site's last ``cz`` and the product T_s
-        of its 1-site ops after it.  A site with no ``cz`` starts in T_s e0:
-        the state starts as the product of one vector per site, checked once.
-        Then each ``cz`` makes one checked pass with
-        ``kron(T_a, T_b) @ cz_op @ kron(P_a, P_b)``: P_s is the product of the
-        site's 1-site ops since its previous ``cz``, and T_s is taken only at
-        the site's last ``cz`` (the identity elsewhere).
-        """
-        every = range(self.n_sites)
-        last, tail = [-1] * self.n_sites, [None] * self.n_sites
-        open_sites = set(every)
-        for i in range(len(self.ops) - 1, -1, -1):
-            if not open_sites:
-                break
-            sites, op = self.ops[i]
-            for s in every if sites is None else sites:
-                if s not in open_sites:
-                    continue
-                if op.n_sites == 2:
-                    last[s] = i
-                    open_sites.discard(s)
-                else:
-                    t = tail[s]
-                    tail[s] = op.matrix if t is None else t @ op.matrix
-        if any(tail[s] is not None for s in open_sites):
-            ground = np.eye(N_SYMBOLS)[0]
-            self.state.set_product([
-                ground if last[s] >= 0 or tail[s] is None else tail[s][:, 0]
-                for s in every])
-        pending = [None] * self.n_sites
-        for i, (sites, op) in enumerate(self.ops):
-            if op.n_sites == 1:
+def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
+             ) -> tuple:
+    """The pass plan of a native circuit: (depth, start, passes).
+
+    The circuit is scheduled, which rejects a malformed gate, and its ops
+    are recorded.  One backward walk finds each
+    site's last ``cz`` and the product T_s of its 1-site ops after it.
+    start holds the vectors of the initial product state, T_s e0 for a site
+    with no ``cz`` and e0 for the others, or is None if no site without a
+    ``cz`` has an op.  passes yields one (sites, cz gate, before, after) per
+    ``cz``, in circuit order: before is kron(P_a, P_b), P_s the product of
+    the site's 1-site ops since its previous ``cz``, and after is
+    kron(T_a, T_b), T_s taken only at the site's last ``cz`` (the identity
+    elsewhere); either is None for the identity.  passes is a generator, so
+    a streamed plan holds no matrix per gate.
+    """
+    layers, depth = schedule_layers(circuit)
+    rec, czs = _Recorder(), []
+    gatemodel.apply_preparation(rec, params)
+    for layer in layers:
+        for g in layer:
+            if g.name == "cz":
+                rec.ops.append((g.sites, None))
+                czs.append(g)
+            else:
+                gatemodel.apply_gate(rec, g, params, decohere=per_gate)
+        if not per_gate:
+            interval = max(gate_duration(g, params) for g in layer)
+            gatemodel.apply_decoherence(rec, interval, params)
+    ops, n_sites = rec.ops, circuit.n_qubits
+    every = range(n_sites)
+    last, tail = [-1] * n_sites, [None] * n_sites
+    open_sites = set(every)
+    for i in range(len(ops) - 1, -1, -1):
+        if not open_sites:
+            break
+        sites, m = ops[i]
+        for s in every if sites is None else sites:
+            if s not in open_sites:
+                continue
+            if m is None:
+                last[s] = i
+                open_sites.discard(s)
+            else:
+                t = tail[s]
+                tail[s] = m if t is None else t @ m
+    start = None
+    if any(tail[s] is not None for s in open_sites):
+        ground = np.eye(N_SYMBOLS)[0]
+        start = [ground if last[s] >= 0 or tail[s] is None else tail[s][:, 0]
+                 for s in every]
+
+    def passes():
+        pending, gates = [None] * n_sites, iter(czs)
+        for i, (sites, m) in enumerate(ops):
+            if m is not None:
                 for s in every if sites is None else sites:
                     if i < last[s]:
                         p = pending[s]
-                        pending[s] = op.matrix if p is None else op.matrix @ p
+                        pending[s] = m if p is None else m @ p
                 continue
             a, b = sites
-            m = op.matrix
             before = _pair(pending[a], pending[b])
             after = _pair(tail[a] if last[a] == i else None,
                           tail[b] if last[b] == i else None)
             pending[a] = pending[b] = None
-            if before is not None:
-                m = m @ before
-            if after is not None:
-                m = after @ m
-            self.state.apply_channel(
-                sites, op if m is op.matrix else SymbolOp(m, op.label))
-        return self.state
+            yield sites, next(gates), before, after
+
+    return depth, start, passes()
 
 
 def _pair(a, b):
@@ -215,33 +240,67 @@ def _pair(a, b):
     return pair_kron(eye if a is None else a, eye if b is None else b)
 
 
+# every NoiseParams field but the cz op's own and the readout error: the
+# fields a pass plan may read
+_PLAN_FIELDS = tuple(f for f in NoiseParams.__dataclass_fields__
+                     if f not in gatemodel._STEPS["cz"][1] + ("meas_error",))
+# id(circuit made by _native) -> (circuit, key, plan); see _plan
+_plans: dict = {}
+
+
+def _plan(circuit: Circuit, params: NoiseParams, per_gate: bool) -> tuple:
+    """The pass plan of `circuit`: memoized if ``_native`` made the
+    circuit, else streamed.
+
+    A memoized plan is keyed on the timing model and the value of every
+    field in _PLAN_FIELDS, so a fit with only ``cz`` rates free compiles
+    each reference once.  A miss replaces the circuit's one entry.  The
+    entry holds its circuit, so its id names no other circuit while it is
+    there.  An entry is replaced by one store of an immutable tuple, so a
+    thread that reads it meanwhile sees the old plan or the new one, whole.
+    """
+    entry = _plans.get(id(circuit))
+    if entry is None or entry[0] is not circuit:
+        return _compile(circuit, params, per_gate)
+    key = (per_gate, *[getattr(params, f) for f in _PLAN_FIELDS])
+    if entry[1] != key:
+        depth, start, passes = _compile(circuit, params, per_gate)
+        entry = (circuit, key, (depth, start, tuple(passes)))
+        _plans[id(circuit)] = entry
+    return entry[2]
+
+
 def execute_native(circuit: Circuit, params: NoiseParams,
                    memory_cap: int = DEFAULT_MEMORY_CAP,
                    timing_model: str = "gate") -> tuple[QuquartState, int]:
     """Run a native circuit with SPAM preparation and idle decoherence.
 
-    The circuit is scheduled first, which rejects a malformed gate.
     timing_model "gate" attaches each gate's decoherence interval to its own
     sites (global pulses decohere every site); "layer" instead applies one
     decoherence interval to all sites after each layer, the duration of the
-    layer's slowest gate.  Passes over the state are made only by a ``cz``:
-    one checked pass per ``cz``, carrying its sites' 1-site ops, and the
-    sites without a ``cz`` set the checked initial product state.  Returns
-    the final state and the transpiled depth (layer count).
+    layer's slowest gate.  The circuit's pass plan (``_compile``) sets the
+    checked initial product state, and each of its passes makes one checked
+    pass: the ``cz`` op under `params` between the pass's before and after
+    products.  Returns the final state and the transpiled depth (layer
+    count).
     """
     if timing_model not in ("gate", "layer"):
         raise ValidationError(f"unknown timing_model {timing_model!r}")
     per_gate = timing_model == "gate"
-    layers, depth = schedule_layers(circuit)
-    sites = _PendingSites(QuquartState(circuit.n_qubits, memory_cap))
-    gatemodel.apply_preparation(sites, params)
-    for layer in layers:
-        for g in layer:
-            gatemodel.apply_gate(sites, g, params, decohere=per_gate)
-        if not per_gate:
-            interval = max(gate_duration(g, params) for g in layer)
-            gatemodel.apply_decoherence(sites, interval, params)
-    return sites.flush(), depth
+    depth, start, passes = _plan(circuit, params, per_gate)
+    state = QuquartState(circuit.n_qubits, memory_cap)
+    if start is not None:
+        state.set_product(start)
+    for sites, g, before, after in passes:
+        op = gatemodel.native_op(g, params, decohere=per_gate)
+        m = op.matrix
+        if before is not None:
+            m = m @ before
+        if after is not None:
+            m = after @ m
+        state.apply_channel(
+            sites, op if m is op.matrix else SymbolOp(m, op.label))
+    return state, depth
 
 
 def output_distribution(state: QuquartState, l2p: list, measured: list,
@@ -293,9 +352,13 @@ def _native(n_qubits: int, ops: tuple) -> Circuit:
     Keyed on content, not identity: a ``Circuit`` is mutable.  The result is
     shared between callers, which only read it.  The memo never evicts: it
     keeps every distinct circuit passed to ``run_reference``, so a fit
-    lowers each reference once however many it has.
+    lowers each reference once however many it has.  Each result gets an
+    entry in the pass-plan memo (``_plan``), which ``execute_native``
+    fills.
     """
-    return optimize_native(lower_to_native(Circuit(n_qubits, list(ops))))
+    native = optimize_native(lower_to_native(Circuit(n_qubits, list(ops))))
+    _plans[id(native)] = (native, None, None)
+    return native
 
 
 def run_reference(circuit: Circuit, params: NoiseParams,
@@ -303,8 +366,10 @@ def run_reference(circuit: Circuit, params: NoiseParams,
     """Simulate an already-built abstract circuit on all-to-all connectivity
     under the "gate" timing model.
 
-    Each distinct circuit is lowered and optimized once (``_native``), so
-    the objective evaluations of a fit only simulate.
+    Each distinct circuit is lowered and optimized once (``_native``), and
+    its pass plan is compiled once per value of the fields it reads, so the
+    objective evaluations of a fit with only ``cz`` rates free only run the
+    plans.
     """
     native = _native(circuit.n_qubits, tuple(circuit.ops))
     state, _ = execute_native(native, params, memory_cap)

@@ -56,20 +56,16 @@ QUBIT_FOLD[(0, 1, 2, 3, 0, 3), range(N_SYMBOLS)] = 1.0
 
 
 def _pattern(k: int) -> tuple:
-    """Index grids of the 4^k x 4^k matrix of k sites: (stored rows, stored
-    rows), (stored cols, stored cols), (outside rows, stored rows) and
-    (outside cols, stored cols), where "stored" lists the stored symbols'
-    rows or columns in symbol-tensor order and "outside" those of every
-    entry outside the pattern."""
+    """The pattern of the 4^k x 4^k matrix of k sites: the stored symbols'
+    rows and columns in symbol-tensor order, and the mask of the (row, col)
+    entries outside the pattern."""
     rows, cols = _ROWS, _COLS
     for _ in range(k - 1):
         rows = (SITE_DIM * rows[:, None] + _ROWS[None, :]).ravel()
         cols = (SITE_DIM * cols[:, None] + _COLS[None, :]).ravel()
-    stored = set(zip(rows.tolist(), cols.tolist()))
-    out = np.array([(r, c) for r in range(SITE_DIM**k)
-                    for c in range(SITE_DIM**k) if (r, c) not in stored])
-    return (np.ix_(rows, rows), np.ix_(cols, cols),
-            np.ix_(out[:, 0], rows), np.ix_(out[:, 1], cols))
+    outside = np.ones((SITE_DIM**k,) * 2, dtype=bool)
+    outside[rows, cols] = False
+    return rows, cols, outside
 
 
 _PATTERN = {k: _pattern(k) for k in (1, 2)}
@@ -132,16 +128,18 @@ class SymbolOp:
 
     @classmethod
     def from_kraus(cls, channel: KrausSet) -> "SymbolOp":
-        rows, cols, out_rows, out_cols = _PATTERN[channel.n_sites]
-        m = leak = 0
+        """The op of a Kraus channel: p[r, c, y] = sum_A A[r, R_y]
+        conj(A[c, C_y]) is where the channel sends symbol y = (R_y, C_y),
+        one broadcast product per operator.  Its entries at the stored
+        symbols form the matrix; any entry outside the pattern is leakage."""
+        rows, cols, outside = _PATTERN[channel.n_sites]
+        p = 0
         for a in channel.operators:
-            ac = a.conj()
-            m = m + a[rows] * ac[cols]
-            leak = leak + a[out_rows] * ac[out_cols]
-        leak = float(np.max(np.abs(leak)))
+            p = p + a[:, None, rows] * a[None, :, cols].conj()
+        leak = float(np.max(np.abs(p[outside])))
         if leak > LEAK_ATOL:
             raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")
-        return cls.from_symbols(m, channel.label)
+        return cls.from_symbols(p[rows, cols], channel.label)
 
     @classmethod
     def from_symbols(cls, m: np.ndarray, label: str) -> "SymbolOp":

@@ -111,6 +111,41 @@ def test_noise_params_round_trip_and_unknown_key():
         NoiseParams.from_dict({"cz_phaseflop": 0.01})
 
 
+def _replaced_through_a_dict(params: NoiseParams, **kw) -> NoiseParams:
+    """A copy with fields changed, made as ``NoiseParams.replace`` once made
+    it: every field into a dict, then a new record from the dict."""
+    d = params.to_dict()
+    d.update(kw)
+    return NoiseParams.from_dict(d)
+
+
+def test_noise_params_replace_checks_names_and_values():
+    p = NoiseParams()
+    # an unknown name is a ValidationError, not the TypeError of __init__
+    with pytest.raises(ValidationError, match="cz_phaseflop"):
+        p.replace(cz_phaseflop=0.01)
+    with pytest.raises(ValidationError, match="cz_phaseflop"):
+        p.replace(cz_phaseflip=0.01, cz_phaseflop=0.01)
+    for bad in ({"cz_phaseflip": 1.5}, {"p0_equilibrium": -0.1},
+                {"dur_cz": 0.0}, {"t2_star": 2 * p.t1},
+                {"cz_phaseflip_mode": "sometimes"}):
+        with pytest.raises(ValidationError):
+            p.replace(**bad)
+
+
+def test_noise_params_replace_equals_the_dict_round_trip():
+    p = NoiseParams()
+    for f in fields(NoiseParams):
+        value = ("per_site" if f.name == "cz_phaseflip_mode"
+                 else 0.5 * getattr(p, f.name))
+        q = p.replace(**{f.name: value})
+        assert q == _replaced_through_a_dict(p, **{f.name: value}), f.name
+        assert getattr(q, f.name) == value and q != p, f.name
+    kw = {"cz_phaseflip": 0.045, "cz_loss_dark": 0.012, "t1": 5.0}
+    assert p.replace(**kw) == _replaced_through_a_dict(p, **kw)
+    assert p.replace() == p
+
+
 def test_conditional_phase_flip_action():
     # With probability p the entangling phase of |11> is flipped.
     kraus = ch.conditional_phase_flip(0.25)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from atombench import fit, gatemodel
+from atombench import fit, gatemodel, runner
 from atombench.bench import BenchmarkSpec, generate
 from atombench.channels import NoiseParams
 from atombench.errors import ValidationError
@@ -129,8 +129,9 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
                                                         "11")):
         circuit, _ = generate(spec)
         refs.append((circuit, run_reference(circuit, planted)))
-    built, evals = [], []
+    built, evals, scheduled, looked_up = [], [], [], []
     fuse, evaluate = gatemodel.fuse, fit.mean_reference_fidelity
+    schedule, native_op = runner.schedule_layers, gatemodel.native_op
 
     def counted_fuse(steps, name):
         built.append((len(evals), name))
@@ -140,9 +141,23 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
         evals.append(None)
         return evaluate(*args, **kwargs)
 
+    def counted_schedule(circuit):
+        scheduled.append(len(evals))
+        return schedule(circuit)
+
+    def counted_native_op(g, *args, **kwargs):
+        looked_up.append((len(evals), g.name))
+        return native_op(g, *args, **kwargs)
+
+    # the references' pass plans are memoized, so empty that memo too: the
+    # first evaluation then compiles each plan and builds every op
+    runner._native.cache_clear()
+    runner._plans.clear()
     monkeypatch.setattr(gatemodel, "_fused_ops", {})
     monkeypatch.setattr(gatemodel, "fuse", counted_fuse)
     monkeypatch.setattr(fit, "mean_reference_fidelity", counted_evaluate)
+    monkeypatch.setattr(runner, "schedule_layers", counted_schedule)
+    monkeypatch.setattr(gatemodel, "native_op", counted_native_op)
     problem = FitProblem(refs, free_params=("cz_phaseflip", "cz_loss_dark",
                                             "cz_decay", "cz_phaseshift"),
                          n_starts=2, max_evals=40)
@@ -151,3 +166,6 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
     assert {name for at, name in built if at == 1} == {
         "grot", "rz", "cz", "preparation"}
     assert {name for at, name in built if at > 1} == {"cz"}
+    # later evaluations reuse the plans: no scheduling, no 1-site lookup
+    assert scheduled and set(scheduled) == {1}
+    assert {name for at, name in looked_up if at > 1} == {"cz"}

@@ -2,7 +2,9 @@
 
 import json
 import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from atombench.runner import (
     save_records,
     topology_label,
 )
-from atombench.state import QuquartState, SymbolOp
+from atombench.state import N_SYMBOLS, QuquartState, SymbolOp
 
 NOISELESS = NoiseParams.noiseless()
 
@@ -329,6 +331,109 @@ def test_run_reference_lowers_each_of_many_circuits_once():
         for circuit in refs:
             run_reference(circuit, NOISELESS)
     assert runner._native.cache_info().misses == 65
+
+
+def _clear_plans():
+    runner._native.cache_clear()
+    runner._plans.clear()
+
+
+CZ_FIELDS = gatemodel._STEPS["cz"][1]
+# the fields a pass plan may read, listed here without runner._PLAN_FIELDS
+PLAN_FIELDS = [f for f in NoiseParams.__dataclass_fields__
+               if f not in CZ_FIELDS + ("meas_error",)]
+
+
+def _doubled(params, field):
+    return params.replace(**{field: 2 * getattr(params, field)})
+
+
+def test_plan_memo_is_keyed_on_every_field_the_plan_reads():
+    # a stale plan would give the output under the warm value of a field
+    # missing from the key
+    circuit, _ = bench.generate(BenchmarkSpec("BernsteinVazirani", 3, "101"))
+    base = NoiseParams()
+    _clear_plans()
+    warm = run_reference(circuit, base).entries
+    for f in PLAN_FIELDS:
+        p = _doubled(base, f)
+        run_reference(circuit, base)
+        memo = run_reference(circuit, p).entries
+        _clear_plans()
+        assert memo == run_reference(circuit, p).entries, f
+        assert memo != warm, f
+    # a circuit of _native run directly, under the layer timing model too:
+    # its copy is not memoized, so each of its runs compiles afresh
+    native = runner._native(circuit.n_qubits, tuple(circuit.ops))
+    copy = Circuit(native.n_qubits, list(native.ops))
+    for f in [None] + PLAN_FIELDS:
+        p = base if f is None else _doubled(base, f)
+        for timing_model in ("gate", "layer"):
+            execute_native(native, base)
+            memo, _ = execute_native(native, p, timing_model=timing_model)
+            fresh, _ = execute_native(copy, p, timing_model=timing_model)
+            assert np.array_equal(memo.blocks, fresh.blocks), (f, timing_model)
+
+
+def test_plan_memo_recompiles_nothing_for_a_cz_field(monkeypatch):
+    compiled, compile_ = [], runner._compile
+    monkeypatch.setattr(runner, "_compile",
+                        lambda *args: compiled.append(args) or compile_(*args))
+    circuit, _ = bench.generate(BenchmarkSpec("BernsteinVazirani", 3, "101"))
+    modes = ("conditional", "correlated", "per_site")
+    for mode in modes:
+        base = NoiseParams(cz_phaseflip_mode=mode)
+        _clear_plans()
+        warm = run_reference(circuit, base).entries
+        for f in CZ_FIELDS:
+            if f == "cz_phaseflip_mode":
+                p = base.replace(cz_phaseflip_mode=modes[modes.index(mode) - 1])
+            else:
+                p = _doubled(base, f)
+            compiled.clear()
+            memo = run_reference(circuit, p).entries
+            assert not compiled, (mode, f)
+            assert memo != warm, (mode, f)
+            _clear_plans()
+            assert memo == run_reference(circuit, p).entries, (mode, f)
+            run_reference(circuit, base)
+
+
+def test_plan_memo_holds_at_most_two_pair_matrices_per_cz():
+    circuit, _ = bench.generate(BenchmarkSpec("QftMethod2", 3, 5))
+    _clear_plans()
+    run_reference(circuit, NoiseParams())
+    native = runner._native(circuit.n_qubits, tuple(circuit.ops))
+    _, _, (_, start, passes) = runner._plans[id(native)]
+    n_cz = native.gate_counts()["cz"]
+    assert len(passes) == n_cz > 2
+    held = sum(m.nbytes for *_, before, after in passes
+               for m in (before, after) if m is not None)
+    assert held <= n_cz * 2 * (N_SYMBOLS**2) ** 2 * 8, held
+    assert start is None or len(start) == native.n_qubits
+
+
+def test_plan_memo_is_thread_safe():
+    # threads alternate between values of fields the plan reads, so plans
+    # are replaced while other threads look them up and run them
+    circuit, _ = bench.generate(BenchmarkSpec("BernsteinVazirani", 3, "101"))
+    values = [NoiseParams(), STRONG, NoiseParams(prep_error=0.05, t1=5.0),
+              STRONG.replace(cz_phaseflip=0.01)]
+    expect = []
+    for p in values:
+        _clear_plans()
+        expect.append(run_reference(circuit, p).entries)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(
+                lambda i: run_reference(circuit, values[i % 4]).entries,
+                range(64), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, entries in enumerate(got):
+        assert entries == expect[i % 4], i
 
 
 def test_execute_timing_models_differ():

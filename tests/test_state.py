@@ -110,6 +110,108 @@ def test_pattern_leak_detection():
         SymbolOp.from_kraus(KrausSet((u,), label="leaky"))
 
 
+def test_pattern_leak_detection_on_a_pair():
+    # each site alone stays in its pattern, but |11> and |l0 l0> mix, which
+    # makes coherence between |1> and |l0> on both sites
+    u = np.eye(16, dtype=complex)
+    c, s = np.cos(0.4), np.sin(0.4)
+    a, b = 4 * 1 + 1, 4 * 2 + 2
+    u[a, a], u[a, b], u[b, a], u[b, b] = c, -s, s, c
+    with pytest.raises(PatternLeakError, match="pattern leakage"):
+        SymbolOp.from_kraus(KrausSet((u,), label="leaky pair"))
+    assert _gathered(KrausSet((u,)))[1] > 0.1
+
+
+def _gathered(channel: KrausSet) -> tuple:
+    """(symbol matrix, leakage) of a channel by the two-gather formula that
+    SymbolOp.from_kraus used before its broadcast product: np.ix_ grids of
+    the stored rows and columns, and of every entry outside the pattern."""
+    rows = cols = None
+    for _ in range(channel.n_sites):
+        r1 = np.array([r for r, _ in SYMBOL_PAIRS])
+        c1 = np.array([c for _, c in SYMBOL_PAIRS])
+        rows = r1 if rows is None else (4 * rows[:, None] + r1).ravel()
+        cols = c1 if cols is None else (4 * cols[:, None] + c1).ravel()
+    stored = set(zip(rows.tolist(), cols.tolist()))
+    out = np.array([(r, c) for r in range(channel.dim)
+                    for c in range(channel.dim) if (r, c) not in stored])
+    m = leak = 0
+    for a in channel.operators:
+        ac = a.conj()
+        m = m + a[np.ix_(rows, rows)] * ac[np.ix_(cols, cols)]
+        leak = leak + a[np.ix_(out[:, 0], rows)] * ac[np.ix_(out[:, 1], cols)]
+    return m, float(np.max(np.abs(leak)))
+
+
+def _random_site_channel(rng) -> list:
+    """Kraus operators of a random channel on one site that keeps the
+    pattern: a unitary on the computational block with loss phases,
+    transfers of computational amplitude into one loss state and back, all
+    normalized by (sum A^dag A)^(-1/2), which keeps that block form."""
+    def cnormal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    block = np.zeros((4, 4), dtype=complex)
+    block[:2, :2] = cnormal(2, 2)
+    block[2, 2], block[3, 3] = np.exp(1j * rng.uniform(0, 6, size=2))
+    into_loss = np.zeros((4, 4), dtype=complex)
+    into_loss[int(rng.integers(2, 4)), :2] = 0.3 * cnormal(2)
+    back = np.zeros((4, 4), dtype=complex)
+    back[:2, int(rng.integers(2, 4))] = 0.3 * cnormal(2)
+    ops = [block, into_loss, back]
+    w, v = np.linalg.eigh(sum(a.conj().T @ a for a in ops))
+    norm = v @ np.diag(w ** -0.5) @ v.conj().T
+    return [a @ norm for a in ops]
+
+
+def _random_pair_channel(rng) -> list:
+    """A random unitary on the pair's computational block (the identity on
+    every state with a loss level), mixed with the product of two random
+    site channels."""
+    z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    q, _ = np.linalg.qr(z)
+    u = np.eye(16, dtype=complex)
+    comp = [0, 1, 4, 5]
+    u[np.ix_(comp, comp)] = q
+    p = float(rng.uniform(0.1, 0.9))
+    return [np.sqrt(1 - p) * u] + [
+        np.sqrt(p) * np.kron(a, b) for a in _random_site_channel(rng)
+        for b in _random_site_channel(rng)]
+
+
+def _channels_of_every_constructor():
+    strong = NoiseParams(uw_depol_per_pi=0.02, rz_phaseflip_per_pi=0.03,
+                         rz_loss_dark_per_pi=0.02, rz_loss_bright_per_pi=0.03,
+                         rz_decay_per_pi=0.01, cz_phaseflip=0.08,
+                         cz_loss_dark=0.05, cz_loss_bright=0.07,
+                         cz_decay=0.02, cz_phaseshift=0.3, prep_error=0.05)
+    for mode in ("conditional", "correlated", "per_site"):
+        p = strong.replace(cz_phaseflip_mode=mode)
+        yield from gatemodel._steps("cz", (), p, 3e-6)
+    for name, args in (("grot", (0.3, 1.1)), ("rz", (0.7,)),
+                       ("decoherence", (7e-4,)), ("preparation", ())):
+        yield from gatemodel._steps(name, args, strong, 3e-6)
+
+
+def test_from_kraus_equals_the_gathered_formula():
+    rng = np.random.default_rng(31)
+    channels = list(_channels_of_every_constructor())
+    labels = {k.label for k in channels}
+    assert {"depolarization", "phase_flip", "bit_flip", "loss_dark",
+            "loss_bright", "decay", "correlated_phase_flip",
+            "conditional_phase_flip", "decoherence_population", "grot", "rz",
+            "cz", "cz_phaseshift"} <= labels
+    channels += [KrausSet(_random_site_channel(rng), label="random site")
+                 for _ in range(20)]
+    channels += [KrausSet(_random_pair_channel(rng), label="random pair")
+                 for _ in range(20)]
+    for k in channels:
+        m, leak = _gathered(k)
+        assert leak <= 1e-12, (k.label, leak)
+        expect = SymbolOp.from_symbols(m, k.label).matrix
+        assert np.array_equal(SymbolOp.from_kraus(k).matrix, expect), k.label
+
+
 def test_trace_and_hermiticity_preserved_under_noise():
     rng = np.random.default_rng(9)
     st = QuquartState(3)
