@@ -558,6 +558,8 @@ def load_external(path) -> tuple[Circuit, Distribution]:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read external circuit {path!r}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise SchemaError(f"external circuit must be a JSON object, got {data!r}")
     for field in ("n_qubits", "ops", "measured"):
         if field not in data:
             raise SchemaError(f"external circuit missing field {field!r}")

@@ -66,11 +66,30 @@ def cz(a: int, b: int) -> Gate:
     return Gate("cz", (a, b))
 
 
+def check_arity(gate: Gate):
+    """Reject a gate whose site or parameter count differs from its
+    ``GATE_ARITY`` entry; an unknown name passes."""
+    n_sites, n_params = GATE_ARITY.get(gate.name, (None, None))
+    if (n_params not in (None, len(gate.params))
+            or n_sites not in (None, len(gate.sites))):
+        raise ValidationError(
+            f"{gate.name} takes {n_sites or 'any'} site(s) and {n_params} "
+            f"parameter(s), got {gate.sites} and {gate.params}")
+
+
 @dataclass
 class Circuit:
+    """A register and its gates.  The constructor checks every op and ``add``
+    the gate it appends, so no pass checks a gate again; one appended to
+    ``ops`` directly after construction is checked by no pass."""
+
     n_qubits: int
     ops: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for g in self.ops:
+            self._check(g)
 
     def add(self, gate: Gate):
         self._check(gate)
@@ -84,12 +103,7 @@ class Circuit:
                                       f"register ({self.n_qubits} qubits)")
         if len(set(gate.sites)) != len(gate.sites):
             raise ValidationError(f"{gate.name} has repeated sites {gate.sites}")
-        n_sites, n_params = GATE_ARITY.get(gate.name, (None, None))
-        if (n_params not in (None, len(gate.params))
-                or n_sites not in (None, len(gate.sites))):
-            raise ValidationError(
-                f"{gate.name} takes {n_sites or 'any'} site(s) and {n_params} "
-                f"parameter(s), got {gate.sites} and {gate.params}")
+        check_arity(gate)
 
     @property
     def is_native(self) -> bool:
@@ -127,8 +141,11 @@ class Circuit:
         if not isinstance(metadata, dict):
             raise SchemaError(f"circuit metadata must be a mapping, "
                               f"got {metadata!r}")
+        ops = d.get("ops", [])
+        if not isinstance(ops, list):
+            raise SchemaError(f"circuit ops must be a list, got {ops!r}")
         circ = cls(n, metadata=dict(metadata))
-        for rec in d.get("ops", []):
+        for rec in ops:
             circ.add(Gate.from_record(rec))
         return circ
 
@@ -201,15 +218,14 @@ def _lower_gate(g: Gate) -> list:
 
 def lower_to_native(circuit: Circuit) -> Circuit:
     """Expand all abstract gates; result contains only grot/rz/cz."""
-    out = Circuit(circuit.n_qubits, metadata=dict(circuit.metadata))
-    pending = list(reversed(circuit.ops))
+    ops, pending = [], list(reversed(circuit.ops))
     while pending:
         g = pending.pop()
         if g.is_native:
-            out.add(g)
+            ops.append(g)
         else:
             pending.extend(reversed(_lower_gate(g)))
-    return out
+    return Circuit(circuit.n_qubits, ops, dict(circuit.metadata))
 
 
 def _norm_angle(theta: float) -> float:
@@ -281,13 +297,10 @@ def optimize_native(circuit: Circuit) -> Circuit:
                 changed = True
             i += 1
 
-    out = Circuit(circuit.n_qubits, metadata=dict(circuit.metadata))
-    for i, seg in enumerate(segments):
-        for g in seg:
-            out.add(g)
-        if i < len(pulses):
-            out.add(pulses[i])
-    return out
+    ops = segments[0]
+    for pulse, seg in zip(pulses, segments[1:]):
+        ops += [pulse, *seg]
+    return Circuit(circuit.n_qubits, ops, dict(circuit.metadata))
 
 
 def gate_duration(g: Gate, params) -> float:
@@ -304,17 +317,13 @@ def schedule_layers(circuit: Circuit) -> tuple[list, int]:
     """Greedy ASAP layering of a native circuit into lists of gates.
 
     A global rotation touches every qubit and so occupies an exclusive layer;
-    local gates on disjoint sites share one.  Returns (layers, depth).  Each
-    gate is checked as ``Circuit.add`` checks it (sites on the register and
-    distinct, site and parameter counts), since ``Circuit(n, ops)`` does not
-    check its ops.
+    local gates on disjoint sites share one.  Returns (layers, depth).
     """
     if not circuit.is_native:
         raise ValidationError("schedule_layers requires a lowered circuit")
     layers: list[list] = []
     frontier = [0] * circuit.n_qubits  # 1-based index of last layer used per qubit
     for g in circuit.ops:
-        circuit._check(g)
         sites = range(circuit.n_qubits) if g.name == "grot" else g.sites
         at = max((frontier[q] for q in sites), default=0) + 1
         if at > len(layers):

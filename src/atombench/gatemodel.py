@@ -30,7 +30,7 @@ import numpy as np
 
 from . import channels as ch
 from .channels import KrausSet, NoiseParams
-from .circuit import Gate, gate_duration
+from .circuit import Gate, check_arity, gate_duration
 from .errors import ValidationError
 from .state import QuquartState, SymbolOp, fuse
 
@@ -168,6 +168,7 @@ def native_op(g: Gate, params: NoiseParams, decohere: bool = True
     """
     if not g.is_native:
         raise ValidationError(f"non-native gate {g.name!r}")
+    check_arity(g)
     idle = gate_duration(g, params) if decohere else None
     return _fused(g.name, g.params, params, idle)
 

@@ -153,13 +153,11 @@ _SWAP_OPS: dict = {}  # (a, b) -> lowered SWAP; Gate is frozen, so shared
 
 
 def _swap_native_ops(a: int, b: int) -> tuple:
-    """SWAP(a, b) as three CX lowered to native gates, lowered once per
-    ordered pair."""
+    """SWAP(a, b) lowered to native gates, once per ordered pair."""
     ops = _SWAP_OPS.get((a, b))
     if ops is None:
-        cx = [Gate("cx", ct) for ct in ((a, b), (b, a), (a, b))]
-        ops = _SWAP_OPS[a, b] = tuple(
-            lower_to_native(Circuit(max(a, b) + 1, cx)).ops)
+        swap = Circuit(max(a, b) + 1, [Gate("swap", (a, b))])
+        ops = _SWAP_OPS[a, b] = tuple(lower_to_native(swap).ops)
     return ops
 
 
@@ -182,14 +180,14 @@ def route(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
     p2l = [-1] * n
     for logical, phys in enumerate(l2p):
         p2l[phys] = logical
-    out = Circuit(n, metadata=dict(circuit.metadata))
+    ops = []
 
     # positions of upcoming CZ gates, for lookahead scoring
     cz_indices = [i for i, g in enumerate(circuit.ops) if g.name == "cz"]
     cz_cursor = 0
 
     def swap_phys(pa: int, pb: int):
-        out.ops.extend(_swap_native_ops(pa, pb))
+        ops.extend(_swap_native_ops(pa, pb))
         la, lb = p2l[pa], p2l[pb]
         p2l[pa], p2l[pb] = lb, la
         l2p[la], l2p[lb] = pb, pa
@@ -203,9 +201,9 @@ def route(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
 
     for g in circuit.ops:
         if g.name == "grot":
-            out.add(g)
+            ops.append(g)
         elif g.name == "rz":
-            out.add(Gate("rz", (l2p[g.sites[0]],), g.params))
+            ops.append(Gate("rz", (l2p[g.sites[0]],), g.params))
         else:  # cz
             a, b = g.sites
             while not topology.adjacent(l2p[a], l2p[b]):
@@ -221,6 +219,6 @@ def route(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
                 candidates.sort(key=lambda cand: (cand[0], cand[1]))
                 _, _, frm, to = candidates[0]
                 swap_phys(frm, to)
-            out.add(Gate("cz", (l2p[a], l2p[b])))
+            ops.append(Gate("cz", (l2p[a], l2p[b])))
             cz_cursor += 1
-    return out, l2p
+    return Circuit(n, ops, dict(circuit.metadata)), l2p

@@ -69,6 +69,11 @@ class RunConfig:
         if self.timing_model not in ("gate", "layer"):
             raise ValidationError(
                 f"unknown timing_model {self.timing_model!r}")
+        lists = (self.kinds, self.topologies, self.widths)
+        if not all(isinstance(v, list) for v in lists) or any(
+                type(w) is not int for w in self.widths):
+            raise ValidationError(f"kinds, topologies and widths must be lists, "
+                                  f"widths of ints, got {lists}")
         counts = self.samples_per_point
         if not isinstance(counts, dict) or not all(
                 type(n) is int and n >= 1 for n in counts.values()):
@@ -164,9 +169,9 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
              ) -> tuple:
     """The pass plan of a native circuit: (depth, start, passes).
 
-    The circuit is scheduled, which rejects a malformed gate, and its ops
-    are recorded.  One backward walk finds each
-    site's last ``cz`` and the product T_s of its 1-site ops after it.
+    The circuit is scheduled and its ops are recorded; ``Circuit`` checked
+    its gates when it was built.  One backward walk finds each site's last
+    ``cz`` and the product T_s of its 1-site ops after it.
     start holds the vectors of the initial product state, T_s e0 for a site
     with no ``cz`` and e0 for the others, or is None if no site without a
     ``cz`` has an op.  passes yields one (sites, cz gate, before, after) per

@@ -188,6 +188,14 @@ def test_load_external_schema_errors(tmp_path):
         bench.load_external(path)
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[]", '"ref"'])
+def test_load_external_rejects_a_document_that_is_no_object(tmp_path, text):
+    path = tmp_path / "ref.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match="JSON object"):
+        bench.load_external(path)
+
+
 def _external(tmp_path, measured, **metadata):
     path = tmp_path / "ref.json"
     path.write_text(json.dumps({

@@ -11,6 +11,7 @@ from atombench.channels import NoiseParams
 from atombench.circuit import (
     Circuit,
     Gate,
+    cz,
     decompose_local_rotation,
     gate_duration,
     lower_to_native,
@@ -18,6 +19,7 @@ from atombench.circuit import (
     schedule_layers,
 )
 from atombench.errors import LoweringError, SchemaError, ValidationError
+from atombench.routing import Topology, route
 
 ABSTRACT_1Q = ["x", "y", "z", "h"]
 ROT_1Q = ["rx", "ry", "rz", "rphi"]
@@ -203,6 +205,51 @@ def test_serialization_round_trip():
         Circuit.from_dict({"ops": []})
     with pytest.raises(SchemaError):
         Circuit.from_dict({"n_qubits": 2, "ops": [{"sites": [0]}]})
+
+
+@pytest.mark.parametrize("ops", [5, None, "h", {"gate": "h", "sites": [0]}])
+def test_from_dict_rejects_ops_that_are_no_list(ops):
+    with pytest.raises(SchemaError, match="ops must be a list"):
+        Circuit.from_dict({"n_qubits": 2, "ops": ops})
+
+
+def test_a_malformed_gate_is_rejected_when_its_circuit_is_built():
+    # each used to reach a pass and fail there with a bare ValueError or
+    # IndexError
+    for n, gate in ((1, Gate("cx", (0,))), (2, cz(0, 3)),
+                    (3, Gate("ccx", (0, 1)))):
+        with pytest.raises(ValidationError):
+            Circuit(n, [gate])
+
+
+def test_each_pass_builds_one_checked_circuit(monkeypatch):
+    # a built Circuit is valid: each pass checks its output once, through the
+    # constructor, and the scheduler checks nothing again
+    spec = bench.sample_instances("QftMethod2", 4, 1, seed=0)[0]
+    circuit = bench.generate(spec)[0]
+    topology = Topology.grid(circuit.n_qubits)
+    native = optimize_native(lower_to_native(circuit))
+    routed = route(native, topology)[0]  # lowers the SWAPs it needs
+    assert routed.gate_counts()["cz"] > native.gate_counts()["cz"]
+    built, checked = [], []
+    init, check = Circuit.__post_init__, Circuit._check
+    monkeypatch.setattr(Circuit, "__post_init__",
+                        lambda c: built.append(id(c)) or init(c))
+    monkeypatch.setattr(Circuit, "_check",
+                        lambda c, g: checked.append(g) or check(c, g))
+    monkeypatch.setattr(Circuit, "add", lambda c, g: pytest.fail("add"))
+    passes = (lower_to_native, optimize_native,
+              lambda c: route(c, topology)[0], optimize_native)
+    for run in passes:
+        built.clear()
+        checked.clear()
+        out = run(circuit)
+        assert built == [id(out)]
+        assert checked == out.ops
+        circuit = out
+    checked.clear()
+    schedule_layers(circuit)
+    assert checked == []
 
 
 @pytest.mark.parametrize("n_qubits", [2.7, True, "3", 0, -1, None])

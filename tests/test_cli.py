@@ -186,6 +186,17 @@ def test_fit_command_rejects_wrong_gate_arity(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [5, {"n_qubits": 1, "ops": 5,
+                                      "measured": {"0": 1.0}}])
+def test_fit_command_rejects_a_misshapen_reference(doc, tmp_path, capsys):
+    refs = tmp_path / "refs"
+    refs.mkdir()
+    (refs / "bad.json").write_text(json.dumps(doc))
+    rc = main(["fit", str(refs), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_gatefid_command(capsys):
     rc = main(["gatefid"])
     assert rc == 0

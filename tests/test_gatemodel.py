@@ -139,8 +139,10 @@ def test_native_op_ignores_sites():
 def test_apply_gate_rejects_non_native_gate():
     st = _minus_states(1)
     before = st.blocks.copy()
-    with pytest.raises(ValidationError):
-        apply_gate(st, Gate("h", (0,)), NP)
+    # an abstract gate, then native gates with too few parameters
+    for g in (Gate("h", (0,)), Gate("rz", (0,), ()), Gate("grot", (), (1.0,))):
+        with pytest.raises(ValidationError):
+            apply_gate(st, g, NP)
     assert np.array_equal(st.blocks, before)
 
 

@@ -134,3 +134,28 @@ def test_grover_w8_grid_route_digest():
     assert l2p == [0, 1, 2, 4, 7, 5, 6, 3]
     assert hashlib.sha256(repr((ops, l2p)).encode()).hexdigest() == (
         "8b2e63e471bccccc27452686d855ad8df08cde578697fa8b8d412a59aac167ce")
+
+
+def test_transpiled_circuits_digest():
+    # every kind at its two lowest widths, default samples, seed 0, both
+    # topologies: 120 instances lowered, optimized, routed and optimized
+    # again, as run_instance transpiles them.  A change to the passes that
+    # must not change a circuit keeps this digest
+    circuits = []
+    specs = []
+    for kind in bench.KINDS:
+        lo, hi = bench.WIDTH_BOUNDS[kind]
+        widths = [w for w in range(lo, hi + 1) if bench.width_allowed(kind, w)]
+        for width in widths[:2]:
+            specs += bench.sample_instances(kind, width, seed=0)
+    for spec in specs:
+        native = optimize_native(lower_to_native(generate(spec)[0]))
+        n = native.n_qubits
+        for topology in (Topology.all_to_all(n), Topology.grid(n)):
+            routed, l2p = route(native, topology)
+            ops = [(g.name, g.sites, g.params)
+                   for g in optimize_native(routed).ops]
+            circuits.append((ops, l2p))
+    assert len(circuits) == 120
+    assert hashlib.sha256(repr(circuits).encode()).hexdigest() == (
+        "3de34e6375a930680a407797f01db74966ea14a14c927de95acd8105e1193dcd")

@@ -66,10 +66,24 @@ def test_run_config_from_dict():
     ("workers", 0),
     ("seed", 1.5),
     ("memory_cap", "8GiB"),
+    # a list of the wrong items, or no list, after the {min, max} expansion
+    ("widths", [2.5]),
+    ("widths", ["3"]),
+    ("widths", [True]),
+    ("widths", 5),
+    ("kinds", "Ghz"),
+    ("topologies", "grid"),
 ])
 def test_run_config_rejects_unrunnable_values(field, value):
     with pytest.raises(ValidationError):
         RunConfig.from_dict({"noise": "noiseless", field: value})
+
+
+def test_run_config_reads_no_string_as_a_list():
+    # a string is iterable: kinds "Ghz" was read as the kinds G, h and z
+    for field, value in (("kinds", "Ghz"), ("topologies", "grid")):
+        with pytest.raises(ValidationError, match="must be lists"):
+            RunConfig(**{field: value})
 
 
 def test_make_topology_and_label():
@@ -266,14 +280,19 @@ def test_execute_native_holds_no_matrix_per_gate():
     assert peak < 5e6, peak
 
 
-@pytest.mark.parametrize("gate", [
+# native gates that no 2-qubit circuit may hold
+BAD_SITES_OR_ARITY = [
     rz(-1, 0.3), cz(0, -1), Gate("cz", (1, 1)),
     # wrong parameter or site counts
     Gate("grot", (), (0.3,)), Gate("rz", (0,), ()), Gate("cz", (0, 1), (0.2,)),
-    Gate("rz", (0, 1), (0.3,)), Gate("cz", (0,))])
+    Gate("rz", (0, 1), (0.3,)), Gate("cz", (0,))]
+OFF_THE_REGISTER = [rz(2, 0.3), rz(-1, 0.3), cz(0, 2)]
+
+
+@pytest.mark.parametrize("gate", BAD_SITES_OR_ARITY)
 def test_execute_native_rejects_sites_off_the_register(gate):
-    # Circuit(n, ops) does not check its ops; they must still be rejected,
-    # under either timing model, before any simulation
+    # Circuit(n, ops) rejects these when it is built, so neither timing
+    # model simulates them
     for timing_model in ("gate", "layer"):
         with pytest.raises(ValidationError, match="site"):
             execute_native(Circuit(2, [gate]), NoiseParams(),
@@ -294,12 +313,18 @@ def test_layer_decoheres_for_its_slowest_gate(monkeypatch):
         gate_duration(grot(0.0, 1.0), p)]
 
 
-@pytest.mark.parametrize("gate", [rz(2, 0.3), rz(-1, 0.3), cz(0, 2)])
+@pytest.mark.parametrize("gate", OFF_THE_REGISTER)
 def test_schedule_rejects_sites_off_the_register(gate):
-    # the scheduler indexes per-site lists: it must reject these itself,
-    # not wrap a negative index or raise a bare IndexError
+    # the scheduler indexes per-site lists and checks nothing: Circuit(n, ops)
+    # must reject these, not let a negative index wrap or an IndexError out
     with pytest.raises(ValidationError, match="off the register"):
         execute_native(Circuit(2, [gate]), NoiseParams())
+
+
+@pytest.mark.parametrize("gate", BAD_SITES_OR_ARITY + OFF_THE_REGISTER)
+def test_circuit_rejects_a_malformed_gate_when_built(gate):
+    with pytest.raises(ValidationError, match="site"):
+        Circuit(2, [gate])
 
 
 def test_run_reference_lowers_each_circuit_once(monkeypatch):
