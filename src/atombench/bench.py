@@ -24,10 +24,12 @@ from typing import Callable
 import numpy as np
 
 from .circuit import Circuit, Gate, cz, grot, rz
-from .errors import SchemaError, ValidationError
+from .errors import CapacityError, SchemaError, ValidationError
 from .metrics import Distribution, marginalize
+from .state import footprint
 
 HALF_PI = math.pi / 2.0
+_IDEAL_FLOOR = 1e-12     # ideal probabilities at or below it are stored as 0
 
 # Trotterization constants for the Heisenberg-chain benchmark
 HAMSIM_STEPS = 1
@@ -115,14 +117,11 @@ def _apply(psi: np.ndarray, u: np.ndarray, sites: tuple) -> np.ndarray:
     return np.moveaxis(psi, list(range(k)), list(sites))
 
 
-def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+def statevector(circuit: Circuit) -> np.ndarray:
     """Noiseless final state of an abstract or native circuit, shape (2,)*n."""
     n = circuit.n_qubits
-    if initial is None:
-        psi = np.zeros((2,) * n, dtype=complex)
-        psi[(0,) * n] = 1.0
-    else:
-        psi = np.asarray(initial, dtype=complex).reshape((2,) * n).copy()
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
     for g in circuit.ops:
         u = gate_unitary(g)
         for sites in ([(q,) for q in range(n)] if g.name == "grot"
@@ -131,12 +130,12 @@ def statevector(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarr
     return psi
 
 
-def ideal_distribution(circuit: Circuit, prune: float = 1e-12) -> Distribution:
+def ideal_distribution(circuit: Circuit) -> Distribution:
     """Measured-qubit marginal of |psi|^2 for the noiseless circuit."""
     probs = np.abs(statevector(circuit)) ** 2
     keep = circuit.measured_qubits
     probs = marginalize(probs.reshape(-1), circuit.n_qubits, keep)
-    return Distribution.from_vector(probs, len(keep), prune=prune)
+    return Distribution(np.where(probs <= _IDEAL_FLOOR, 0.0, probs))
 
 
 # -- circuit-construction helpers ------------------------------------------
@@ -563,9 +562,7 @@ def load_external(path) -> tuple[Circuit, Distribution]:
     for field in ("n_qubits", "ops", "measured"):
         if field not in data:
             raise SchemaError(f"external circuit missing field {field!r}")
-    circuit = Circuit.from_dict({"n_qubits": data["n_qubits"],
-                                 "ops": data["ops"],
-                                 "metadata": data.get("metadata", {})})
+    circuit = Circuit.from_dict(data)
     measured = data["measured"]
     if not isinstance(measured, dict) or not measured or not all(
             type(p) in (int, float) for p in measured.values()):
@@ -575,10 +572,6 @@ def load_external(path) -> tuple[Circuit, Distribution]:
     if abs(total - 1.0) > 1e-6:
         raise SchemaError(f"measured distribution sums to {total}, not 1")
     n_bits = len(next(iter(measured)))
-    try:
-        dist = Distribution({k: v / total for k, v in measured.items()}, n_bits)
-    except ValidationError as exc:
-        raise SchemaError(f"bad measured distribution: {exc}") from exc
     qubits = circuit.metadata.setdefault("measured_qubits",
                                          list(range(circuit.n_qubits)))
     if not (isinstance(qubits, list) and len(qubits) == n_bits
@@ -587,4 +580,13 @@ def load_external(path) -> tuple[Circuit, Distribution]:
         raise SchemaError(
             f"measured_qubits {qubits!r} must list {n_bits} distinct qubits "
             f"of the {circuit.n_qubits}-qubit register, one per measured bit")
+    # no cap admits a state numpy cannot index, so at most 22 qubits (a 32 MB
+    # measured vector) pass here
+    if footprint(circuit.n_qubits) > np.iinfo(np.intp).max:
+        raise CapacityError(f"no memory cap holds {circuit.n_qubits} qubits")
+    try:
+        dist = Distribution.from_entries(
+            {k: v / total for k, v in measured.items()})
+    except ValidationError as exc:
+        raise SchemaError(f"bad measured distribution: {exc}") from exc
     return circuit, dist

@@ -47,11 +47,15 @@ class Gate:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Gate":
-        try:
-            return cls(rec["gate"], tuple(rec.get("sites", ())),
-                       tuple(rec.get("params", ())))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SchemaError(f"bad gate record {rec!r}: {exc}") from exc
+        # checked, not coerced: int() would read a site 1.7, "1" or true as 1
+        if not (isinstance(rec, dict) and isinstance(rec.get("gate"), str)
+                and isinstance(sites := rec.get("sites", []), list)
+                and isinstance(params := rec.get("params", []), list)
+                and all(type(s) is int for s in sites)
+                and all(type(p) in (int, float) for p in params)):
+            raise SchemaError(f"bad gate record {rec!r}: want a gate name, "
+                              f"sites a list of ints and params of numbers")
+        return cls(rec["gate"], tuple(sites), tuple(params))
 
 
 def grot(phi: float, theta: float) -> Gate:
@@ -144,10 +148,7 @@ class Circuit:
         ops = d.get("ops", [])
         if not isinstance(ops, list):
             raise SchemaError(f"circuit ops must be a list, got {ops!r}")
-        circ = cls(n, metadata=dict(metadata))
-        for rec in ops:
-            circ.add(Gate.from_record(rec))
-        return circ
+        return cls(n, [Gate.from_record(rec) for rec in ops], dict(metadata))
 
 
 def decompose_local_rotation(phi: float, theta: float, site: int) -> list:

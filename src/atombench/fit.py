@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import NoiseParams
 from .errors import ValidationError
-from .metrics import Distribution, classical_fidelity
+from .metrics import classical_fidelity
 from .runner import run_reference
 from .state import DEFAULT_MEMORY_CAP
 

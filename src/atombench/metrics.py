@@ -1,16 +1,16 @@
 """Fidelity measures, readout reduction, and measurement-error folding.
 
-Classical fidelity is the squared Bhattacharyya overlap of bitstring
-distributions, normalized so the maximally mixed output scores 0 and floored
-at 0.  Readout reduction maps ququart populations onto bitstrings (l0 -> 0,
-l1 -> 1), mimicking state-selective readout of lost atoms.  The average gate
-fidelity of a noisy native gate is computed exactly from its fused operator.
+Classical fidelity is the squared Bhattacharyya overlap of two probability
+vectors over bitstrings, normalized so the maximally mixed output scores 0
+and floored at 0.  Readout reduction maps ququart populations onto bits
+(l0 -> 0, l1 -> 1), mimicking state-selective readout of lost atoms.  The
+average gate fidelity of a noisy native gate is exact, from its fused op.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,49 +23,45 @@ from .state import BASIS, BASIS_INV, DIAG_SYMBOLS, QUBIT_FOLD
 _UNIFORM_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Normalized map from n-bit strings (qubit 0 leftmost) to probabilities."""
+    """Probabilities of the 2^n bitstrings of n bits as one read-only float64
+    vector (a copy); entry i is ``format(i, f"0{n}b")``, qubit 0 leftmost.
+    Bitstrings appear only in ``from_entries`` and ``entries``."""
 
-    entries: dict
-    n_bits: int
+    probs: np.ndarray
+    n_bits: int = field(init=False)
 
     def __post_init__(self):
-        total = 0.0
-        for key, p in self.entries.items():
-            if len(key) != self.n_bits or set(key) - {"0", "1"}:
-                raise ValidationError(f"bad bitstring key {key!r} for n_bits={self.n_bits}")
-            if not math.isfinite(p) or p < -1e-12:
-                raise ValidationError(f"probability {p} at {key!r} is not "
-                                      f"finite and non-negative")
-            total += p
-        if abs(total - 1.0) > 1e-9:
-            raise ValidationError(f"distribution sums to {total}, not 1")
-
-    def __getitem__(self, key: str) -> float:
-        return self.entries.get(key, 0.0)
-
-    def to_vector(self) -> np.ndarray:
-        v = np.zeros(2**self.n_bits)
-        for key, p in self.entries.items():
-            v[int(key, 2)] = p
-        return v
+        v = np.array(self.probs, dtype=np.float64)
+        if v.ndim != 1 or v.size == 0 or v.size & (v.size - 1):
+            raise ValidationError(f"need 2^n probabilities, got shape {v.shape}")
+        if not np.isfinite(v).all() or v.min() < -1e-12:
+            raise ValidationError(f"probabilities are not all finite and "
+                                  f"non-negative, the least is {v.min()}")
+        if abs(v.sum() - 1.0) > 1e-9:
+            raise ValidationError(f"distribution sums to {v.sum()}, not 1")
+        v.flags.writeable = False
+        object.__setattr__(self, "probs", v)
+        object.__setattr__(self, "n_bits", v.size.bit_length() - 1)
 
     @classmethod
-    def from_vector(cls, v: np.ndarray, n_bits: int, prune: float = 0.0
-                    ) -> "Distribution":
-        v = np.asarray(v, dtype=float)
-        if v.shape != (2**n_bits,):
-            raise ValidationError(f"vector length {v.shape} != 2^{n_bits}")
-        if not np.isfinite(v).all():
-            # pruning would drop a NaN entry silently
-            raise ValidationError(f"probabilities are not all finite: {v}")
-        entries = {
-            format(i, f"0{n_bits}b"): float(p)
-            for i, p in enumerate(v)
-            if p > prune
-        }
-        return cls(entries, n_bits)
+    def from_entries(cls, entries: dict) -> "Distribution":
+        """Read a {bitstring: probability} map; a bitstring left out is 0."""
+        first = next(iter(entries), "")
+        for key in entries:
+            if (not isinstance(key, str) or not key or len(key) != len(first)
+                    or set(key) - {"0", "1"}):
+                raise ValidationError(f"bad bitstring key {key!r}")
+        v = np.zeros(2**len(first))
+        v[[int(key, 2) for key in entries]] = list(entries.values())
+        return cls(v)
+
+    @property
+    def entries(self) -> dict:
+        """The non-zero probabilities by bitstring, in index order."""
+        return {format(i, f"0{self.n_bits}b"): float(self.probs[i])
+                for i in np.flatnonzero(self.probs)}
 
 
 def classical_fidelity(p_ideal: Distribution, p_out: Distribution
@@ -73,10 +69,8 @@ def classical_fidelity(p_ideal: Distribution, p_out: Distribution
     """(f_s, f_n, f): raw overlap, uniform-normalized, and floored fidelity."""
     if p_ideal.n_bits != p_out.n_bits:
         raise ValidationError(
-            f"width mismatch: {p_ideal.n_bits} vs {p_out.n_bits} bits"
-        )
-    vi = p_ideal.to_vector()
-    vo = p_out.to_vector()
+            f"width mismatch: {p_ideal.n_bits} vs {p_out.n_bits} bits")
+    vi, vo = p_ideal.probs, p_out.probs
     f_s = float(np.sum(np.sqrt(np.clip(vi, 0, None) * np.clip(vo, 0, None))) ** 2)
     # overlap of the ideal with the uniform distribution
     f_u = float(np.sum(np.sqrt(np.clip(vi, 0, None))) ** 2) / len(vi)

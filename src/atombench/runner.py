@@ -22,10 +22,10 @@ the circuits of ``run_reference``: their plans are kept, one per circuit,
 keyed on the value of every ``NoiseParams`` field but the ``cz`` op's own
 and the readout error.  So a fit with only ``cz`` rates free compiles each
 reference once, and each evaluation builds one ``cz`` op and makes two
-36x36 products per pass.  Readout is reduced to bitstrings, restricted to
-the physical positions of the measured qubits under the router's final
-placement, convolved with the measurement-error channel and scored against
-the ideal distribution.
+36x36 products per pass.  Readout is reduced to one vector of bitstring
+probabilities, restricted to the physical positions of the measured qubits
+under the router's final placement, convolved with the measurement-error
+channel and scored against the ideal distribution's vector.
 """
 
 from __future__ import annotations
@@ -43,10 +43,11 @@ from .channels import NoiseParams
 from .circuit import (Circuit, gate_duration, lower_to_native, optimize_native,
                       schedule_layers)
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
-from .metrics import Distribution
 from .routing import Topology, route
 from .state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, SymbolOp,
                     pair_kron)
+
+_READOUT_FLOOR = 1e-15   # readout probabilities at or below it are stored as 0
 
 
 @dataclass
@@ -309,7 +310,7 @@ def execute_native(circuit: Circuit, params: NoiseParams,
 
 
 def output_distribution(state: QuquartState, l2p: list, measured: list,
-                        meas_error: float) -> Distribution:
+                        meas_error: float) -> metrics.Distribution:
     """Readout pipeline: reduce, keep the measured qubits' physical bits
     (qubit q sits at l2p[q]), measurement error.
 
@@ -321,7 +322,8 @@ def output_distribution(state: QuquartState, l2p: list, measured: list,
     v = metrics.marginalize(v, state.n_sites,
                             [axes.index(l2p[q]) for q in measured])
     v = metrics.apply_measurement_error_vector(v, len(measured), meas_error)
-    return Distribution.from_vector(v, len(measured), prune=1e-15)
+    return metrics.Distribution(
+        np.where((v <= _READOUT_FLOOR) & np.isfinite(v), 0.0, v))
 
 
 def run_instance(spec: bench.BenchmarkSpec, topology, params: NoiseParams,
@@ -367,7 +369,7 @@ def _native(n_qubits: int, ops: tuple) -> Circuit:
 
 
 def run_reference(circuit: Circuit, params: NoiseParams,
-                  memory_cap: int = DEFAULT_MEMORY_CAP) -> Distribution:
+                  memory_cap: int = DEFAULT_MEMORY_CAP) -> metrics.Distribution:
     """Simulate an already-built abstract circuit on all-to-all connectivity
     under the "gate" timing model.
 

@@ -14,9 +14,9 @@ import math
 import numpy as np
 
 from atombench import channels as ch
-from atombench.bench import _ghz_ops
+from atombench.bench import _ghz_ops, statevector
 from atombench.channels import NoiseParams, controlled_phase_matrix
-from atombench.circuit import (Circuit, gate_duration, lower_to_native,
+from atombench.circuit import (Circuit, Gate, gate_duration, lower_to_native,
                                optimize_native, schedule_layers)
 from atombench.errors import CapacityError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
@@ -329,6 +329,18 @@ def execute_native(circuit, params: NoiseParams, prepare: bool = True,
         rho = apply_decoherence(
             rho, max(gate_duration(g, params) for g in layer), params)
     return rho
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Unitary of a circuit via the statevector oracle, column by column:
+    column k is the circuit run after x gates prepare basis state k."""
+    n = circuit.n_qubits
+    u = np.zeros((2**n, 2**n), dtype=complex)
+    for col in range(2**n):
+        # qubit 0 is the leading bit of the column index
+        prepare = [Gate("x", (q,)) for q in range(n) if col >> (n - 1 - q) & 1]
+        u[:, col] = statevector(Circuit(n, prepare + circuit.ops)).reshape(-1)
+    return u
 
 
 def bell_state_fidelity(params: NoiseParams) -> float:

@@ -117,23 +117,13 @@ def test_decoherence_composition_and_equilibrium():
 # -- 4. lowering of an arbitrary single-qubit rotation -------------------------
 
 
-def _circuit_unitary(circuit: Circuit) -> np.ndarray:
-    dim = 2**circuit.n_qubits
-    u = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        psi = np.zeros(dim, dtype=complex)
-        psi[col] = 1.0
-        u[:, col] = bench.statevector(circuit, initial=psi).reshape(-1)
-    return u
-
-
 def test_local_rotation_lowering_identity():
     rng = np.random.default_rng(4)
     for _ in range(100):
         phi = float(rng.uniform(-2 * np.pi, 2 * np.pi))
         theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
         native = lower_to_native(Circuit(2, [Gate("rphi", (0,), (phi, theta))]))
-        got = _circuit_unitary(native)
+        got = dense_ref.circuit_unitary(native)
         want = np.kron(gatemodel.global_rotation_matrix(phi, theta)[:2, :2],
                        np.eye(2))
         k = np.unravel_index(np.argmax(np.abs(want)), want.shape)
@@ -180,7 +170,7 @@ def test_routed_noiseless_distribution_matches_unrouted():
             st_u, list(range(native.n_qubits)), circuit.measured_qubits, 0.0)
         out_r = runner.output_distribution(
             st_r, l2p, circuit.measured_qubits, 0.0)
-        diff = np.max(np.abs(out_u.to_vector() - out_r.to_vector()))
+        diff = np.max(np.abs(out_u.probs - out_r.probs))
         assert diff < 1e-12, (kind, width, diff)
 
 

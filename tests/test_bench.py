@@ -9,7 +9,8 @@ import pytest
 
 from atombench import bench
 from atombench.bench import KINDS, WIDTH_BOUNDS, BenchmarkSpec, generate, sample_instances
-from atombench.errors import SchemaError, ValidationError
+from atombench.errors import CapacityError, SchemaError, ValidationError
+from atombench.state import footprint
 
 
 def test_kind_and_width_validation():
@@ -186,6 +187,18 @@ def test_load_external_schema_errors(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SchemaError):
         bench.load_external(path)
+
+
+def test_load_external_rejects_a_register_no_cap_can_hold(tmp_path):
+    # the measured vector is dense: a 40-bit key used to ask for 8 TiB, a
+    # 64-bit one raised a bare ValueError
+    assert footprint(22) <= np.iinfo(np.intp).max < footprint(23)
+    path = tmp_path / "ref.json"
+    for n in (23, 40, 64):
+        path.write_text(json.dumps(
+            {"n_qubits": n, "ops": [], "measured": {"0" * n: 1.0}}))
+        with pytest.raises(CapacityError, match=f"{n} qubits"):
+            bench.load_external(path)
 
 
 @pytest.mark.parametrize("text", ["5", "null", "[]", '"ref"'])

@@ -20,22 +20,11 @@ from atombench.circuit import (
 )
 from atombench.errors import LoweringError, SchemaError, ValidationError
 from atombench.routing import Topology, route
+from dense_ref import circuit_unitary
 
 ABSTRACT_1Q = ["x", "y", "z", "h"]
 ROT_1Q = ["rx", "ry", "rz", "rphi"]
 RNG = np.random.default_rng(13)
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Unitary of a circuit via the statevector oracle, column by column."""
-    n = circuit.n_qubits
-    dim = 2**n
-    u = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        psi = np.zeros(dim, dtype=complex)
-        psi[col] = 1.0
-        u[:, col] = bench.statevector(circuit, initial=psi).reshape(-1)
-    return u
 
 
 def assert_same_up_to_phase(u: np.ndarray, v: np.ndarray, atol=1e-12):
@@ -211,6 +200,26 @@ def test_serialization_round_trip():
 def test_from_dict_rejects_ops_that_are_no_list(ops):
     with pytest.raises(SchemaError, match="ops must be a list"):
         Circuit.from_dict({"n_qubits": 2, "ops": ops})
+
+
+@pytest.mark.parametrize("rec", [
+    {"gate": "cz", "sites": [0, 1.7]},
+    {"gate": "h", "sites": "1"},
+    {"gate": "h", "sites": [True]},
+    {"gate": "rz", "sites": [0], "params": ["0.5"]},
+    {"gate": "rz", "sites": [0], "params": [False]},
+    {"gate": ["x"], "sites": [0]},
+    {"gate": 5, "sites": [0]},
+])
+def test_from_dict_does_not_coerce_a_gate_record(rec):
+    # int() and float() would read the first five as cz(0, 1), h(1), h(1),
+    # rz(0, 0.5) and rz(0, 0.0); a gate name that is no string used to pass,
+    # or fail in the arity check with a bare TypeError
+    with pytest.raises(SchemaError, match="bad gate record"):
+        Circuit.from_dict({"n_qubits": 2, "ops": [rec]})
+    record = {"gate": "rz", "sites": [1], "params": [1]}
+    assert Circuit.from_dict({"n_qubits": 2, "ops": [record]}).ops == [
+        Gate("rz", (1,), (1.0,))]
 
 
 def test_a_malformed_gate_is_rejected_when_its_circuit_is_built():

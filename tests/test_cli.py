@@ -187,7 +187,16 @@ def test_fit_command_rejects_wrong_gate_arity(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc", [5, {"n_qubits": 1, "ops": 5,
-                                      "measured": {"0": 1.0}}])
+                                      "measured": {"0": 1.0}},
+                                 {"n_qubits": 2, "measured": {"00": 1.0},
+                                  "ops": [{"gate": "cz", "sites": [0, 1.7]}]},
+                                 # too wide for any memory cap: reading the
+                                 # bits used to build a 2^n vector first, 8
+                                 # GiB at 30 bits, a bare ValueError at 64
+                                 {"n_qubits": 30, "ops": [],
+                                  "measured": {"0" * 30: 1.0}},
+                                 {"n_qubits": 64, "ops": [],
+                                  "measured": {"0" * 64: 1.0}}])
 def test_fit_command_rejects_a_misshapen_reference(doc, tmp_path, capsys):
     refs = tmp_path / "refs"
     refs.mkdir()

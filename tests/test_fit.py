@@ -18,6 +18,7 @@ from atombench.fit import (
     mean_reference_fidelity,
     nelder_mead,
 )
+from atombench.metrics import Distribution
 from atombench.runner import run_reference
 
 
@@ -169,3 +170,20 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
     # later evaluations reuse the plans: no scheduling, no 1-site lookup
     assert scheduled and set(scheduled) == {1}
     assert {name for at, name in looked_up if at > 1} == {"cz"}
+
+
+def test_a_fit_evaluation_reads_no_bitstrings(monkeypatch):
+    # a reference and an output are scored as vectors: the bitstring map
+    # is read only where a distribution is written out
+    refs = []
+    for spec in (BenchmarkSpec("Ghz", 3), BenchmarkSpec("BernsteinVazirani", 3,
+                                                        "101")):
+        circuit, _ = generate(spec)
+        refs.append((circuit, run_reference(circuit, NoiseParams())))
+
+    def no_entries(dist):
+        raise AssertionError("Distribution.entries read")
+
+    monkeypatch.setattr(Distribution, "entries", property(no_entries))
+    fid = mean_reference_fidelity(refs, NoiseParams(cz_phaseflip=0.03))
+    assert 0.0 < fid < 1.0

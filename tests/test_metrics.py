@@ -1,6 +1,7 @@
 """Distributions, classical/quantum fidelity, readout reduction, average
 gate fidelity."""
 
+import dataclasses
 import itertools
 import math
 
@@ -24,47 +25,145 @@ from atombench.state import QuquartState, SymbolOp
 
 
 def test_distribution_validation():
-    Distribution({"00": 0.5, "11": 0.5}, 2)
+    Distribution.from_entries({"00": 0.5, "11": 0.5})
     with pytest.raises(ValidationError):
-        Distribution({"00": 0.5, "1": 0.5}, 2)      # wrong key width
+        Distribution.from_entries({"00": 0.5, "1": 0.5})      # wrong key width
     with pytest.raises(ValidationError):
-        Distribution({"00": 0.6, "11": 0.6}, 2)     # not normalized
+        Distribution.from_entries({"00": 0.6, "11": 0.6})     # not normalized
     with pytest.raises(ValidationError):
-        Distribution({"02": 1.0}, 2)                # non-binary key
+        Distribution.from_entries({"02": 1.0})                # non-binary key
 
 
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), float("-inf")])
 def test_distribution_rejects_non_finite_probabilities(p):
     # abs(nan - 1) > tol is false, so the sum check alone lets NaN through
     with pytest.raises(ValidationError, match="finite"):
-        Distribution({"0": p, "1": 1.0}, 1)
+        Distribution.from_entries({"0": p, "1": 1.0})
     with pytest.raises(ValidationError, match="finite"):
-        Distribution.from_vector(np.array([p, 1.0]), 1, prune=-1.0)
+        Distribution(np.array([p, 1.0]))
 
 
 def test_distribution_vector_round_trip():
-    d = Distribution({"01": 0.25, "10": 0.75}, 2)
-    v = d.to_vector()
+    d = Distribution.from_entries({"01": 0.25, "10": 0.75})
+    v = d.probs
     assert np.allclose(v, [0.0, 0.25, 0.75, 0.0])
-    assert Distribution.from_vector(v, 2).entries == d.entries
+    assert Distribution(v).entries == d.entries
+
+
+@pytest.mark.parametrize("entries", [
+    {"00": 0.5, "1": 0.5},              # mixed key widths
+    {"0": 0.5, "11": 0.5},
+    {"02": 1.0},                        # non-binary keys
+    {"1 ": 1.0},
+    {},                                 # empty mapping
+    {"": 1.0},                          # empty key
+    {0: 1.0},                           # a key that is no string
+])
+def test_from_entries_rejects_a_malformed_mapping(entries):
+    with pytest.raises(ValidationError):
+        Distribution.from_entries(entries)
+
+
+@pytest.mark.parametrize("probs", [
+    [],                                 # lengths that are no power of two
+    [0.5, 0.25, 0.25],
+    np.full(6, 1 / 6),
+    [[0.5, 0.5]],                       # not one vector
+    [-2e-12, 1.0 + 2e-12],              # an entry below -1e-12
+    [0.5, 0.5 + 2e-9],                  # sums off 1 by more than 1e-9
+    [0.5, 0.5 - 2e-9],
+])
+def test_distribution_rejects_a_malformed_vector(probs):
+    with pytest.raises(ValidationError):
+        Distribution(np.array(probs))
+
+
+def test_distribution_accepts_rounding_within_its_tolerances():
+    assert Distribution(np.array([-5e-13, 1.0 + 5e-13])).n_bits == 1
+    assert Distribution(np.array([0.5, 0.5 + 5e-10])).n_bits == 1
+    assert Distribution(np.array([1.0])).n_bits == 0
+
+
+def test_distribution_holds_a_read_only_copy():
+    v = np.array([0.0, 0.25, 0.75, 0.0])
+    d = Distribution(v)
+    v[0] = 1.0
+    assert d.probs[0] == 0.0 and d.n_bits == 2
+    with pytest.raises(ValueError, match="read-only"):
+        d.probs[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        d.probs = v
+    assert d.entries == {"01": 0.25, "10": 0.75}
+    assert list(d.entries) == ["01", "10"]
+
+
+def test_from_entries_round_trips_entries():
+    rng = np.random.default_rng(3)
+    for n in range(1, 7):
+        v = rng.random(2**n) * (rng.random(2**n) < 0.5)
+        v[rng.integers(2**n)] += 0.5
+        d = Distribution(v / v.sum())
+        back = Distribution.from_entries(d.entries)
+        assert np.array_equal(back.probs, d.probs)
+        assert back.entries == d.entries
+
+
+def _dict_fidelity(v_ideal, v_out, floor):
+    """The classical fidelity as computed when distributions were bitstring
+    dicts: each vector pruned to a dict of the entries above the floor, the
+    dicts turned back into vectors, then the overlap."""
+    n = len(v_ideal).bit_length() - 1
+    vectors = []
+    for v in (v_ideal, v_out):
+        entries = {format(i, f"0{n}b"): float(p)
+                   for i, p in enumerate(v) if p > floor}
+        back = np.zeros(2**n)
+        for key, p in entries.items():
+            back[int(key, 2)] = p
+        vectors.append(back)
+    vi, vo = vectors
+    f_s = float(np.sum(np.sqrt(np.clip(vi, 0, None) * np.clip(vo, 0, None))) ** 2)
+    f_u = float(np.sum(np.sqrt(np.clip(vi, 0, None))) ** 2) / len(vi)
+    f_n = (f_s - f_u) / (1.0 - f_u)
+    return f_s, f_n, max(f_n, 0.0)
+
+
+@pytest.mark.parametrize("floor", [1e-12, 1e-15])
+def test_classical_fidelity_equals_the_dict_formula(floor):
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        n = int(rng.integers(1, 7))
+        pair = []
+        for _ in range(2):
+            v = rng.random(2**n) ** 3
+            v[rng.random(2**n) < 0.4] = 0.0
+            # residue around the floor, on both sides and below zero
+            v[rng.random(2**n) < 0.2] = rng.choice(
+                [floor / 2, floor, 2 * floor, -floor / 4])
+            v[rng.integers(2**n)] += 1.0
+            pair.append(v / v.sum())
+        want = _dict_fidelity(*pair, floor)
+        got = classical_fidelity(
+            *(Distribution(np.where(v <= floor, 0.0, v)) for v in pair))
+        assert got == want, (trial, got, want)
 
 
 def test_classical_fidelity_hand_value():
     # Bhattacharyya overlap squared: perfectly matching -> 1; disjoint -> 0.
-    ideal = Distribution({"00": 1.0}, 2)
-    out = Distribution({"00": 0.81, "01": 0.19}, 2)
+    ideal = Distribution.from_entries({"00": 1.0})
+    out = Distribution.from_entries({"00": 0.81, "01": 0.19})
     f_s, f_n, f = classical_fidelity(ideal, out)
     assert f_s == pytest.approx(0.81)
     assert f_n == pytest.approx((0.81 - 0.25) / 0.75)
     assert f == pytest.approx(f_n)
-    f_s, _, f = classical_fidelity(ideal, Distribution({"11": 1.0}, 2))
+    f_s, _, f = classical_fidelity(ideal, Distribution.from_entries({"11": 1.0}))
     assert f_s == 0.0 and f == 0.0  # clamped at zero
 
 
 def test_classical_fidelity_uniform_normalization():
     # Against-uniform output scores 0 after normalization.
-    ideal = Distribution({"00": 0.5, "11": 0.5}, 2)
-    uni = Distribution({k: 0.25 for k in ("00", "01", "10", "11")}, 2)
+    ideal = Distribution.from_entries({"00": 0.5, "11": 0.5})
+    uni = Distribution(np.full(4, 0.25))
     f_s, f_n, f = classical_fidelity(ideal, uni)
     assert f_s == pytest.approx(0.5)
     assert f_n == pytest.approx(0.0, abs=1e-12)
@@ -72,9 +171,9 @@ def test_classical_fidelity_uniform_normalization():
 
 
 def test_classical_fidelity_degenerate_ideal():
-    uni = Distribution({k: 0.25 for k in ("00", "01", "10", "11")}, 2)
+    uni = Distribution(np.full(4, 0.25))
     with pytest.raises(DegenerateIdealError):
-        classical_fidelity(uni, Distribution({"00": 1.0}, 2))
+        classical_fidelity(uni, Distribution.from_entries({"00": 1.0}))
 
 
 def test_quantum_fidelity_pure_states():

@@ -233,7 +233,16 @@ def test_readout_maps_sites_through_a_permuted_axis_order(spec, topology,
     rho = dense_ref.execute_native(routed, params, timing_model=timing_model)
     expect = dense_readout(rho, l2p, circuit.measured_qubits,
                            params.meas_error)
-    assert np.max(np.abs(out.to_vector() - expect)) < 1e-12
+    assert np.max(np.abs(out.probs - expect)) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("-inf"), float("nan"), float("inf")])
+def test_readout_floor_keeps_a_non_finite_entry(monkeypatch, bad):
+    # the floor used to turn -inf into 0 before the finiteness check
+    monkeypatch.setattr(runner.metrics, "apply_measurement_error_vector",
+                        lambda v, n, e: np.array([1.0, bad]))
+    with pytest.raises(ValidationError, match="finite"):
+        runner.output_distribution(QuquartState(1), [0], [0], 0.0)
 
 
 @pytest.mark.parametrize("ops,carrier", [
@@ -498,7 +507,7 @@ def test_run_instance_degenerate_ideal():
     from atombench.errors import DegenerateIdealError
     from atombench.metrics import Distribution, classical_fidelity
     with pytest.raises(DegenerateIdealError):
-        classical_fidelity(Distribution({"0": 0.5, "1": 0.5}, 1), out)
+        classical_fidelity(Distribution(np.array([0.5, 0.5])), out)
     # GhzParity at phase pi/4 on two qubits has a uniform ideal
     rec = run_instance(BenchmarkSpec("GhzParity", 2, math.pi / 4),
                        "all_to_all", NoiseParams())
