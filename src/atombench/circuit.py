@@ -14,6 +14,7 @@ the two global pulses cancelling exactly on every other site.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import LoweringError, SchemaError, ValidationError
@@ -47,14 +48,17 @@ class Gate:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Gate":
-        # checked, not coerced: int() would read a site 1.7, "1" or true as 1
+        # checked, not coerced: int() would read a site 1.7, "1" or true as 1;
+        # the bound rejects NaN, +-Infinity and an int no float can hold
         if not (isinstance(rec, dict) and isinstance(rec.get("gate"), str)
                 and isinstance(sites := rec.get("sites", []), list)
                 and isinstance(params := rec.get("params", []), list)
                 and all(type(s) is int for s in sites)
-                and all(type(p) in (int, float) for p in params)):
+                and all(type(p) in (int, float) and abs(p) <= sys.float_info.max
+                        for p in params)):
             raise SchemaError(f"bad gate record {rec!r}: want a gate name, "
-                              f"sites a list of ints and params of numbers")
+                              f"sites a list of ints and params of finite "
+                              f"numbers")
         return cls(rec["gate"], tuple(sites), tuple(params))
 
 

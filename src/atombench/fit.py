@@ -162,6 +162,11 @@ class FitProblem:
         bad = [p for p in self.free_params if p not in FITTABLE]
         if bad:
             raise ValidationError(f"parameters {bad} cannot be fitted")
+        if len(set(self.free_params)) != len(self.free_params):
+            raise ValidationError(
+                f"free_params lists a parameter twice: {self.free_params}")
+        if self.n_starts < 1:
+            raise ValidationError(f"n_starts must be >= 1, got {self.n_starts}")
 
 
 def _params_from_vector(problem: FitProblem, x: np.ndarray) -> NoiseParams:

@@ -1,8 +1,8 @@
 """Fidelity measures, readout reduction, and measurement-error folding.
 
 Classical fidelity is the squared Bhattacharyya overlap of two probability
-vectors over bitstrings, normalized so the maximally mixed output scores 0
-and floored at 0.  Readout reduction maps ququart populations onto bits
+vectors over bitstrings, normalized so the maximally mixed output scores 0,
+and clipped to [0, 1].  Readout reduction maps ququart populations onto bits
 (l0 -> 0, l1 -> 1), mimicking state-selective readout of lost atoms.  The
 average gate fidelity of a noisy native gate is exact, from its fused op.
 """
@@ -66,7 +66,8 @@ class Distribution:
 
 def classical_fidelity(p_ideal: Distribution, p_out: Distribution
                        ) -> tuple[float, float, float]:
-    """(f_s, f_n, f): raw overlap, uniform-normalized, and floored fidelity."""
+    """(f_s, f_n, f): raw overlap, uniform-normalized, and that clipped to
+    [0, 1].  f_s and f_n are raw, so rounding may put them above 1."""
     if p_ideal.n_bits != p_out.n_bits:
         raise ValidationError(
             f"width mismatch: {p_ideal.n_bits} vs {p_out.n_bits} bits")
@@ -77,7 +78,7 @@ def classical_fidelity(p_ideal: Distribution, p_out: Distribution
     if abs(1.0 - f_u) < _UNIFORM_TOL:
         raise DegenerateIdealError(f_s)
     f_n = (f_s - f_u) / (1.0 - f_u)
-    return f_s, f_n, max(f_n, 0.0)
+    return f_s, f_n, min(max(f_n, 0.0), 1.0)
 
 
 # -- readout --------------------------------------------------------------

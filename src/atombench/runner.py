@@ -13,19 +13,20 @@ the ``cz`` passes: a ``cz`` carries its two sites' 1-site ops since their
 previous ``cz`` (before) and, at a site's last ``cz``, every op after it
 (after); a site with no ``cz`` starts in the product of all its ops
 applied to |0>, and the initial state is the product of one such vector
-per site.  Run (``execute_native``) sets that product state, checked once,
-and makes one checked pass per ``cz``: after @ cz_op @ before, the ``cz``
-op looked up under the run's params.
+per site.  Run (``_run``) sets that product state, checked once, and
+makes one checked pass per ``cz``: after @ cz_op @ before, the ``cz`` op
+looked up under the run's params.
 
-A plan is streamed, so a long circuit holds no matrix per gate, except for
-the circuits of ``run_reference``: their plans are kept, one per circuit,
-keyed on the value of every ``NoiseParams`` field but the ``cz`` op's own
-and the readout error.  So a fit with only ``cz`` rates free compiles each
-reference once, and each evaluation builds one ``cz`` op and makes two
-36x36 products per pass.  Readout is reduced to one vector of bitstring
-probabilities, restricted to the physical positions of the measured qubits
-under the router's final placement, convolved with the measurement-error
-channel and scored against the ideal distribution's vector.
+``execute_native`` compiles on every call and streams its plan, so a long
+circuit holds no matrix per gate.  ``run_reference`` keeps one plan per
+reference in its memo entry (``_reference``), keyed on the value of every
+``NoiseParams`` field but the ``cz`` op's own and the readout error.  So a
+fit with only ``cz`` rates free compiles each reference once, and each
+evaluation builds one ``cz`` op and makes two 36x36 products per pass.
+Readout is reduced to one vector of bitstring probabilities, restricted to
+the physical positions of the measured qubits under the router's final
+placement, convolved with the measurement-error channel and scored against
+the ideal distribution's vector.
 """
 
 from __future__ import annotations
@@ -250,51 +251,14 @@ def _pair(a, b):
 # fields a pass plan may read
 _PLAN_FIELDS = tuple(f for f in NoiseParams.__dataclass_fields__
                      if f not in gatemodel._STEPS["cz"][1] + ("meas_error",))
-# id(circuit made by _native) -> (circuit, key, plan); see _plan
-_plans: dict = {}
 
 
-def _plan(circuit: Circuit, params: NoiseParams, per_gate: bool) -> tuple:
-    """The pass plan of `circuit`: memoized if ``_native`` made the
-    circuit, else streamed.
-
-    A memoized plan is keyed on the timing model and the value of every
-    field in _PLAN_FIELDS, so a fit with only ``cz`` rates free compiles
-    each reference once.  A miss replaces the circuit's one entry.  The
-    entry holds its circuit, so its id names no other circuit while it is
-    there.  An entry is replaced by one store of an immutable tuple, so a
-    thread that reads it meanwhile sees the old plan or the new one, whole.
-    """
-    entry = _plans.get(id(circuit))
-    if entry is None or entry[0] is not circuit:
-        return _compile(circuit, params, per_gate)
-    key = (per_gate, *[getattr(params, f) for f in _PLAN_FIELDS])
-    if entry[1] != key:
-        depth, start, passes = _compile(circuit, params, per_gate)
-        entry = (circuit, key, (depth, start, tuple(passes)))
-        _plans[id(circuit)] = entry
-    return entry[2]
-
-
-def execute_native(circuit: Circuit, params: NoiseParams,
-                   memory_cap: int = DEFAULT_MEMORY_CAP,
-                   timing_model: str = "gate") -> tuple[QuquartState, int]:
-    """Run a native circuit with SPAM preparation and idle decoherence.
-
-    timing_model "gate" attaches each gate's decoherence interval to its own
-    sites (global pulses decohere every site); "layer" instead applies one
-    decoherence interval to all sites after each layer, the duration of the
-    layer's slowest gate.  The circuit's pass plan (``_compile``) sets the
-    checked initial product state, and each of its passes makes one checked
-    pass: the ``cz`` op under `params` between the pass's before and after
-    products.  Returns the final state and the transpiled depth (layer
-    count).
-    """
-    if timing_model not in ("gate", "layer"):
-        raise ValidationError(f"unknown timing_model {timing_model!r}")
-    per_gate = timing_model == "gate"
-    depth, start, passes = _plan(circuit, params, per_gate)
-    state = QuquartState(circuit.n_qubits, memory_cap)
+def _run(n_sites: int, start, passes, params: NoiseParams, per_gate: bool,
+         memory_cap: int) -> QuquartState:
+    """Run a pass plan (``_compile``): set its checked initial product
+    state, then make one checked pass per item of `passes`, the ``cz`` op
+    under `params` between the pass's before and after products."""
+    state = QuquartState(n_sites, memory_cap)
     if start is not None:
         state.set_product(start)
     for sites, g, before, after in passes:
@@ -306,7 +270,27 @@ def execute_native(circuit: Circuit, params: NoiseParams,
             m = after @ m
         state.apply_channel(
             sites, op if m is op.matrix else SymbolOp(m, op.label))
-    return state, depth
+    return state
+
+
+def execute_native(circuit: Circuit, params: NoiseParams,
+                   memory_cap: int = DEFAULT_MEMORY_CAP,
+                   timing_model: str = "gate") -> tuple[QuquartState, int]:
+    """Run a native circuit with SPAM preparation and idle decoherence.
+
+    timing_model "gate" attaches each gate's decoherence interval to its own
+    sites (global pulses decohere every site); "layer" instead applies one
+    decoherence interval to all sites after each layer, the duration of the
+    layer's slowest gate.  The circuit is compiled on every call and its
+    plan streamed.  Returns the final state and the transpiled depth (layer
+    count).
+    """
+    if timing_model not in ("gate", "layer"):
+        raise ValidationError(f"unknown timing_model {timing_model!r}")
+    per_gate = timing_model == "gate"
+    depth, start, passes = _compile(circuit, params, per_gate)
+    return _run(circuit.n_qubits, start, passes, params, per_gate,
+                memory_cap), depth
 
 
 def output_distribution(state: QuquartState, l2p: list, measured: list,
@@ -353,19 +337,17 @@ def run_instance(spec: bench.BenchmarkSpec, topology, params: NoiseParams,
 
 
 @functools.cache
-def _native(n_qubits: int, ops: tuple) -> Circuit:
-    """The optimized native circuit of the abstract circuit (n_qubits, ops).
+def _reference(n_qubits: int, ops: tuple) -> list:
+    """The memo entry [native, plan] of the abstract circuit (n_qubits,
+    ops), keyed on content (a ``Circuit`` is mutable) and never evicted.
 
-    Keyed on content, not identity: a ``Circuit`` is mutable.  The result is
-    shared between callers, which only read it.  The memo never evicts: it
-    keeps every distinct circuit passed to ``run_reference``, so a fit
-    lowers each reference once however many it has.  Each result gets an
-    entry in the pass-plan memo (``_plan``), which ``execute_native``
-    fills.
+    native is its optimized native circuit; plan is None or (key, start,
+    passes), its pass plan under the "gate" timing model, key the values of
+    _PLAN_FIELDS it was compiled under.  ``run_reference`` replaces plan by
+    one store of a tuple, so a thread reads the old plan or the new one.
     """
-    native = optimize_native(lower_to_native(Circuit(n_qubits, list(ops))))
-    _plans[id(native)] = (native, None, None)
-    return native
+    return [optimize_native(lower_to_native(Circuit(n_qubits, list(ops)))),
+            None]
 
 
 def run_reference(circuit: Circuit, params: NoiseParams,
@@ -373,13 +355,19 @@ def run_reference(circuit: Circuit, params: NoiseParams,
     """Simulate an already-built abstract circuit on all-to-all connectivity
     under the "gate" timing model.
 
-    Each distinct circuit is lowered and optimized once (``_native``), and
-    its pass plan is compiled once per value of the fields it reads, so the
-    objective evaluations of a fit with only ``cz`` rates free only run the
-    plans.
+    Each distinct circuit is lowered and optimized once, and its pass plan
+    is compiled once per value of the fields it reads (``_reference``), so
+    the objective evaluations of a fit with only ``cz`` rates free only run
+    the plan.
     """
-    native = _native(circuit.n_qubits, tuple(circuit.ops))
-    state, _ = execute_native(native, params, memory_cap)
+    entry = _reference(circuit.n_qubits, tuple(circuit.ops))
+    native, plan = entry
+    # from a list: tuple() of a generator put 0.2-0.4 MB on fit's peak RSS
+    key = tuple([getattr(params, f) for f in _PLAN_FIELDS])
+    if plan is None or plan[0] != key:
+        _, start, passes = _compile(native, params, True)
+        plan = entry[1] = (key, start, tuple(passes))
+    state = _run(native.n_qubits, *plan[1:], params, True, memory_cap)
     return output_distribution(state, list(range(state.n_sites)),
                                circuit.measured_qubits, params.meas_error)
 

@@ -210,11 +210,17 @@ def test_from_dict_rejects_ops_that_are_no_list(ops):
     {"gate": "rz", "sites": [0], "params": [False]},
     {"gate": ["x"], "sites": [0]},
     {"gate": 5, "sites": [0]},
+    {"gate": "rz", "sites": [0], "params": [math.nan]},
+    {"gate": "rz", "sites": [0], "params": [math.inf]},
+    {"gate": "rz", "sites": [0], "params": [-math.inf]},
+    {"gate": "rz", "sites": [0], "params": [10**400]},
 ])
 def test_from_dict_does_not_coerce_a_gate_record(rec):
     # int() and float() would read the first five as cz(0, 1), h(1), h(1),
     # rz(0, 0.5) and rz(0, 0.0); a gate name that is no string used to pass,
-    # or fail in the arity check with a bare TypeError
+    # or fail in the arity check with a bare TypeError; a non-finite angle
+    # used to load and run, and an int too large for a float raised a bare
+    # OverflowError
     with pytest.raises(SchemaError, match="bad gate record"):
         Circuit.from_dict({"n_qubits": 2, "ops": [rec]})
     record = {"gate": "rz", "sites": [1], "params": [1]}

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 
 import pytest
 
@@ -165,7 +166,9 @@ def test_fit_command_rejects_non_numeric_param(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("override", ["fit.bogus=1", 'fit.max_evals="5"'])
+@pytest.mark.parametrize("override", [
+    "fit.bogus=1", 'fit.max_evals="5"', "fit.n_starts=0",
+    'fit.free_params=["cz_phaseflip", "cz_phaseflip"]'])
 def test_fit_command_rejects_bad_fit_settings(override, tmp_path, capsys):
     refs = tmp_path / "refs"
     _write_reference(refs, NoiseParams())
@@ -196,7 +199,11 @@ def test_fit_command_rejects_wrong_gate_arity(tmp_path, capsys):
                                  {"n_qubits": 30, "ops": [],
                                   "measured": {"0" * 30: 1.0}},
                                  {"n_qubits": 64, "ops": [],
-                                  "measured": {"0" * 64: 1.0}}])
+                                  "measured": {"0" * 64: 1.0}},
+                                 # a NaN angle used to load, run and score
+                                 {"n_qubits": 1, "measured": {"0": 1.0},
+                                  "ops": [{"gate": "rz", "sites": [0],
+                                           "params": [math.nan]}]}])
 def test_fit_command_rejects_a_misshapen_reference(doc, tmp_path, capsys):
     refs = tmp_path / "refs"
     refs.mkdir()

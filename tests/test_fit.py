@@ -97,6 +97,14 @@ def test_fit_problem_validation():
         FitProblem(references=refs, free_params="cz_decay")
     with pytest.raises(ValidationError, match="t2_star"):
         FitProblem(references=refs, free_params=("cz_decay", "t2_star"))
+    # a repeated name gave the simplex a coordinate the decode dropped, and
+    # n_starts=0 still ran one start
+    with pytest.raises(ValidationError, match="free_params"):
+        FitProblem(references=refs,
+                   free_params=("cz_phaseflip", "cz_phaseflip"))
+    for n in (0, -1):
+        with pytest.raises(ValidationError, match="n_starts"):
+            FitProblem(references=refs, n_starts=n)
     FitProblem(references=refs, free_params=("p0_equilibrium", "dur_cz",
                                              "cz_phaseshift"))
 
@@ -152,8 +160,7 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
 
     # the references' pass plans are memoized, so empty that memo too: the
     # first evaluation then compiles each plan and builds every op
-    runner._native.cache_clear()
-    runner._plans.clear()
+    runner._reference.cache_clear()
     monkeypatch.setattr(gatemodel, "_fused_ops", {})
     monkeypatch.setattr(gatemodel, "fuse", counted_fuse)
     monkeypatch.setattr(fit, "mean_reference_fidelity", counted_evaluate)

@@ -160,6 +160,14 @@ def test_classical_fidelity_hand_value():
     assert f_s == 0.0 and f == 0.0  # clamped at zero
 
 
+def test_classical_fidelity_is_capped_at_one():
+    # a noiseless run sums to 1 only up to rounding, and scored f above 1
+    d = Distribution(np.array([0.6, 0.3, 0.1, 0.0]) * (1 + 5e-10))
+    f_s, f_n, f = classical_fidelity(d, d)
+    assert f_s > 1.0 and f_n > 1.0  # kept raw
+    assert f == 1.0
+
+
 def test_classical_fidelity_uniform_normalization():
     # Against-uniform output scores 0 after normalization.
     ideal = Distribution.from_entries({"00": 0.5, "11": 0.5})

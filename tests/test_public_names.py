@@ -1,7 +1,9 @@
 """Every public module-level function, class and constant of the package,
-and every public method of its classes, has a user."""
+and every public method of its classes, has a user; every private one is
+read outside tests."""
 
 import ast
+import re
 from pathlib import Path
 
 import atombench
@@ -40,6 +42,26 @@ def _public_constants(path: Path) -> list:
         names += [t.id for t in targets if isinstance(t, ast.Name)
                   and t.id.isupper() and not t.id.startswith("_")]
     return names
+
+
+def _private_definitions(path: Path) -> list:
+    """Module-level functions, classes and assigned names, and Class.method
+    for the methods of module-level classes, whose name starts with one
+    underscore."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, ast.FunctionDef)]
+        targets = (node.targets if isinstance(node, ast.Assign) else
+                   [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for t in targets:
+            names += [e.id for e in getattr(t, "elts", [t])
+                      if isinstance(e, ast.Name)]
+    return [name for name in names
+            if re.match(r"_[^_]", name.rsplit(".", 1)[-1])]
 
 
 def _used_names(path: Path, reads_only: bool = False) -> set:
@@ -83,3 +105,9 @@ def test_every_public_method_is_used():
     # matched by method name alone: a call through any object counts
     unused = _unused(_public_methods)
     assert not unused, f"public methods unused outside tests: {unused}"
+
+
+def test_every_private_definition_is_read():
+    # a private helper read only by tests is test-only code in the package
+    unread = _unused(_private_definitions, reads_only=True)
+    assert not unread, f"private names never read outside tests: {unread}"

@@ -340,7 +340,7 @@ def test_run_reference_lowers_each_circuit_once(monkeypatch):
     lowered, lower = [], runner.lower_to_native
     monkeypatch.setattr(runner, "lower_to_native",
                         lambda c: lowered.append(c) or lower(c))
-    runner._native.cache_clear()
+    runner._reference.cache_clear()
     circuit, _ = bench.generate(BenchmarkSpec("Ghz", 3))
     p = NoiseParams()
     first = run_reference(circuit, p)
@@ -358,18 +358,13 @@ def test_run_reference_lowers_each_circuit_once(monkeypatch):
 def test_run_reference_lowers_each_of_many_circuits_once():
     # a fit walks its references in the same order every evaluation: a
     # bounded memo would evict each one just before it is needed again
-    runner._native.cache_clear()
+    runner._reference.cache_clear()
     refs = [Circuit(2, [Gate("rx", (0,), (0.01 * k,)), Gate("cx", (0, 1))])
             for k in range(65)]
     for _ in range(3):
         for circuit in refs:
             run_reference(circuit, NOISELESS)
-    assert runner._native.cache_info().misses == 65
-
-
-def _clear_plans():
-    runner._native.cache_clear()
-    runner._plans.clear()
+    assert runner._reference.cache_info().misses == 65
 
 
 CZ_FIELDS = gatemodel._STEPS["cz"][1]
@@ -387,26 +382,27 @@ def test_plan_memo_is_keyed_on_every_field_the_plan_reads():
     # missing from the key
     circuit, _ = bench.generate(BenchmarkSpec("BernsteinVazirani", 3, "101"))
     base = NoiseParams()
-    _clear_plans()
+    runner._reference.cache_clear()
     warm = run_reference(circuit, base).entries
     for f in PLAN_FIELDS:
         p = _doubled(base, f)
         run_reference(circuit, base)
         memo = run_reference(circuit, p).entries
-        _clear_plans()
+        runner._reference.cache_clear()
         assert memo == run_reference(circuit, p).entries, f
         assert memo != warm, f
-    # a circuit of _native run directly, under the layer timing model too:
-    # its copy is not memoized, so each of its runs compiles afresh
-    native = runner._native(circuit.n_qubits, tuple(circuit.ops))
+    # a reference's native circuit run directly, under the layer timing
+    # model too, gives what its copy gives: execute_native keeps no plan
+    native, _ = runner._reference(circuit.n_qubits, tuple(circuit.ops))
     copy = Circuit(native.n_qubits, list(native.ops))
     for f in [None] + PLAN_FIELDS:
         p = base if f is None else _doubled(base, f)
         for timing_model in ("gate", "layer"):
             execute_native(native, base)
-            memo, _ = execute_native(native, p, timing_model=timing_model)
+            direct, _ = execute_native(native, p, timing_model=timing_model)
             fresh, _ = execute_native(copy, p, timing_model=timing_model)
-            assert np.array_equal(memo.blocks, fresh.blocks), (f, timing_model)
+            assert np.array_equal(direct.blocks, fresh.blocks), (f,
+                                                                 timing_model)
 
 
 def test_plan_memo_recompiles_nothing_for_a_cz_field(monkeypatch):
@@ -417,7 +413,7 @@ def test_plan_memo_recompiles_nothing_for_a_cz_field(monkeypatch):
     modes = ("conditional", "correlated", "per_site")
     for mode in modes:
         base = NoiseParams(cz_phaseflip_mode=mode)
-        _clear_plans()
+        runner._reference.cache_clear()
         warm = run_reference(circuit, base).entries
         for f in CZ_FIELDS:
             if f == "cz_phaseflip_mode":
@@ -428,17 +424,29 @@ def test_plan_memo_recompiles_nothing_for_a_cz_field(monkeypatch):
             memo = run_reference(circuit, p).entries
             assert not compiled, (mode, f)
             assert memo != warm, (mode, f)
-            _clear_plans()
+            runner._reference.cache_clear()
             assert memo == run_reference(circuit, p).entries, (mode, f)
             run_reference(circuit, base)
 
 
+def test_execute_native_keeps_no_plan(monkeypatch):
+    compiled, compile_ = [], runner._compile
+    monkeypatch.setattr(runner, "_compile",
+                        lambda *args: compiled.append(args) or compile_(*args))
+    circuit, _ = bench.generate(BenchmarkSpec("BernsteinVazirani", 3, "101"))
+    native, _ = runner._reference(circuit.n_qubits, tuple(circuit.ops))
+    first, _ = execute_native(native, NoiseParams())
+    second, _ = execute_native(native, NoiseParams())
+    assert len(compiled) == 2
+    assert np.array_equal(first.blocks, second.blocks)
+
+
 def test_plan_memo_holds_at_most_two_pair_matrices_per_cz():
     circuit, _ = bench.generate(BenchmarkSpec("QftMethod2", 3, 5))
-    _clear_plans()
+    runner._reference.cache_clear()
     run_reference(circuit, NoiseParams())
-    native = runner._native(circuit.n_qubits, tuple(circuit.ops))
-    _, _, (_, start, passes) = runner._plans[id(native)]
+    native, (_, start, passes) = runner._reference(circuit.n_qubits,
+                                                   tuple(circuit.ops))
     n_cz = native.gate_counts()["cz"]
     assert len(passes) == n_cz > 2
     held = sum(m.nbytes for *_, before, after in passes
@@ -455,7 +463,7 @@ def test_plan_memo_is_thread_safe():
               STRONG.replace(cz_phaseflip=0.01)]
     expect = []
     for p in values:
-        _clear_plans()
+        runner._reference.cache_clear()
         expect.append(run_reference(circuit, p).entries)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
