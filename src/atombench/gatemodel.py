@@ -93,8 +93,11 @@ def _cz_steps(params: NoiseParams) -> list:
     return steps
 
 
-# idle T1/T2* decoherence, alone or attached to any operator, reads these
+# idle T1/T2* decoherence, alone or attached to any operator, reads the
+# first fields; the cz operator's own channel steps read CZ_FIELDS
 _DECOHERENCE_FIELDS = ("t1", "t2_star", "p0_equilibrium")
+CZ_FIELDS = ("cz_loss_dark", "cz_loss_bright", "cz_decay", "cz_phaseflip_mode",
+             "cz_phaseflip", "cz_phaseshift")
 
 # each operator's channel steps, steps(*args, params), and the NoiseParams
 # fields they read: a cached operator is valid while those values hold
@@ -102,8 +105,7 @@ _STEPS = {
     "grot": (_grot_steps, ("uw_depol_per_pi",)),
     "rz": (_rz_steps, ("rz_phaseflip_per_pi", "rz_decay_per_pi",
                        "rz_loss_dark_per_pi", "rz_loss_bright_per_pi")),
-    "cz": (_cz_steps, ("cz_loss_dark", "cz_loss_bright", "cz_decay",
-                       "cz_phaseflip_mode", "cz_phaseflip", "cz_phaseshift")),
+    "cz": (_cz_steps, CZ_FIELDS),
     "decoherence": (ch.decoherence, _DECOHERENCE_FIELDS),
     "preparation": (lambda params: [ch.bit_flip(params.prep_error)],
                     ("prep_error",)),

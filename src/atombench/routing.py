@@ -16,7 +16,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Gate, lower_to_native
+from .circuit import Circuit, Gate, lower_to_native, optimize_native
 from .errors import CapacityError, RoutingError, ValidationError
 
 LOOKAHEAD = 5
@@ -170,12 +170,12 @@ def route(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
     """
     if not circuit.is_native:
         raise ValidationError("route requires a lowered circuit")
-    if topology.mode == "all_to_all":
-        return circuit, list(range(circuit.n_qubits))
-
     n = circuit.n_qubits
-    if topology.rows * topology.cols < n:
-        raise CapacityError("grid too small for circuit")
+    if topology.n_qubits < n:
+        raise CapacityError(f"topology too small for {n} qubits")
+    if topology.mode == "all_to_all":
+        return circuit, list(range(n))
+
     l2p = interaction_placement(circuit, topology)
     p2l = [-1] * n
     for logical, phys in enumerate(l2p):
@@ -222,3 +222,10 @@ def route(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
             ops.append(Gate("cz", (l2p[a], l2p[b])))
             cz_cursor += 1
     return Circuit(n, ops, dict(circuit.metadata)), l2p
+
+
+def transpile(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
+    """Lower, optimize, route, optimize: the native circuit simulated for an
+    abstract circuit on `topology`, and its final logical->physical map."""
+    routed, l2p = route(optimize_native(lower_to_native(circuit)), topology)
+    return optimize_native(routed), l2p

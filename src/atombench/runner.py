@@ -1,4 +1,4 @@
-"""Suite orchestration: generate, lower, route, simulate, score.
+"""Suite orchestration: generate, transpile, simulate, score.
 
 The executor runs a native circuit in two steps under one of two timing
 models.  "gate" (the default) attaches each gate's own idle decoherence to
@@ -7,7 +7,7 @@ gates of a scheduled layer without their idle decoherence and then one
 decoherence interval, the layer's maximum gate duration, to every site.
 
 Compile (``_compile``) schedules the circuit and records every 1-site op
-that ``gatemodel`` gives, and each ``cz`` as its gate.  Ops on disjoint
+that ``gatemodel`` gives, and each ``cz`` as its sites.  Ops on disjoint
 sites commute and each site keeps its order, so the 1-site ops fold into
 the ``cz`` passes: a ``cz`` carries its two sites' 1-site ops since their
 previous ``cz`` (before) and, at a site's last ``cz``, every op after it
@@ -15,8 +15,10 @@ previous ``cz`` (before) and, at a site's last ``cz``, every op after it
 applied to |0>, and the initial state is the product of one such vector
 per site.  Run (``_run``) sets that product state, checked once, and
 makes one checked pass per ``cz``: after @ cz_op @ before, the ``cz`` op
-looked up under the run's params.
+looked up once under the run's params.
 
+Both ``run_instance`` and ``run_reference`` simulate the native circuit
+that ``routing.transpile`` gives, a reference's on all-to-all.
 ``execute_native`` compiles on every call and streams its plan, so a long
 circuit holds no matrix per gate.  ``run_reference`` keeps one plan per
 reference in its memo entry (``_reference``), keyed on the value of every
@@ -41,10 +43,9 @@ import numpy as np
 
 from . import bench, gatemodel, metrics
 from .channels import NoiseParams
-from .circuit import (Circuit, gate_duration, lower_to_native, optimize_native,
-                      schedule_layers)
+from .circuit import Circuit, cz, gate_duration, schedule_layers
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
-from .routing import Topology, route
+from .routing import Topology, transpile
 from .state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, SymbolOp,
                     pair_kron)
 
@@ -176,21 +177,20 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
     ``cz`` and the product T_s of its 1-site ops after it.
     start holds the vectors of the initial product state, T_s e0 for a site
     with no ``cz`` and e0 for the others, or is None if no site without a
-    ``cz`` has an op.  passes yields one (sites, cz gate, before, after) per
-    ``cz``, in circuit order: before is kron(P_a, P_b), P_s the product of
+    ``cz`` has an op.  passes yields one (sites, before, after) per ``cz``,
+    in circuit order: before is kron(P_a, P_b), P_s the product of
     the site's 1-site ops since its previous ``cz``, and after is
     kron(T_a, T_b), T_s taken only at the site's last ``cz`` (the identity
     elsewhere); either is None for the identity.  passes is a generator, so
     a streamed plan holds no matrix per gate.
     """
     layers, depth = schedule_layers(circuit)
-    rec, czs = _Recorder(), []
+    rec = _Recorder()
     gatemodel.apply_preparation(rec, params)
     for layer in layers:
         for g in layer:
             if g.name == "cz":
                 rec.ops.append((g.sites, None))
-                czs.append(g)
             else:
                 gatemodel.apply_gate(rec, g, params, decohere=per_gate)
         if not per_gate:
@@ -220,7 +220,7 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
                  for s in every]
 
     def passes():
-        pending, gates = [None] * n_sites, iter(czs)
+        pending = [None] * n_sites
         for i, (sites, m) in enumerate(ops):
             if m is not None:
                 for s in every if sites is None else sites:
@@ -233,7 +233,7 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
             after = _pair(tail[a] if last[a] == i else None,
                           tail[b] if last[b] == i else None)
             pending[a] = pending[b] = None
-            yield sites, next(gates), before, after
+            yield sites, before, after
 
     return depth, start, passes()
 
@@ -250,19 +250,19 @@ def _pair(a, b):
 # every NoiseParams field but the cz op's own and the readout error: the
 # fields a pass plan may read
 _PLAN_FIELDS = tuple(f for f in NoiseParams.__dataclass_fields__
-                     if f not in gatemodel._STEPS["cz"][1] + ("meas_error",))
+                     if f not in gatemodel.CZ_FIELDS + ("meas_error",))
 
 
 def _run(n_sites: int, start, passes, params: NoiseParams, per_gate: bool,
          memory_cap: int) -> QuquartState:
     """Run a pass plan (``_compile``): set its checked initial product
-    state, then make one checked pass per item of `passes`, the ``cz`` op
-    under `params` between the pass's before and after products."""
+    state, then make one checked pass per item of `passes`: the ``cz`` op
+    under `params`, which reads no site, between its before and after."""
     state = QuquartState(n_sites, memory_cap)
     if start is not None:
         state.set_product(start)
-    for sites, g, before, after in passes:
-        op = gatemodel.native_op(g, params, decohere=per_gate)
+    op = gatemodel.native_op(cz(0, 1), params, decohere=per_gate)
+    for sites, before, after in passes:
         m = op.matrix
         if before is not None:
             m = m @ before
@@ -281,9 +281,8 @@ def execute_native(circuit: Circuit, params: NoiseParams,
     timing_model "gate" attaches each gate's decoherence interval to its own
     sites (global pulses decohere every site); "layer" instead applies one
     decoherence interval to all sites after each layer, the duration of the
-    layer's slowest gate.  The circuit is compiled on every call and its
-    plan streamed.  Returns the final state and the transpiled depth (layer
-    count).
+    layer's slowest gate.  The plan is compiled and streamed on every call.
+    Returns the final state and the transpiled depth (layer count).
     """
     if timing_model not in ("gate", "layer"):
         raise ValidationError(f"unknown timing_model {timing_model!r}")
@@ -317,10 +316,7 @@ def run_instance(spec: bench.BenchmarkSpec, topology, params: NoiseParams,
                        spec.instance_param)
     start = time.perf_counter()
     circuit, ideal = bench.generate(spec)
-    native = optimize_native(lower_to_native(circuit))
-    topo = make_topology(topology, native.n_qubits)
-    routed, l2p = route(native, topo)
-    routed = optimize_native(routed)
+    routed, l2p = transpile(circuit, make_topology(topology, circuit.n_qubits))
     rec.native_gate_counts = routed.gate_counts()
     state, depth = execute_native(routed, params, memory_cap,
                                   timing_model=timing_model)
@@ -341,13 +337,13 @@ def _reference(n_qubits: int, ops: tuple) -> list:
     """The memo entry [native, plan] of the abstract circuit (n_qubits,
     ops), keyed on content (a ``Circuit`` is mutable) and never evicted.
 
-    native is its optimized native circuit; plan is None or (key, start,
+    native is transpile's circuit on all-to-all; plan is None or (key, start,
     passes), its pass plan under the "gate" timing model, key the values of
     _PLAN_FIELDS it was compiled under.  ``run_reference`` replaces plan by
     one store of a tuple, so a thread reads the old plan or the new one.
     """
-    return [optimize_native(lower_to_native(Circuit(n_qubits, list(ops)))),
-            None]
+    return [transpile(Circuit(n_qubits, list(ops)),
+                      Topology.all_to_all(n_qubits))[0], None]
 
 
 def run_reference(circuit: Circuit, params: NoiseParams,
@@ -355,10 +351,10 @@ def run_reference(circuit: Circuit, params: NoiseParams,
     """Simulate an already-built abstract circuit on all-to-all connectivity
     under the "gate" timing model.
 
-    Each distinct circuit is lowered and optimized once, and its pass plan
-    is compiled once per value of the fields it reads (``_reference``), so
-    the objective evaluations of a fit with only ``cz`` rates free only run
-    the plan.
+    Each distinct circuit is transpiled once, as ``run_instance`` would
+    transpile it on all-to-all, and its pass plan is compiled once per value
+    of the fields it reads (``_reference``), so the objective evaluations of
+    a fit with only ``cz`` rates free only run the plan.
     """
     entry = _reference(circuit.n_qubits, tuple(circuit.ops))
     native, plan = entry

@@ -235,7 +235,7 @@ class QuquartState:
 
     def _check_invariants(self):
         tr = self.trace()
-        if abs(tr - 1.0) > TRACE_ATOL:
+        if not abs(tr - 1.0) <= TRACE_ATOL:  # also rejects NaN
             raise PatternLeakError(f"trace drifted to {tr}")
 
     def _check_sites(self, sites):

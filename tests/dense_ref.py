@@ -16,10 +16,10 @@ import numpy as np
 from atombench import channels as ch
 from atombench.bench import _ghz_ops, statevector
 from atombench.channels import NoiseParams, controlled_phase_matrix
-from atombench.circuit import (Circuit, Gate, gate_duration, lower_to_native,
-                               optimize_native, schedule_layers)
+from atombench.circuit import Circuit, Gate, gate_duration, schedule_layers
 from atombench.errors import CapacityError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
+from atombench.routing import Topology, transpile
 from atombench.runner import execute_native as run_native
 from atombench.state import (BASIS, BASIS_INV, N_SYMBOLS, QUBIT_FOLD,
                              SYMBOL_PAIRS)
@@ -353,7 +353,7 @@ def bell_state_fidelity(params: NoiseParams) -> float:
     c = Circuit(2, metadata={"measured_qubits": [0, 1]})
     for op in _ghz_ops(2):
         c.add(op)
-    state, _ = run_native(optimize_native(lower_to_native(c)), params)
+    state, _ = run_native(transpile(c, Topology.all_to_all(2))[0], params)
     rho = reduced_qubit_density(state)
     ideal = np.zeros(4, dtype=complex)
     ideal[0] = ideal[3] = 1.0 / np.sqrt(2.0)

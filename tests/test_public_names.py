@@ -111,3 +111,29 @@ def test_every_private_definition_is_read():
     # a private helper read only by tests is test-only code in the package
     unread = _unused(_private_definitions, reads_only=True)
     assert not unread, f"private names never read outside tests: {unread}"
+
+
+def _module_aliases(tree, modules: set) -> set:
+    """Names under which a file binds a module of the package."""
+    return {alias.asname or alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and (node.level == 1 and not node.module
+                 or node.level == 0 and node.module == PACKAGE.name)
+            for alias in node.names if alias.name in modules}
+
+
+def test_no_module_reads_another_modules_private_name():
+    # a private name is its module's own: another module that reads it
+    # depends on what the owner may change without notice
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = _module_aliases(tree, modules)
+        reads += [f"{path.stem}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases
+                  and re.match(r"_[^_]", node.attr)]
+    assert not reads, f"private names read from another module: {reads}"

@@ -7,10 +7,12 @@ import pytest
 
 from atombench import bench
 from atombench.bench import BenchmarkSpec, generate
-from atombench.circuit import Circuit, Gate, lower_to_native, optimize_native
+from atombench.circuit import (Circuit, Gate, cz, lower_to_native,
+                               optimize_native, rz)
 from atombench.errors import CapacityError, ValidationError
 from atombench.metrics import marginalize
-from atombench.routing import Topology, interaction_placement, most_square_grid, route
+from atombench.routing import (Topology, interaction_placement,
+                               most_square_grid, route, transpile)
 
 
 def test_most_square_grid():
@@ -53,6 +55,15 @@ def test_capacity_error():
     c = lower_to_native(Circuit(5, [Gate("cx", (0, 4))]))
     with pytest.raises(CapacityError):
         route(c, Topology.grid(5, rows=2, cols=2))
+
+
+@pytest.mark.parametrize("topology", [Topology.grid(3), Topology.all_to_all(3)])
+def test_route_rejects_a_topology_with_fewer_qubits(topology):
+    # a 2x2 grid with three occupied nodes, and an all-to-all register of
+    # three: neither holds qubit 3
+    c = Circuit(4, [cz(0, 1), cz(2, 3), rz(3, 0.5)])
+    with pytest.raises(CapacityError):
+        route(c, topology)
 
 
 def test_routed_cz_all_adjacent():
@@ -138,9 +149,9 @@ def test_grover_w8_grid_route_digest():
 
 def test_transpiled_circuits_digest():
     # every kind at its two lowest widths, default samples, seed 0, both
-    # topologies: 120 instances lowered, optimized, routed and optimized
-    # again, as run_instance transpiles them.  A change to the passes that
-    # must not change a circuit keeps this digest
+    # topologies: 120 instances through transpile (lower, optimize, route,
+    # optimize again).  A change to the passes that must not change a
+    # circuit keeps this digest
     circuits = []
     specs = []
     for kind in bench.KINDS:
@@ -149,12 +160,11 @@ def test_transpiled_circuits_digest():
         for width in widths[:2]:
             specs += bench.sample_instances(kind, width, seed=0)
     for spec in specs:
-        native = optimize_native(lower_to_native(generate(spec)[0]))
-        n = native.n_qubits
+        circuit = generate(spec)[0]
+        n = circuit.n_qubits
         for topology in (Topology.all_to_all(n), Topology.grid(n)):
-            routed, l2p = route(native, topology)
-            ops = [(g.name, g.sites, g.params)
-                   for g in optimize_native(routed).ops]
+            routed, l2p = transpile(circuit, topology)
+            ops = [(g.name, g.sites, g.params) for g in routed.ops]
             circuits.append((ops, l2p))
     assert len(circuits) == 120
     assert hashlib.sha256(repr(circuits).encode()).hexdigest() == (

@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 import dense_ref
-from atombench import bench, gatemodel, runner
+from atombench import bench, gatemodel, routing, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
 from atombench.circuit import (Circuit, Gate, cz, gate_duration, grot,
-                               lower_to_native, optimize_native, rz)
+                               lower_to_native, rz)
 from atombench.errors import PatternLeakError, ValidationError
-from atombench.routing import route
+from atombench.routing import Topology, transpile
 from atombench.runner import (
     ResultRecord,
     RunConfig,
@@ -222,9 +222,8 @@ def dense_readout(rho, l2p, measured, meas_error):
 def test_readout_maps_sites_through_a_permuted_axis_order(spec, topology,
                                                           timing_model):
     circuit, _ = bench.generate(spec)
-    native = optimize_native(lower_to_native(circuit))
-    routed, l2p = route(native, make_topology(topology, native.n_qubits))
-    routed = optimize_native(routed)
+    routed, l2p = transpile(circuit,
+                            make_topology(topology, circuit.n_qubits))
     params = NoiseParams(meas_error=0.03)
     state, _ = execute_native(routed, params, timing_model=timing_model)
     assert state.axes != tuple(range(state.n_sites))
@@ -337,8 +336,8 @@ def test_circuit_rejects_a_malformed_gate_when_built(gate):
 
 
 def test_run_reference_lowers_each_circuit_once(monkeypatch):
-    lowered, lower = [], runner.lower_to_native
-    monkeypatch.setattr(runner, "lower_to_native",
+    lowered, lower = [], routing.lower_to_native
+    monkeypatch.setattr(routing, "lower_to_native",
                         lambda c: lowered.append(c) or lower(c))
     runner._reference.cache_clear()
     circuit, _ = bench.generate(BenchmarkSpec("Ghz", 3))
@@ -355,6 +354,24 @@ def test_run_reference_lowers_each_circuit_once(monkeypatch):
     assert len(lowered) == 2
 
 
+@pytest.mark.parametrize("spec", [
+    BenchmarkSpec("BernsteinVazirani", 3, "101"),
+    BenchmarkSpec("DeutschJozsa", 3, "balanced"),
+    BenchmarkSpec("QftMethod1", 2, 0),
+])
+def test_run_reference_reads_out_what_the_all_to_all_sweep_simulates(spec):
+    # fit calibrates on the native circuit that run_instance simulates on
+    # all-to-all, not on a circuit optimized fewer times
+    circuit, _ = bench.generate(spec)
+    n = circuit.n_qubits
+    p = NoiseParams()
+    routed, l2p = transpile(circuit, Topology.all_to_all(n))
+    state, _ = execute_native(routed, p)
+    expect = runner.output_distribution(state, l2p, circuit.measured_qubits,
+                                        p.meas_error)
+    assert np.array_equal(run_reference(circuit, p).probs, expect.probs)
+
+
 def test_run_reference_lowers_each_of_many_circuits_once():
     # a fit walks its references in the same order every evaluation: a
     # bounded memo would evict each one just before it is needed again
@@ -367,7 +384,7 @@ def test_run_reference_lowers_each_of_many_circuits_once():
     assert runner._reference.cache_info().misses == 65
 
 
-CZ_FIELDS = gatemodel._STEPS["cz"][1]
+CZ_FIELDS = gatemodel.CZ_FIELDS
 # the fields a pass plan may read, listed here without runner._PLAN_FIELDS
 PLAN_FIELDS = [f for f in NoiseParams.__dataclass_fields__
                if f not in CZ_FIELDS + ("meas_error",)]

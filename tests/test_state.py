@@ -388,6 +388,17 @@ def test_injected_defect_is_caught():
             SymbolOp.from_symbols(m, "left multiplication")
 
 
+def test_trace_check_rejects_nan():
+    # abs(nan - 1) > atol is False: the check must not let a NaN trace pass
+    with pytest.raises(PatternLeakError, match="trace"):
+        QuquartState(2).apply_channel(
+            (0,), SymbolOp(np.full((N_SYMBOLS, N_SYMBOLS), np.nan)))
+    vs = _site_vectors(np.random.default_rng(0), 2)
+    vs[1][0] = np.nan
+    with pytest.raises(PatternLeakError, match="trace"):
+        QuquartState(2).set_product(vs)
+
+
 def test_fuse_converts_each_site_channel_once(monkeypatch):
     # a cz with idle decoherence: its loss, decay and decoherence channels
     # each act on both sites but are listed once, so each of its 8 steps is
