@@ -48,11 +48,12 @@ class BenchmarkSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown benchmark kind {self.kind!r}")
-        if not width_allowed(self.kind, self.width):
+        if (type(self.width) is not int
+                or not width_allowed(self.kind, self.width)):
             lo, hi = WIDTH_BOUNDS[self.kind]
             even = " and even" if _KIND_TABLE[self.kind].even else ""
-            raise ValidationError(f"{self.kind} width must be in "
-                                  f"[{lo}, {hi}]{even}, got {self.width}")
+            raise ValidationError(f"{self.kind} width must be an int in "
+                                  f"[{lo}, {hi}]{even}, got {self.width!r}")
 
 
 def width_allowed(kind: str, width: int) -> bool:
@@ -531,13 +532,13 @@ def generate(spec: BenchmarkSpec) -> tuple[Circuit, Distribution]:
 def sample_instances(kind: str, width: int, n_samples: int = None,
                      seed: int = 0) -> list:
     """Distinct seeded instance draws; enumerates small instance spaces."""
-    if kind not in KINDS:
-        raise ValidationError(f"unknown benchmark kind {kind!r}")
+    BenchmarkSpec(kind, width)  # checks the kind and the width
     row = _KIND_TABLE[kind]
     if n_samples is None:
         n_samples = row.samples
-    if n_samples < 1:
-        raise ValidationError("n_samples must be >= 1")
+    if type(n_samples) is not int or n_samples < 1:
+        raise ValidationError(
+            f"n_samples must be an int >= 1, got {n_samples!r}")
     rng = np.random.default_rng((KINDS.index(kind), width, seed))
     return [BenchmarkSpec(kind, width, param, seed)
             for param in row.draw(width, rng, n_samples)]

@@ -13,6 +13,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, asdict, fields
 
@@ -94,13 +95,22 @@ class NoiseParams:
                      if f.metadata.get("kind") in kinds)
 
     def validate(self):
+        for name in self.names("rate", "population", "phase", "duration",
+                               "time"):
+            v = getattr(self, name)
+            # a float is the common case, and the ABC check costs ten times more
+            if type(v) is not float and (isinstance(v, bool) or
+                                         not isinstance(v, numbers.Real)):
+                raise ValidationError(f"{name}={v!r} is not a real number")
         for name in self.names("rate", "population"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name}={v} outside [0, 1]")
         for name in self.names("duration"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be > 0")
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValidationError(f"{name} must be finite and > 0")
+        if not math.isfinite(self.cz_phaseshift):
+            raise ValidationError(f"cz_phaseshift={self.cz_phaseshift} is not finite")
         if not self.t1 >= self.t2_star > 0:
             raise ValidationError(
                 f"need t1 >= t2_star > 0, got t1={self.t1}, t2_star={self.t2_star}"

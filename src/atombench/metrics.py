@@ -18,7 +18,7 @@ from . import gatemodel
 from .channels import NoiseParams
 from .circuit import cz, grot, rz
 from .errors import DegenerateIdealError, ValidationError
-from .state import BASIS, BASIS_INV, DIAG_SYMBOLS, QUBIT_FOLD
+from .state import BASIS, BASIS_INV, QUBIT_FOLD, QUBIT_SYMBOLS
 
 _UNIFORM_TOL = 1e-12
 
@@ -83,18 +83,15 @@ def classical_fidelity(p_ideal: Distribution, p_out: Distribution
 
 # -- readout --------------------------------------------------------------
 
-# ququart diagonal order |0>, |1>, |l0>, |l1> maps onto bits 0, 1, 0, 1:
-# the qubit-diagonal rows of QUBIT_FOLD on the diagonal symbols
-_REDUCE = QUBIT_FOLD[[0, 3]][:, DIAG_SYMBOLS]
-
-
 def reduce_readout_array(diag: np.ndarray) -> np.ndarray:
-    """(4,)*n diagonal tensor -> flat 2^n bit-distribution vector."""
-    n = diag.ndim
+    """(4,)*n diagonal tensor -> flat 2^n bit-distribution vector: a site's
+    population index (|0>, |1>, |l0>, |l1>) is 2 * lost + bit, so each site
+    folds to its bit by adding its two lost halves."""
     t = diag
-    for _ in range(n):
-        # fold leading ququart axis to a bit axis, appended last
-        t = np.tensordot(t, _REDUCE, axes=([0], [1]))
+    for p in range(diag.ndim):
+        # the p bits folded so far, this site's (lost, bit), the rest
+        t = t.reshape(2**p, 2, 2, -1)
+        t = t[:, 0] + t[:, 1]
     return t.reshape(-1)
 
 
@@ -145,7 +142,7 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
     op = gatemodel.native_op(g, params)
     # the ops' real matrices back on the symbols: qubit symbols in through
     # BASIS, out through BASIS_INV
-    comp, fold = BASIS[:, :4], QUBIT_FOLD @ BASIS_INV
+    comp, fold = BASIS[:, QUBIT_SYMBOLS], QUBIT_FOLD @ BASIS_INV
     if op.n_sites == 2:
         comp, fold = np.kron(comp, comp), np.kron(fold, fold)
     d = 2**op.n_sites

@@ -55,8 +55,11 @@ class Topology:
     @classmethod
     def grid(cls, n_qubits: int, rows: int | None = None,
              cols: int | None = None) -> "Topology":
-        if rows is None or cols is None:
+        if rows is None and cols is None:
             rows, cols = most_square_grid(n_qubits)
+        elif not all(type(x) is int and x > 0 for x in (rows, cols)):
+            raise ValidationError(f"grid rows and cols must be given together "
+                                  f"as positive ints, got {rows!r}x{cols!r}")
         if rows * cols < n_qubits:
             raise CapacityError(
                 f"grid {rows}x{cols} cannot hold {n_qubits} qubits"

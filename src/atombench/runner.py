@@ -133,8 +133,7 @@ def make_topology(descriptor, n_qubits: int) -> Topology:
         return Topology.grid(n_qubits)
     if isinstance(descriptor, dict) and "grid" in descriptor:
         shape = descriptor["grid"]
-        if not (isinstance(shape, (list, tuple)) and len(shape) == 2
-                and all(type(x) is int and x > 0 for x in shape)):
+        if not (isinstance(shape, (list, tuple)) and len(shape) == 2):
             raise ValidationError(f"grid shape must be [rows, cols], got {shape!r}")
         return Topology.grid(n_qubits, *shape)
     raise ValidationError(f"unknown topology descriptor {descriptor!r}")

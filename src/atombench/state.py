@@ -3,9 +3,10 @@
 Loss states are populated only by loss channels (never coherently), so per
 site only six entries of the 4x4 single-site block structure can be nonzero:
 the full 2x2 computational coherence block plus the two loss-state diagonal
-entries.  As rho is hermitian, six real coordinates per site hold them:
+entries.  As rho is hermitian, six real coordinates per site hold them, the
+four populations first, in site-basis order:
 
-    0: rho_00  1: Re rho_01  2: Im rho_10  3: rho_11  4: rho_l0l0  5: rho_l1l1
+    0: rho_00  1: rho_11  2: rho_l0l0  3: rho_l1l1  4: Re rho_01  5: Im rho_10
 
 An n-site state stores 6^n float64 numbers instead of 16^n complex ones, as
 a (6,)*n tensor, and so cannot hold a non-hermitian rho.  A channel acts as
@@ -23,13 +24,13 @@ The buffer keeps its own site order, ``axes`` (buffer axis p holds site
 axes[p]).  A pair op on neighbouring axes multiplies them where they are;
 otherwise one copy into the spare first moves one of the two axes next to
 the other, and the new order is kept, never moved back.  Only the kernel
-sees this order: ``blocks`` and ``diagonal()`` are views in natural site
-order, and the readout maps bit positions through ``axes``.
+sees this order: ``blocks`` and ``diagonal()`` are in natural site order,
+and the readout maps bit positions through ``axes``.  The diagonal of rho is
+the first four symbols of every axis under any order, so the trace check and
+the readout read it as one slice of the buffer.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -38,21 +39,22 @@ from .errors import CapacityError, PatternLeakError, ValidationError
 
 N_SYMBOLS = 6
 # (row, col) of each stored symbol in the 4x4 single-site block.
-SYMBOL_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3))
+# The diagonal comes first, in site-basis order |0>,|1>,|l0>,|l1>.
+SYMBOL_PAIRS = ((0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (1, 0))
 _ROWS = np.array([p[0] for p in SYMBOL_PAIRS])
 _COLS = np.array([p[1] for p in SYMBOL_PAIRS])
-# Symbols on the density-matrix diagonal, in site-basis order |0>,|1>,|l0>,|l1>.
-DIAG_SYMBOLS = (0, 3, 4, 5)
+# The symbols of the qubit (row, col) pairs 00, 01, 10, 11.
+QUBIT_SYMBOLS = (0, 4, 5, 1)
 # One site's coordinates from its symbols (x = BASIS @ s) and back, both
 # written out: a first np.linalg.inv call adds about 0.9 MB of resident code.
 BASIS = np.eye(N_SYMBOLS, dtype=complex)
-BASIS[1:3, 1:3] = [[0.5, 0.5], [0.5j, -0.5j]]
+BASIS[4:, 4:] = [[0.5, 0.5], [0.5j, -0.5j]]
 BASIS_INV = np.eye(N_SYMBOLS, dtype=complex)
-BASIS_INV[1:3, 1:3] = [[1.0, -1j], [1.0, 1j]]
+BASIS_INV[4:, 4:] = [[1.0, -1j], [1.0, 1j]]
 # Readout reduction of one site's symbols onto its qubit (row, col) pairs
 # 00, 01, 10, 11: loss populations fold onto the diagonal (l0 -> 0, l1 -> 1).
 QUBIT_FOLD = np.zeros((4, N_SYMBOLS))
-QUBIT_FOLD[(0, 1, 2, 3, 0, 3), range(N_SYMBOLS)] = 1.0
+QUBIT_FOLD[(0, 3, 0, 3, 1, 2), range(N_SYMBOLS)] = 1.0
 
 
 def _pattern(k: int) -> tuple:
@@ -88,23 +90,9 @@ LEAK_ATOL = 1e-12
 
 DEFAULT_MEMORY_CAP = 8 << 30  # bytes; 8 GiB admits up to 11 sites
 
-@functools.cache
-def _diag_table(n: int) -> np.ndarray:
-    """Flat positions of the 4^n diagonal coordinates of an n-site state,
-    the trace check's index table, shared by every state (and every
-    run_suite thread).  Nothing writes it, but it is left writeable:
-    np.take copies a read-only index array on every call."""
-    diag = np.zeros(1, dtype=np.intp)
-    for _ in range(n):
-        diag = (N_SYMBOLS * diag[:, None] + DIAG_SYMBOLS).ravel()
-    return diag
-
-
 def footprint(n_sites: int) -> int:
-    """Bytes a state of n sites holds: two 6^n float64 buffers and the
-    trace check's index table."""
-    return (2 * 8 * N_SYMBOLS**n_sites
-            + np.dtype(np.intp).itemsize * len(DIAG_SYMBOLS)**n_sites)
+    """Bytes a state of n sites holds: two 6^n float64 buffers."""
+    return 2 * 8 * N_SYMBOLS**n_sites
 
 
 class SymbolOp:
@@ -188,15 +176,13 @@ class QuquartState:
         if nbytes > memory_cap:
             raise CapacityError(
                 f"{n_sites} sites need {nbytes} bytes (two buffers of 6^n "
-                f"float64 coordinates and the trace check's index table), "
-                f"cap is {memory_cap}"
+                f"float64 coordinates), cap is {memory_cap}"
             )
         self.n_sites = n_sites
         self._buf = np.zeros((N_SYMBOLS,) * n_sites)
         self._buf[(0,) * n_sites] = 1.0  # |0...0><0...0|
         self._spare = np.empty_like(self._buf)
         self._axes = list(range(n_sites))
-        self._diag = _diag_table(n_sites)
 
     # -- views in natural site order -----------------------------------------
 
@@ -226,11 +212,11 @@ class QuquartState:
     # -- bookkeeping -------------------------------------------------------
 
     def trace(self) -> float:
-        # the diagonal positions are the same under any order of the axes
-        d = self._spare.reshape(-1)[:self._diag.size]
-        # the default mode="raise" copies `out` through a buffer; every
-        # index is in range
-        np.take(self._buf.reshape(-1), self._diag, out=d, mode="clip")
+        # the populations, a strided view; summing it would allocate a
+        # buffer that grows with n, a copy into the spare allocates nothing
+        pops = self._buf[(slice(SITE_DIM),) * self.n_sites]
+        d = self._spare.reshape(-1)[:pops.size].reshape(pops.shape)
+        np.copyto(d, pops)
         return float(d.sum())
 
     def _check_invariants(self):
@@ -340,8 +326,7 @@ class QuquartState:
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of rho as a (4,)*n real tensor in site-basis order: a
-        view of the buffer-order diagonal, which ``.transpose(axes)`` gives
-        back without a copy."""
-        d = np.take(self._buf.reshape(-1), self._diag)
-        return d.reshape((len(DIAG_SYMBOLS),) * self.n_sites).transpose(
+        copy of the populations (after the next pass this buffer is the
+        spare), whose ``.transpose(axes)`` gives buffer order back."""
+        return self._buf[(slice(SITE_DIM),) * self.n_sites].copy().transpose(
             self._positions())

@@ -110,12 +110,14 @@ def set_pure(state, psi: np.ndarray):
         raise ValidationError(f"state not normalized (|psi| = {nrm})")
     outer = np.outer(psi, psi.conj()).reshape((2, 2) * n)
     # interleave to (r1, c1, r2, c2, ...) then merge each (2, 2) pair into
-    # the symbol axis values 0..3
+    # one axis of the pairs 00, 01, 10, 11
     order = []
     for i in range(n):
         order += [i, n + i]
+    # the symbol of each qubit (row, col) pair 00, 01, 10, 11
+    qubit = [SYMBOL_PAIRS.index(divmod(i, 2)) for i in range(4)]
     comp = np.zeros((N_SYMBOLS,) * n, dtype=complex)
-    comp[(slice(0, 4),) * n] = outer.transpose(order).reshape((4,) * n)
+    comp[np.ix_(*[qubit] * n)] = outer.transpose(order).reshape((4,) * n)
     # a hermitian rho has real coordinates
     state.blocks = symbols(comp, BASIS).real.copy()
     state._check_invariants()
@@ -144,8 +146,8 @@ def decoherence_direct_action(rho: np.ndarray, t: float,
 
 # -- per-axis references for the state's invariant check and kernels ------------
 
-_HERM_PERM = np.array([0, 2, 1, 3, 4, 5])
-_TRACE_VEC = np.array([1.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+_HERM_PERM = np.array([0, 1, 2, 3, 5, 4])
+_TRACE_VEC = np.array([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 def trace(blocks: np.ndarray) -> float:

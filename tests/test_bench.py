@@ -24,6 +24,21 @@ def test_kind_and_width_validation():
         BenchmarkSpec("AmplitudeEstimation", 2)  # needs counting + object
 
 
+@pytest.mark.parametrize("width", [2.5, 3.0, True, "3", None])
+def test_spec_rejects_a_width_that_is_not_an_int(width):
+    # a float width was accepted and failed in generate with a TypeError
+    with pytest.raises(ValidationError, match="width"):
+        BenchmarkSpec("Ghz", width)
+    with pytest.raises(ValidationError, match="width"):
+        sample_instances("Ghz", width)
+
+
+@pytest.mark.parametrize("n_samples", [2.0, True, "2"])
+def test_sample_instances_rejects_a_count_that_is_not_an_int(n_samples):
+    with pytest.raises(ValidationError, match="n_samples"):
+        sample_instances("Ghz", 3, n_samples)
+
+
 def test_bernstein_vazirani_ideal_is_secret():
     spec = BenchmarkSpec("BernsteinVazirani", 4, instance_param="1011")
     circuit, ideal = generate(spec)

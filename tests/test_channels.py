@@ -91,6 +91,26 @@ def test_noise_params_validation():
         NoiseParams(cz_phaseflip_mode="sometimes")
 
 
+@pytest.mark.parametrize("bad", [
+    {"cz_phaseflip": "abc"}, {"t1": "10"}, {"cz_phaseflip": None},
+    {"dur_cz": [1]}, {"cz_phaseflip": True}, {"cz_phaseshift": False},
+    {"dur_cz": math.inf}, {"dur_cz": math.nan}, {"t2_star": "1e-3"},
+    {"cz_phaseshift": math.nan}, {"cz_phaseshift": -math.inf},
+])
+def test_noise_params_reject_a_value_that_is_no_real_number(bad):
+    # each raised a bare TypeError, ran as a rate of 1.0 or 0.0, or let an
+    # infinite or NaN duration or phase through
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        NoiseParams(**bad)
+    with pytest.raises(ValidationError, match=next(iter(bad))):
+        NoiseParams().replace(**bad)
+
+
+def test_noise_params_accept_numpy_and_int_values():
+    p = NoiseParams(t1=np.int64(10), dur_cz=np.float32(5e-7), cz_phaseflip=0)
+    assert (p.t1, p.cz_phaseflip) == (10, 0)
+
+
 def test_every_numeric_noise_param_has_a_kind():
     kinds = ("rate", "population", "phase", "duration", "time")
     for f in fields(NoiseParams):

@@ -87,6 +87,22 @@ def test_run_command_with_overrides(tmp_path):
     assert all(r["f"] < 0.99 for r in records)
 
 
+@pytest.mark.parametrize("override", [
+    "noise.cz_phaseflip=abc", "noise.t1=\"10\"", "noise.cz_phaseflip=null",
+    "noise.dur_cz=[1]", "noise.cz_phaseflip=true", "noise.dur_cz=Infinity",
+    "noise.dur_cz=NaN",
+])
+def test_run_command_rejects_a_noise_value_that_is_no_real_number(
+        override, tmp_path, capsys):
+    rc = main(["run", "--set", "kinds=[\"Ghz\"]", "--set", "widths=[2]",
+               "--set", override, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    name = override.split("=")[0].removeprefix("noise.")
+    assert err.startswith("error:") and name in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["config", "set"])
 def test_run_command_passes_workers_to_run_suite(source, tmp_path,
                                                  monkeypatch):

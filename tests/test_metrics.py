@@ -213,13 +213,14 @@ def test_reduce_readout_folds_loss_states():
 
 def test_reduce_readout_array_matches_per_index_fold():
     rng = np.random.default_rng(8)
-    diag = rng.random((4, 4, 4))
-    diag /= diag.sum()
-    expect = np.zeros(8)
-    for idx in np.ndindex(diag.shape):
-        bits = "".join("0101"[i] for i in idx)  # l0 reads 0, l1 reads 1
-        expect[int(bits, 2)] += diag[idx]
-    assert np.allclose(reduce_readout_array(diag), expect)
+    for n in range(1, 9):
+        diag = rng.random((4,) * n)
+        diag /= diag.sum()
+        expect = np.zeros(2**n)
+        for idx in np.ndindex(diag.shape):
+            bits = "".join("0101"[i] for i in idx)  # l0 reads 0, l1 reads 1
+            expect[int(bits, 2)] += diag[idx]
+        assert np.allclose(reduce_readout_array(diag), expect), n
 
 
 def test_permute_and_marginalize():

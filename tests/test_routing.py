@@ -31,6 +31,18 @@ def test_grid_adjacency():
     assert topo.distance(2, 3) == 3
 
 
+@pytest.mark.parametrize("shape", [
+    {"rows": 1}, {"cols": 4}, {"rows": -1, "cols": -5}, {"rows": 0, "cols": 4},
+    {"rows": 2.0, "cols": 2}, {"rows": True, "cols": 4},
+])
+def test_grid_rejects_a_bad_shape(shape):
+    # rows alone was ignored (a 2x2 grid), and a negative shape built
+    # adjacency to negative nodes
+    with pytest.raises(ValidationError, match="rows and cols"):
+        Topology.grid(4, **shape)
+    assert Topology.grid(4, rows=1, cols=4).adjacency[0] == (1,)
+
+
 def test_all_to_all_adjacency():
     topo = Topology.all_to_all(4)
     assert topo.neighbors(2) == (0, 1, 3)

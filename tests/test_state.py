@@ -14,9 +14,12 @@ from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
 from atombench.circuit import cz, gate_duration, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
-from atombench.state import (DEFAULT_MEMORY_CAP, DIAG_SYMBOLS, N_SYMBOLS,
+from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QUBIT_SYMBOLS,
                              SYMBOL_PAIRS, QuquartState, SymbolOp, footprint,
                              fuse, pair_kron)
+
+# the symbols of the populations |0>, |1>, |l0>, |l1>
+_POPULATIONS = [SYMBOL_PAIRS.index((k, k)) for k in range(4)]
 
 
 def test_initial_state():
@@ -238,10 +241,10 @@ def test_memory_cap():
     with pytest.raises(CapacityError):
         QuquartState(8, memory_cap=1 << 20)  # 6^8 float64s > 1 MiB
     QuquartState(4, memory_cap=1 << 20)      # 6^4 fits
-    # both buffers and the check's table: the default cap admits 11 sites
+    # both buffers, nothing else: the default cap admits 11 sites
     # (arithmetic only: an 11-site state takes about 5.8 GB)
     assert footprint(11) <= DEFAULT_MEMORY_CAP < footprint(12)
-    assert footprint(4) > 2 * 8 * 6**4
+    assert footprint(4) == 2 * 8 * 6**4
 
 
 def test_memory_cap_bounds_gate_peak():
@@ -312,7 +315,7 @@ def test_kernels_match_reference_on_every_site_and_ordered_pair():
 
 
 def _natural_diagonal(blocks):
-    return blocks[np.ix_(*[list(DIAG_SYMBOLS)] * blocks.ndim)]
+    return blocks[np.ix_(*[_POPULATIONS] * blocks.ndim)]
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -363,6 +366,28 @@ def test_random_sequences_carry_the_axis_order_between_passes(n):
         assert np.max(np.abs(st.diagonal() - _natural_diagonal(ref))) < 1e-12
         assert abs(st.trace() - dense_ref.trace(ref)) < 1e-12
     assert orders - {tuple(range(n))}, "no step left a permuted order"
+
+
+def test_populations_come_first():
+    # the diagonal is the first four symbols of every axis, in site-basis
+    # order, and QUBIT_SYMBOLS names the qubit pairs 00, 01, 10, 11
+    assert SYMBOL_PAIRS[:4] == tuple((k, k) for k in range(4))
+    for i, s in enumerate(QUBIT_SYMBOLS):
+        assert SYMBOL_PAIRS[s] == divmod(i, 2)
+
+
+def test_diagonal_read_before_a_pass_is_unchanged_after_it():
+    # each pass makes the buffer the diagonal was read from the spare,
+    # which the trace check and the next pass overwrite
+    op = _unitary(global_rotation_matrix(0.4, 1.3))
+    st = QuquartState(3).apply_global_unitary(op)
+    d = st.diagonal()
+    before = d.copy()
+    st.apply_channel((0,), _op(ch.loss_channel(0.2, "dark")))
+    st.apply_channel((2, 0), _unitary(controlled_phase_matrix(-1.0)))
+    st.apply_global_unitary(op)
+    assert np.array_equal(d, before)
+    assert not np.array_equal(st.diagonal(), before)
 
 
 def test_blocks_setter_checks_the_shape():
@@ -464,7 +489,7 @@ def test_channel_arity_checked():
 def _site_vectors(rng, n):
     """n random coordinate vectors, each of trace one."""
     vs = rng.uniform(0.1, 1.0, size=(n, N_SYMBOLS))
-    return list(vs / vs[:, [0, 3, 4, 5]].sum(axis=1, keepdims=True))
+    return list(vs / vs[:, _POPULATIONS].sum(axis=1, keepdims=True))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
