@@ -54,6 +54,8 @@ class BenchmarkSpec:
             even = " and even" if _KIND_TABLE[self.kind].even else ""
             raise ValidationError(f"{self.kind} width must be an int in "
                                   f"[{lo}, {hi}]{even}, got {self.width!r}")
+        if isinstance(self.instance_param, bool):  # no kind reads one
+            raise ValidationError(f"{self.kind} instance parameter is a bool")
 
 
 def width_allowed(kind: str, width: int) -> bool:

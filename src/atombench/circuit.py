@@ -14,6 +14,7 @@ the two global pulses cancelling exactly on every other site.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -35,7 +36,15 @@ class Gate:
     params: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "sites", tuple(int(s) for s in self.sites))
+        sites = self.sites
+        if not all(type(s) is int for s in sites):
+            # int() would read a site 1.7, "1" or True as 1
+            if not all(isinstance(s, numbers.Integral)
+                       and not isinstance(s, bool) for s in sites):
+                raise ValidationError(f"{self.name} sites {sites!r} are not "
+                                      f"all integers")
+            sites = map(int, sites)
+        object.__setattr__(self, "sites", tuple(sites))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
     @property

@@ -16,9 +16,9 @@ The Table-derived conditional phase offset is coherent: diag(1,1,1,e^{i d})
 on the computational block of the pair.
 
 This module alone maps a native gate to physics: ``native_op(g, params)``
-is the product of its channels in this order, one cached SymbolOp (6x6 on
-the ``rz`` site or on every ``grot`` site, 36x36 on the ``cz`` pair), and
-``apply_gate(state, g, params)`` applies it.
+is the product of its channels in this order, one cached read-only float64
+array (6x6 on the ``rz`` site or on every ``grot`` site, 36x36 on the
+``cz`` pair), and ``apply_gate(state, g, params)`` applies it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from . import channels as ch
 from .channels import KrausSet, NoiseParams
 from .circuit import Gate, check_arity, gate_duration
 from .errors import ValidationError
-from .state import QuquartState, SymbolOp, fuse
+from .state import QuquartState, fuse
 
 
 def global_rotation_matrix(phi: float, theta: float) -> np.ndarray:
@@ -113,7 +113,7 @@ _STEPS = {
 
 FUSED_CACHE_SIZE = 1024
 _fused_lock = threading.Lock()
-_fused_ops: dict = {}  # (name, args, idle) -> (NoiseParams, SymbolOp)
+_fused_ops: dict = {}  # (name, args, idle) -> (NoiseParams, op)
 
 
 def _fields(name: str, idle) -> tuple:
@@ -133,9 +133,9 @@ def _steps(name: str, args: tuple, params: NoiseParams, idle) -> list:
 
 
 def _fused(name: str, args: tuple, params: NoiseParams, idle=None
-           ) -> SymbolOp:
-    """The steps of `name` fused into one SymbolOp, then (unless idle is
-    None) idle decoherence over `idle` seconds on each of its sites.
+           ) -> np.ndarray:
+    """The steps of `name` fused into one op, then (unless idle is None)
+    idle decoherence over `idle` seconds on each of its sites.
 
     Built on first use and then cached, one entry per (name, args, idle)
     holding the operator and the NoiseParams it was built under.  A lookup
@@ -155,13 +155,13 @@ def _fused(name: str, args: tuple, params: NoiseParams, idle=None
             return entry[1]
         if entry is None and len(_fused_ops) >= FUSED_CACHE_SIZE:
             _fused_ops.clear()
-        op = fuse(_steps(name, args, params, idle), name)
+        op = fuse(_steps(name, args, params, idle))
         _fused_ops[key] = (params, op)
     return op
 
 
 def native_op(g: Gate, params: NoiseParams, decohere: bool = True
-              ) -> SymbolOp:
+              ) -> np.ndarray:
     """The cached fused operator of native gate g.
 
     It acts on one site for ``rz`` (and on each site in turn for ``grot``)

@@ -4,7 +4,8 @@ Classical fidelity is the squared Bhattacharyya overlap of two probability
 vectors over bitstrings, normalized so the maximally mixed output scores 0,
 and clipped to [0, 1].  Readout reduction maps ququart populations onto bits
 (l0 -> 0, l1 -> 1), mimicking state-selective readout of lost atoms.  The
-average gate fidelity of a noisy native gate is exact, from its fused op.
+average gate fidelity of a noisy native gate is exact, from its fused op,
+the read-only matrix that ``gatemodel.native_op`` caches.
 """
 
 from __future__ import annotations
@@ -123,7 +124,7 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
     """Exact Haar-average fidelity of a noisy native gate on the qubit space.
 
     gate is "global_rotation", "local_rz" or "cz".  The noisy map is the
-    gate's fused SymbolOp followed by the readout reduction (l0 -> 0,
+    gate's fused op followed by the readout reduction (l0 -> 0,
     l1 -> 1), without SPAM.  With S and S_U the matrices of the noisy and the
     ideal gate on the stored symbols, reduced to qubit symbols, the
     entanglement fidelity is F_e = Re<S_U, S> / d^2 and the Haar average is
@@ -138,13 +139,12 @@ def average_gate_fidelity(gate: str, params, theta: float = math.pi) -> float:
          "cz": cz(0, 1)}.get(gate)
     if g is None:
         raise ValidationError(f"unknown gate {gate!r}")
-    ideal = gatemodel.native_op(g, NoiseParams.noiseless()).matrix
+    ideal = gatemodel.native_op(g, NoiseParams.noiseless())
     op = gatemodel.native_op(g, params)
     # the ops' real matrices back on the symbols: qubit symbols in through
     # BASIS, out through BASIS_INV
-    comp, fold = BASIS[:, QUBIT_SYMBOLS], QUBIT_FOLD @ BASIS_INV
-    if op.n_sites == 2:
-        comp, fold = np.kron(comp, comp), np.kron(fold, fold)
-    d = 2**op.n_sites
-    f_e = np.vdot(fold @ ideal @ comp, fold @ op.matrix @ comp).real / d**2
+    comp, fold, d = BASIS[:, QUBIT_SYMBOLS], QUBIT_FOLD @ BASIS_INV, 2
+    if gate == "cz":
+        comp, fold, d = np.kron(comp, comp), np.kron(fold, fold), 4
+    f_e = np.vdot(fold @ ideal @ comp, fold @ op @ comp).real / d**2
     return float((d * f_e + 1.0) / (d + 1.0))

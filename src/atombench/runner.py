@@ -46,8 +46,7 @@ from .channels import NoiseParams
 from .circuit import Circuit, cz, gate_duration, schedule_layers
 from .errors import AtombenchError, DegenerateIdealError, ValidationError
 from .routing import Topology, transpile
-from .state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, SymbolOp,
-                    pair_kron)
+from .state import DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, pair_kron
 
 _READOUT_FLOOR = 1e-15   # readout probabilities at or below it are stored as 0
 
@@ -150,20 +149,20 @@ class _Recorder:
     over; ``_compile`` adds each ``cz`` as (sites, None).
 
     It takes the state's place in ``gatemodel``: ``apply_channel`` and
-    ``apply_global_unitary`` record (sites, op.matrix), sites None for a
-    global op.  Only references to the cached ops' matrices are kept, never
-    products, so a long circuit holds no matrix per gate.
+    ``apply_global_unitary`` record (sites, op), sites None for a global op.
+    Only references to the cached, read-only ops are kept, never products,
+    so a long circuit holds no matrix per gate.
     """
 
     def __init__(self):
         self.ops = []
 
-    def apply_channel(self, sites, op: SymbolOp):
-        self.ops.append((tuple(sites), op.matrix))
+    def apply_channel(self, sites, op: np.ndarray):
+        self.ops.append((tuple(sites), op))
         return self
 
-    def apply_global_unitary(self, op: SymbolOp):
-        self.ops.append((None, op.matrix))
+    def apply_global_unitary(self, op: np.ndarray):
+        self.ops.append((None, op))
         return self
 
 
@@ -262,13 +261,8 @@ def _run(n_sites: int, start, passes, params: NoiseParams, per_gate: bool,
         state.set_product(start)
     op = gatemodel.native_op(cz(0, 1), params, decohere=per_gate)
     for sites, before, after in passes:
-        m = op.matrix
-        if before is not None:
-            m = m @ before
-        if after is not None:
-            m = after @ m
-        state.apply_channel(
-            sites, op if m is op.matrix else SymbolOp(m, op.label))
+        m = op if before is None else op @ before
+        state.apply_channel(sites, m if after is None else after @ m)
     return state
 
 

@@ -10,15 +10,16 @@ four populations first, in site-basis order:
 
 An n-site state stores 6^n float64 numbers instead of 16^n complex ones, as
 a (6,)*n tensor, and so cannot hold a non-hermitian rho.  A channel acts as
-a SymbolOp, its real matrix on these coordinates, checked once when built to
-keep the block pattern and keep rho hermitian; each application is one pass
-over the state and ends with one trace check.  A SymbolOp may be a product
-of several gates' ops: the runner folds each site's 1-site ops into the
-pair ops on that site, so one checked pass can carry many gates, and
-starts a site that has no pair op in the product of its ops applied to
-|0> (``set_product``).  A state owns two buffers of this shape: every pass
-writes the spare one and the two swap, and between passes the spare is the
-check's scratch, so no pass allocates anything state-sized.
+its op, a read-only float64 matrix on these coordinates (6x6 on a site,
+36x36 on a pair), checked once when ``kraus_matrix`` builds it to keep the
+block pattern and keep rho hermitian; each application is one pass over the
+state and ends with one trace check.  An op may be a product of several
+gates' ops: the runner folds each site's 1-site ops into the pair ops on
+that site, so one checked pass can carry many gates, and starts a site that
+has no pair op in the product of its ops applied to |0> (``set_product``).
+A state owns two buffers of this shape: every pass writes the spare one and
+the two swap, and between passes the spare is the check's scratch, so no
+pass allocates anything state-sized.
 
 The buffer keeps its own site order, ``axes`` (buffer axis p holds site
 axes[p]).  A pair op on neighbouring axes multiplies them where they are;
@@ -95,75 +96,66 @@ def footprint(n_sites: int) -> int:
     return 2 * 8 * N_SYMBOLS**n_sites
 
 
-class SymbolOp:
-    """A channel as one real matrix on the coordinates, checked when built.
+def kraus_matrix(channel: KrausSet) -> np.ndarray:
+    """The op of a Kraus channel: 6x6 on one site, or 36x36 on a site pair,
+    whose pair coordinate is 6*x_a + x_b.
 
-    The matrix is 6x6 on one site, or 36x36 on a site pair, whose pair
-    coordinate is 6*x_a + x_b.  `from_kraus` and `fuse` reject a channel
-    that moves amplitude out of the block pattern, and `from_symbols`, which
-    they call, rejects a map that does not keep rho hermitian; products of
-    such maps keep both, so applying a SymbolOp needs neither check.  The
-    matrix is read-only, so one op can be cached and shared.
+    p[r, c, y] = sum_A A[r, R_y] conj(A[c, C_y]) is where the channel sends
+    symbol y = (R_y, C_y), one broadcast product per operator.  Its entries
+    at the stored symbols form the matrix; any entry outside the pattern is
+    leakage, rejected here, and ``symbol_matrix`` rejects a map that does
+    not keep rho hermitian.  Products of such maps keep both, so applying
+    an op needs neither check.
     """
-
-    __slots__ = ("matrix", "n_sites", "label")
-
-    def __init__(self, matrix: np.ndarray, label: str = ""):
-        matrix.flags.writeable = False
-        self.matrix = matrix
-        self.n_sites = 1 if matrix.shape[0] == N_SYMBOLS else 2
-        self.label = label
-
-    @classmethod
-    def from_kraus(cls, channel: KrausSet) -> "SymbolOp":
-        """The op of a Kraus channel: p[r, c, y] = sum_A A[r, R_y]
-        conj(A[c, C_y]) is where the channel sends symbol y = (R_y, C_y),
-        one broadcast product per operator.  Its entries at the stored
-        symbols form the matrix; any entry outside the pattern is leakage."""
-        rows, cols, outside = _PATTERN[channel.n_sites]
-        p = 0
-        for a in channel.operators:
-            p = p + a[:, None, rows] * a[None, :, cols].conj()
-        leak = float(np.max(np.abs(p[outside])))
-        if leak > LEAK_ATOL:
-            raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")
-        return cls.from_symbols(p[rows, cols], channel.label)
-
-    @classmethod
-    def from_symbols(cls, m: np.ndarray, label: str) -> "SymbolOp":
-        """The op of the map whose matrix on the complex symbols is m: T m
-        T^-1, T the Kronecker power of BASIS, which is real iff the map keeps
-        rho hermitian.  An imaginary part above HERM_ATOL is rejected."""
-        t, t_inv = _BASES[m.shape[0]]
-        m = t @ m @ t_inv
-        imag = float(np.max(np.abs(m.imag)))
-        if imag > HERM_ATOL:
-            raise PatternLeakError(
-                f"{label}: imaginary part {imag} on the real coordinates; "
-                f"the map does not keep rho hermitian")
-        return cls(m.real.copy(), label)
+    rows, cols, outside = _PATTERN[channel.n_sites]
+    p = 0
+    for a in channel.operators:
+        p = p + a[:, None, rows] * a[None, :, cols].conj()
+    leak = float(np.max(np.abs(p[outside])))
+    if leak > LEAK_ATOL:
+        raise PatternLeakError(f"{channel.label}: pattern leakage {leak}")
+    return symbol_matrix(p[rows, cols], channel.label)
 
 
-def fuse(steps, label: str) -> SymbolOp:
-    """One SymbolOp for Kraus channels applied in the order given.
+def symbol_matrix(m: np.ndarray, label: str) -> np.ndarray:
+    """The read-only op of the map whose matrix on the complex symbols is
+    m: T m T^-1, T the Kronecker power of BASIS, which is real iff the map
+    keeps rho hermitian.  An imaginary part above HERM_ATOL is rejected."""
+    t, t_inv = _BASES[m.shape[0]]
+    m = t @ m @ t_inv
+    imag = float(np.max(np.abs(m.imag)))
+    if imag > HERM_ATOL:
+        raise PatternLeakError(
+            f"{label}: imaginary part {imag} on the real coordinates; "
+            f"the map does not keep rho hermitian")
+    m = m.real.copy()
+    m.flags.writeable = False
+    return m
+
+
+def fuse(steps) -> np.ndarray:
+    """The read-only op of Kraus channels applied in the order given.
 
     The op is as wide as the widest channel: in a pair op, a one-site
-    channel acts on both sites, so each channel is converted once.
+    channel acts on both sites, so each channel is converted once.  Being
+    read-only, one op can be cached and shared.
     """
     n_sites = max(k.n_sites for k in steps)
     m = None
     for step in steps:
-        step_m = SymbolOp.from_kraus(step).matrix
+        step_m = kraus_matrix(step)
         if step.n_sites < n_sites:
             step_m = pair_kron(step_m, step_m)
         m = step_m if m is None else step_m @ m
-    return SymbolOp(m, label)
+    m.flags.writeable = False
+    return m
 
 
-def _check_arity(op: SymbolOp, n_sites: int):
-    if op.n_sites != n_sites:
+def _check_shape(op: np.ndarray, n_sites: int):
+    width = N_SYMBOLS**n_sites
+    if op.shape != (width, width):
         raise ValidationError(
-            f"{op.label}: {op.n_sites}-site channel on {n_sites} site(s)")
+            f"a {op.shape} op on {n_sites} site(s), want ({width}, {width})")
 
 
 class QuquartState:
@@ -272,24 +264,24 @@ class QuquartState:
                       out=out.reshape(lead, width, trail))
         self._buf, self._spare = out, b
 
-    def apply_channel(self, sites, op: SymbolOp):
+    def apply_channel(self, sites, op: np.ndarray):
         """In-place rho -> op(rho) on one or two sites, then one check."""
         sites = tuple(sites)
         self._check_sites(sites)
-        _check_arity(op, len(sites))
-        self._apply(op.matrix, sites)
+        _check_shape(op, len(sites))
+        self._apply(op, sites)
         self._check_invariants()
         return self
 
-    def apply_global_unitary(self, op: SymbolOp):
+    def apply_global_unitary(self, op: np.ndarray):
         """In-place application of one 1-site op on every site, then one check.
 
         Runs each global pulse (its unitary and, fused with it, its noise),
         register-wide decoherence and preparation.
         """
-        _check_arity(op, 1)
+        _check_shape(op, 1)
         for s in range(self.n_sites):
-            self._apply(op.matrix, (s,))
+            self._apply(op, (s,))
         self._check_invariants()
         return self
 

@@ -39,6 +39,17 @@ def test_sample_instances_rejects_a_count_that_is_not_an_int(n_samples):
         sample_instances("Ghz", 3, n_samples)
 
 
+@pytest.mark.parametrize("kind", [
+    "BernsteinVazirani", "Grover", "QftMethod1", "QftMethod2",
+    "PhaseEstimation", "AmplitudeEstimation", "HamiltonianSim", "HiddenShift",
+    "GhzParity"])
+@pytest.mark.parametrize("param", [True, False])
+def test_generate_rejects_a_bool_instance_parameter(kind, param):
+    # a bool ran as 1 or 0: BernsteinVazirani with True ran secret "001"
+    with pytest.raises(ValidationError):
+        generate(BenchmarkSpec(kind, 4, param))
+
+
 def test_bernstein_vazirani_ideal_is_secret():
     spec = BenchmarkSpec("BernsteinVazirani", 4, instance_param="1011")
     circuit, ideal = generate(spec)

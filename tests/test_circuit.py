@@ -228,6 +228,25 @@ def test_from_dict_does_not_coerce_a_gate_record(rec):
         Gate("rz", (1,), (1.0,))]
 
 
+@pytest.mark.parametrize("name,sites,params", [
+    ("cz", (0, 1.7), ()), ("cz", (0.0, 1), ()), ("rz", (True,), (0.5,)),
+    ("cz", (False, 1), ()), ("h", ("1",), ()), ("h", (np.bool_(True),), ()),
+    ("rz", (np.float64(1),), (0.5,)),
+])
+def test_a_gate_rejects_a_site_that_is_no_integer(name, sites, params):
+    # int() read the first four as cz(0, 1), cz(0, 1), rz(1, 0.5) and
+    # cz(0, 1), and Circuit took them
+    with pytest.raises(ValidationError, match="not all integers"):
+        Gate(name, sites, params)
+
+
+def test_a_gate_takes_numpy_integer_sites_as_ints():
+    gate = Gate("cz", (np.int64(0), np.int32(2)))
+    assert gate == cz(0, 2)
+    assert all(type(s) is int for s in gate.sites)
+    assert Circuit(3).add(gate).ops == [cz(0, 2)]
+
+
 def test_a_malformed_gate_is_rejected_when_its_circuit_is_built():
     # each used to reach a pass and fail there with a bare ValueError or
     # IndexError

@@ -141,10 +141,16 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
     built, evals, scheduled, looked_up = [], [], [], []
     fuse, evaluate = gatemodel.fuse, fit.mean_reference_fidelity
     schedule, native_op = runner.schedule_layers, gatemodel.native_op
+    steps, names = gatemodel._steps, []
 
-    def counted_fuse(steps, name):
-        built.append((len(evals), name))
-        return fuse(steps, name)
+    def named_steps(name, *args):
+        # an op's steps are listed only to be fused: the name of the op built
+        names.append(name)
+        return steps(name, *args)
+
+    def counted_fuse(op_steps):
+        built.append((len(evals), names[-1]))
+        return fuse(op_steps)
 
     def counted_evaluate(*args, **kwargs):
         evals.append(None)
@@ -162,6 +168,7 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
     # first evaluation then compiles each plan and builds every op
     runner._reference.cache_clear()
     monkeypatch.setattr(gatemodel, "_fused_ops", {})
+    monkeypatch.setattr(gatemodel, "_steps", named_steps)
     monkeypatch.setattr(gatemodel, "fuse", counted_fuse)
     monkeypatch.setattr(fit, "mean_reference_fidelity", counted_evaluate)
     monkeypatch.setattr(runner, "schedule_layers", counted_schedule)

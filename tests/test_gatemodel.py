@@ -318,7 +318,7 @@ def test_fused_op_is_rebuilt_only_for_its_declared_fields(name, args, idle):
         op = gatemodel._fused(name, args, STRONG, idle)
         other = gatemodel._fused(name, args, _changed(STRONG, field), idle)
         if field in declared:
-            assert not np.array_equal(other.matrix, op.matrix), field
+            assert not np.array_equal(other, op), field
         else:
             assert other is op, field
 
@@ -329,4 +329,5 @@ def test_every_native_op_is_float64(name, args):
         params = STRONG.replace(cz_phaseflip_mode=mode, cz_phaseshift=0.3)
         for idle in (None, 3e-6):
             op = gatemodel._fused(name, args, params, idle)
-            assert op.matrix.dtype == np.float64, (mode, idle)
+            assert op.dtype == np.float64, (mode, idle)
+            assert not op.flags.writeable, (mode, idle)

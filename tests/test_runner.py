@@ -28,7 +28,7 @@ from atombench.runner import (
     save_records,
     topology_label,
 )
-from atombench.state import N_SYMBOLS, QuquartState, SymbolOp
+from atombench.state import N_SYMBOLS, QuquartState
 
 NOISELESS = NoiseParams.noiseless()
 
@@ -256,7 +256,7 @@ def test_trace_breaking_pending_op_is_caught_before_readout(monkeypatch, ops,
     def scaled_rz(g, params, decohere=True):
         op = real(g, params, decohere)
         if g.name == "rz":
-            op = SymbolOp(1.01 * op.matrix, "scaled rz")
+            op = 1.01 * op
         return op
 
     monkeypatch.setattr(gatemodel, "native_op", scaled_rz)

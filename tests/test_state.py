@@ -14,9 +14,10 @@ from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
 from atombench.circuit import cz, gate_duration, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
+from atombench import state
 from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QUBIT_SYMBOLS,
-                             SYMBOL_PAIRS, QuquartState, SymbolOp, footprint,
-                             fuse, pair_kron)
+                             SYMBOL_PAIRS, QuquartState, footprint, fuse,
+                             kraus_matrix, pair_kron, symbol_matrix)
 
 # the symbols of the populations |0>, |1>, |l0>, |l1>
 _POPULATIONS = [SYMBOL_PAIRS.index((k, k)) for k in range(4)]
@@ -52,7 +53,7 @@ def test_set_pure_rejects_unnormalized():
 
 
 def _op(channel):
-    return SymbolOp.from_kraus(channel)
+    return kraus_matrix(channel)
 
 
 def _unitary(u):
@@ -110,7 +111,7 @@ def test_pattern_leak_detection():
     c, s = np.cos(0.3), np.sin(0.3)
     u[1, 1], u[1, 2], u[2, 1], u[2, 2] = c, -s, s, c
     with pytest.raises(PatternLeakError):
-        SymbolOp.from_kraus(KrausSet((u,), label="leaky"))
+        kraus_matrix(KrausSet((u,), label="leaky"))
 
 
 def test_pattern_leak_detection_on_a_pair():
@@ -121,13 +122,13 @@ def test_pattern_leak_detection_on_a_pair():
     a, b = 4 * 1 + 1, 4 * 2 + 2
     u[a, a], u[a, b], u[b, a], u[b, b] = c, -s, s, c
     with pytest.raises(PatternLeakError, match="pattern leakage"):
-        SymbolOp.from_kraus(KrausSet((u,), label="leaky pair"))
+        kraus_matrix(KrausSet((u,), label="leaky pair"))
     assert _gathered(KrausSet((u,)))[1] > 0.1
 
 
 def _gathered(channel: KrausSet) -> tuple:
     """(symbol matrix, leakage) of a channel by the two-gather formula that
-    SymbolOp.from_kraus used before its broadcast product: np.ix_ grids of
+    kraus_matrix used before its broadcast product: np.ix_ grids of
     the stored rows and columns, and of every entry outside the pattern."""
     rows = cols = None
     for _ in range(channel.n_sites):
@@ -211,8 +212,8 @@ def test_from_kraus_equals_the_gathered_formula():
     for k in channels:
         m, leak = _gathered(k)
         assert leak <= 1e-12, (k.label, leak)
-        expect = SymbolOp.from_symbols(m, k.label).matrix
-        assert np.array_equal(SymbolOp.from_kraus(k).matrix, expect), k.label
+        expect = symbol_matrix(m, k.label)
+        assert np.array_equal(kraus_matrix(k), expect), k.label
 
 
 def test_trace_and_hermiticity_preserved_under_noise():
@@ -328,9 +329,8 @@ def test_random_sequences_carry_the_axis_order_between_passes(n):
     cz_op = _unitary(controlled_phase_matrix(-1.0))
     # different ops on the two sites, so a pair applied the wrong way round
     # gives a different state
-    pairs = [cz_op, SymbolOp(pair_kron(ones[0].matrix, ones[2].matrix)
-                             @ cz_op.matrix @ pair_kron(ones[1].matrix,
-                                                        ones[3].matrix))]
+    pairs = [cz_op, pair_kron(ones[0], ones[2]) @ cz_op
+             @ pair_kron(ones[1], ones[3])]
     st, ref = QuquartState(n), np.zeros((N_SYMBOLS,) * n)
     ref[(0,) * n] = 1.0
     orders = set()
@@ -340,16 +340,16 @@ def test_random_sequences_carry_the_axis_order_between_passes(n):
             sites = tuple(int(s) for s in rng.choice(n, 2, replace=False))
             op = pairs[int(rng.integers(2))]
             st.apply_channel(sites, op)
-            ref = dense_ref.apply_symbol_matrix(ref, op.matrix, sites)
+            ref = dense_ref.apply_symbol_matrix(ref, op, sites)
         elif kind == "site":
             s, op = int(rng.integers(n)), ones[int(rng.integers(4))]
             st.apply_channel((s,), op)
-            ref = dense_ref.apply_symbol_matrix(ref, op.matrix, (s,))
+            ref = dense_ref.apply_symbol_matrix(ref, op, (s,))
         elif kind == "global":
             op = ones[int(rng.integers(4))]
             st.apply_global_unitary(op)
             for s in range(n):
-                ref = dense_ref.apply_symbol_matrix(ref, op.matrix, (s,))
+                ref = dense_ref.apply_symbol_matrix(ref, op, (s,))
         elif kind == "product":
             vs = _site_vectors(rng, n)
             st.set_product(vs)
@@ -357,7 +357,7 @@ def test_random_sequences_carry_the_axis_order_between_passes(n):
         else:
             ref = dense_ref.apply_symbol_matrix(
                 functools.reduce(np.kron, _site_vectors(rng, n)).reshape(
-                    (N_SYMBOLS,) * n), pairs[1].matrix, (n - 1, 0))
+                    (N_SYMBOLS,) * n), pairs[1], (n - 1, 0))
             st.blocks = ref.copy()
         if kind in ("product", "set"):
             assert st.axes == tuple(range(n))
@@ -410,14 +410,14 @@ def test_injected_defect_is_caught():
                      for r, c in SYMBOL_PAIRS])
     for m in (left, pair_kron(left, np.eye(N_SYMBOLS))):
         with pytest.raises(PatternLeakError, match="hermitian"):
-            SymbolOp.from_symbols(m, "left multiplication")
+            symbol_matrix(m, "left multiplication")
 
 
 def test_trace_check_rejects_nan():
     # abs(nan - 1) > atol is False: the check must not let a NaN trace pass
     with pytest.raises(PatternLeakError, match="trace"):
         QuquartState(2).apply_channel(
-            (0,), SymbolOp(np.full((N_SYMBOLS, N_SYMBOLS), np.nan)))
+            (0,), np.full((N_SYMBOLS, N_SYMBOLS), np.nan))
     vs = _site_vectors(np.random.default_rng(0), 2)
     vs[1][0] = np.nan
     with pytest.raises(PatternLeakError, match="trace"):
@@ -428,12 +428,12 @@ def test_fuse_converts_each_site_channel_once(monkeypatch):
     # a cz with idle decoherence: its loss, decay and decoherence channels
     # each act on both sites but are listed once, so each of its 8 steps is
     # a KrausSet converted once
-    calls, convert = [], SymbolOp.from_kraus
-    monkeypatch.setattr(SymbolOp, "from_kraus",
+    calls, convert = [], kraus_matrix
+    monkeypatch.setattr(state, "kraus_matrix",
                         lambda channel: calls.append(channel) or convert(channel))
     p = NoiseParams()
     steps = gatemodel._steps("cz", (), p, gate_duration(cz(0, 1), p))
-    fuse(steps, "cz")
+    fuse(steps)
     assert (len(steps), len(calls)) == (8, 8)
     for mode in ("conditional", "correlated", "per_site"):
         steps = gatemodel._steps("cz", (), p.replace(cz_phaseflip_mode=mode),
@@ -484,6 +484,13 @@ def test_channel_arity_checked():
     with pytest.raises(ValidationError):
         QuquartState(2).apply_global_unitary(
             _op(ch.correlated_phase_flip(0.1)))
+    # a misshapen matrix fails here, not in the kernel's matmul
+    for sites, shape in [((0, 1), (5, 5)), ((0,), (5, 5)), ((0,), (6, 5)),
+                         ((0, 1), (36, 6)), ((0,), (36, 36))]:
+        with pytest.raises(ValidationError):
+            QuquartState(2).apply_channel(sites, np.eye(*shape))
+    with pytest.raises(ValidationError):
+        QuquartState(2).apply_global_unitary(np.eye(5))
 
 
 def _site_vectors(rng, n):
