@@ -9,12 +9,11 @@ import pytest
 
 import dense_ref
 from atombench import channels as ch
-from atombench import gatemodel
+from atombench import gatemodel, state
 from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
 from atombench.circuit import cz, gate_duration, grot, rz
 from atombench.errors import CapacityError, PatternLeakError, ValidationError
 from atombench.gatemodel import global_rotation_matrix, rz_matrix
-from atombench import state
 from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QUBIT_SYMBOLS,
                              SYMBOL_PAIRS, QuquartState, footprint, fuse,
                              kraus_matrix, pair_kron, symbol_matrix)
