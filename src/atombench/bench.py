@@ -108,8 +108,6 @@ _UNITARIES = {
 
 def gate_unitary(g: Gate) -> np.ndarray:
     """2^k x 2^k unitary of a gate on its k qubits (one qubit for grot)."""
-    if g.name not in _UNITARIES:
-        raise ValidationError(f"no unitary for gate {g.name!r}")
     return _UNITARIES[g.name](*g.params)
 
 
@@ -144,20 +142,15 @@ def ideal_distribution(circuit: Circuit) -> Distribution:
 # -- circuit-construction helpers ------------------------------------------
 
 
-def _g(name, sites, *params):
-    return Gate(name, tuple(sites) if isinstance(sites, (list, tuple)) else (sites,),
-                tuple(float(p) for p in params))
-
-
 def _mcp_ops(theta: float, qubits: tuple) -> list:
     """Multi-controlled phase on the last of two or more qubits, recursive
     and ancilla-free."""
     if len(qubits) == 2:
-        return [_g("cp", qubits, theta)]
+        return [Gate("cp", qubits, (theta,))]
     *controls, last_c, target = qubits
-    ops = [_g("cp", (last_c, target), theta / 2)]
+    ops = [Gate("cp", (last_c, target), (theta / 2,))]
     ops += _mcx_ops(tuple(controls), last_c)
-    ops += [_g("cp", (last_c, target), -theta / 2)]
+    ops += [Gate("cp", (last_c, target), (-theta / 2,))]
     ops += _mcx_ops(tuple(controls), last_c)
     ops += _mcp_ops(theta / 2, tuple(controls) + (target,))
     return ops
@@ -165,12 +158,12 @@ def _mcp_ops(theta: float, qubits: tuple) -> list:
 
 def _mcx_ops(controls: tuple, target: int) -> list:
     if len(controls) == 1:
-        return [_g("cx", (controls[0], target))]
+        return [Gate("cx", (controls[0], target))]
     if len(controls) == 2:
-        return [_g("ccx", (*controls, target))]
-    return ([_g("h", (target,))]
+        return [Gate("ccx", (*controls, target))]
+    return ([Gate("h", (target,))]
             + _mcp_ops(math.pi, (*controls, target))
-            + [_g("h", (target,))])
+            + [Gate("h", (target,))])
 
 
 def _qft_ops(qubits: list, inverse: bool = False) -> list:
@@ -182,9 +175,9 @@ def _qft_ops(qubits: list, inverse: bool = False) -> list:
     ops = []
     n = len(qubits)
     for i in range(n):
-        ops.append(_g("h", (qubits[i],)))
+        ops.append(Gate("h", (qubits[i],)))
         for k in range(i + 1, n):
-            ops.append(_g("cp", (qubits[k], qubits[i]), math.pi / 2 ** (k - i)))
+            ops.append(Gate("cp", (qubits[k], qubits[i]), (math.pi / 2 ** (k - i),)))
     if inverse:
         ops = [
             Gate(o.name, o.sites, tuple(-p for p in o.params) if o.name == "cp" else o.params)
@@ -195,21 +188,21 @@ def _qft_ops(qubits: list, inverse: bool = False) -> list:
 
 def _cry_ops(theta: float, control: int, target: int) -> list:
     return [
-        _g("cx", (control, target)),
-        _g("ry", (target,), -theta / 2),
-        _g("cx", (control, target)),
-        _g("ry", (target,), theta / 2),
+        Gate("cx", (control, target)),
+        Gate("ry", (target,), (-theta / 2,)),
+        Gate("cx", (control, target)),
+        Gate("ry", (target,), (theta / 2,)),
     ]
 
 
 def _heisenberg_bond_ops(a: int, b: int, theta: float) -> list:
     """exp(-i theta (XX + YY + ZZ) / 2) on the pair, up to global phase."""
     return [
-        _g("cx", (a, b)),
-        _g("h", (a,)),
-        _g("cp", (a, b), 2 * theta),
-        _g("h", (a,)),
-        _g("cx", (a, b)),
+        Gate("cx", (a, b)),
+        Gate("h", (a,)),
+        Gate("cp", (a, b), (2 * theta,)),
+        Gate("h", (a,)),
+        Gate("cx", (a, b)),
     ]
 
 
@@ -231,11 +224,11 @@ def _bernstein_vazirani(spec: BenchmarkSpec) -> Circuit:
         raise ValidationError("secret must be nonzero")
     anc = w
     c = Circuit(w + 1, metadata={"measured_qubits": list(range(w))})
-    c.add(_g("x", (anc,)))
+    c.add(Gate("x", (anc,)))
     c.add(grot(HALF_PI, HALF_PI))           # global Ry(pi/2)
     for i, bit in enumerate(secret):
         if bit == "1":
-            c.add(_g("cx", (i, anc)))
+            c.add(Gate("cx", (i, anc)))
     c.add(grot(HALF_PI, -HALF_PI))
     return c
 
@@ -250,13 +243,13 @@ def _deutsch_jozsa(spec: BenchmarkSpec) -> Circuit:
         raise ValidationError(f"bad DeutschJozsa variant {variant!r}")
     anc = w
     c = Circuit(w + 1, metadata={"measured_qubits": list(range(w))})
-    c.add(_g("x", (anc,)))
+    c.add(Gate("x", (anc,)))
     c.add(grot(HALF_PI, HALF_PI))
     if variant == "constant_1":
-        c.add(_g("x", (anc,)))
+        c.add(Gate("x", (anc,)))
     elif variant == "balanced":
         for i in range(w):
-            c.add(_g("cx", (i, anc)))
+            c.add(Gate("cx", (i, anc)))
     c.add(grot(HALF_PI, -HALF_PI))
     return c
 
@@ -269,16 +262,16 @@ def _hidden_shift(spec: BenchmarkSpec) -> Circuit:
     c.add(grot(HALF_PI, HALF_PI))           # H layer from |0...0>
     for i, bit in enumerate(shift):
         if bit == "1":
-            c.add(_g("x", (i,)))
+            c.add(Gate("x", (i,)))
     for a, b in pairs:
-        c.add(_g("cz", (a, b)))
+        c.add(Gate("cz", (a, b)))
     for i, bit in enumerate(shift):
         if bit == "1":
-            c.add(_g("x", (i,)))
+            c.add(Gate("x", (i,)))
     for i in range(w):
-        c.add(_g("h", (i,)))
+        c.add(Gate("h", (i,)))
     for a, b in pairs:
-        c.add(_g("cz", (a, b)))
+        c.add(Gate("cz", (a, b)))
     c.add(grot(HALF_PI, -HALF_PI))          # Z.H per site; Z is harmless pre-readout
     return c
 
@@ -295,7 +288,7 @@ def _qft_method1(spec: BenchmarkSpec) -> Circuit:
     c = Circuit(w, metadata={"measured_qubits": list(range(w))})
     for i, bit in enumerate(format(a, f"0{w}b")):
         if bit == "1":
-            c.add(_g("x", (i,)))
+            c.add(Gate("x", (i,)))
     for op in _qft_ops(list(range(w))):
         c.add(op)
     for i in range(w):                       # increment by 1 in the Fourier basis
@@ -327,10 +320,10 @@ def _phase_estimation(spec: BenchmarkSpec) -> Circuit:
     target = t
     c = Circuit(w, metadata={"measured_qubits": list(range(t))})
     c.add(grot(HALF_PI, HALF_PI))
-    c.add(_g("ry", (target,), HALF_PI))      # |+> -> |1>, eigenstate of the phase
+    c.add(Gate("ry", (target,), (HALF_PI,)))  # |+> -> |1>, eigenstate of the phase
     theta = 2 * math.pi * k / 2**t
     for j in range(t):
-        c.add(_g("cp", (j, target), theta * 2**j))
+        c.add(Gate("cp", (j, target), (theta * 2**j,)))
     for op in _qft_ops(list(range(t)), inverse=True):
         c.add(op)
     return c
@@ -344,11 +337,11 @@ def _grover_power_ops(mu: float, control: int, obj: int, power: int) -> list:
     """
     ops = []
     for _ in range(power):
-        ops.append(_g("cz", (control, obj)))            # controlled S_chi
+        ops.append(Gate("cz", (control, obj)))            # controlled S_chi
         ops += _cry_ops(-2 * mu, control, obj)          # controlled A^dag
-        ops.append(_g("x", (obj,)))                     # controlled S0
-        ops.append(_g("cz", (control, obj)))
-        ops.append(_g("x", (obj,)))
+        ops.append(Gate("x", (obj,)))                     # controlled S0
+        ops.append(Gate("cz", (control, obj)))
+        ops.append(Gate("x", (obj,)))
         ops += _cry_ops(2 * mu, control, obj)           # controlled A
     return ops
 
@@ -368,7 +361,7 @@ def _ae_like_circuit(w: int, mu: float) -> Circuit:
     obj = t
     c = Circuit(w, metadata={"measured_qubits": list(range(t))})
     c.add(grot(HALF_PI, HALF_PI))
-    c.add(_g("ry", (obj,), 2 * mu - HALF_PI))  # net effect: A = Ry(2 mu) from |0>
+    c.add(Gate("ry", (obj,), (2 * mu - HALF_PI,)))  # net effect: A = Ry(2 mu) from |0>
     for j in range(t):
         for op in _grover_power_ops(mu, j, obj, 2**j):
             c.add(op)
@@ -396,20 +389,20 @@ def _grover(spec: BenchmarkSpec) -> Circuit:
         # oracle: phase flip on the marked string
         for i, bit in enumerate(marked):
             if bit == "0":
-                c.add(_g("x", (i,)))
+                c.add(Gate("x", (i,)))
         for op in _mcp_ops(math.pi, tuple(range(w))):
             c.add(op)
         for i, bit in enumerate(marked):
             if bit == "0":
-                c.add(_g("x", (i,)))
+                c.add(Gate("x", (i,)))
         # diffuser: reflection about the uniform state
         c.add(grot(HALF_PI, -HALF_PI))
         for i in range(w):
-            c.add(_g("x", (i,)))
+            c.add(Gate("x", (i,)))
         for op in _mcp_ops(math.pi, tuple(range(w))):
             c.add(op)
         for i in range(w):
-            c.add(_g("x", (i,)))
+            c.add(Gate("x", (i,)))
         c.add(grot(HALF_PI, HALF_PI))
     return c
 
@@ -427,7 +420,7 @@ def _hamiltonian_sim(spec: BenchmarkSpec) -> Circuit:
                    "fields": [float(h) for h in fields]},
     })
     for i in range(1, w, 2):                 # Neel-like initial state
-        c.add(_g("x", (i,)))
+        c.add(Gate("x", (i,)))
     theta = 2 * HAMSIM_J * HAMSIM_DT
     for _ in range(HAMSIM_STEPS):
         for i in range(w):
@@ -440,8 +433,8 @@ def _hamiltonian_sim(spec: BenchmarkSpec) -> Circuit:
 
 
 def _ghz_ops(w: int) -> list:
-    ops = [_g("ry", (0,), HALF_PI)]
-    ops += [_g("cx", (i, i + 1)) for i in range(w - 1)]
+    ops = [Gate("ry", (0,), (HALF_PI,))]
+    ops += [Gate("cx", (i, i + 1)) for i in range(w - 1)]
     return ops
 
 
@@ -453,13 +446,10 @@ def _ghz(spec: BenchmarkSpec) -> Circuit:
 
 
 def _ghz_parity(spec: BenchmarkSpec) -> Circuit:
-    phi = spec.instance_param
-    if not isinstance(phi, (int, float)):
-        raise ValidationError(f"analysis angle must be a number, got {phi!r}")
     c = Circuit(spec.width, metadata={"measured_qubits": list(range(spec.width))})
     for op in _ghz_ops(spec.width):
         c.add(op)
-    c.add(grot(float(phi), HALF_PI))
+    c.add(grot(spec.instance_param, HALF_PI))  # the analysis angle
     return c
 
 

@@ -6,19 +6,20 @@ Native gates:
     cz @ (a, b)        Rydberg controlled-Z
 
 Abstract gates (h, x, y, z, rx, ry, cx, cp, swap, ccx) lower to these.  A
-local equatorial rotation on one site costs two global pulses plus one local
-Rz: R_phi(theta) = G(phi+pi/2, pi/2) . Rz(theta) . G(phi+pi/2, -pi/2), with
-the two global pulses cancelling exactly on every other site.
+``Gate`` checks itself against ``GATE_ARITY``, the one gate table, when it is
+made.  A local equatorial rotation on one site costs two global pulses plus
+one local Rz: R_phi(theta) = G(phi+pi/2, pi/2) . Rz(theta) . G(phi+pi/2,
+-pi/2), with the two global pulses cancelling exactly on every other site.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import sys
+from math import isfinite
 from dataclasses import dataclass, field
 
-from .errors import LoweringError, SchemaError, ValidationError
+from .errors import SchemaError, ValidationError
 
 NATIVE_GATES = ("grot", "rz", "cz")
 # (site count, parameter count) of each known gate; a grot acts on every site
@@ -31,21 +32,51 @@ GATE_ARITY = {"grot": (None, 2), "rz": (1, 1), "cz": (2, 0),
 
 @dataclass(frozen=True)
 class Gate:
+    """A gate, checked against its ``GATE_ARITY`` entry when it is made;
+    numpy integer sites become ints and real params floats."""
+
     name: str
     sites: tuple = ()
     params: tuple = ()
 
     def __post_init__(self):
-        sites = self.sites
-        if not all(type(s) is int for s in sites):
-            # int() would read a site 1.7, "1" or True as 1
-            if not all(isinstance(s, numbers.Integral)
-                       and not isinstance(s, bool) for s in sites):
-                raise ValidationError(f"{self.name} sites {sites!r} are not "
-                                      f"all integers")
-            sites = map(int, sites)
-        object.__setattr__(self, "sites", tuple(sites))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        name, sites, params = self.name, tuple(self.sites), tuple(self.params)
+        try:
+            n_sites, n_params = GATE_ARITY[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise ValidationError(f"unknown gate {name!r}") from None
+        for s in sites:
+            if type(s) is not int:
+                # int() would read a site 1.7, "1" or True as 1
+                if not all(isinstance(s, numbers.Integral)
+                           and not isinstance(s, bool) for s in sites):
+                    raise ValidationError(f"{name} sites {sites!r} are not "
+                                          f"all integers")
+                sites = tuple(map(int, sites))
+                break
+        for p in params:
+            if type(p) is not float or not isfinite(p):
+                # float() would read a param "0.5" or True as 0.5 or 1.0, and
+                # isfinite raises OverflowError on an int no float can hold
+                try:
+                    real = all(isinstance(p, numbers.Real) and isfinite(p)
+                               and not isinstance(p, bool) for p in params)
+                except OverflowError:
+                    real = False
+                if not real:
+                    raise ValidationError(f"{name} params {params!r} are not "
+                                          f"all finite real numbers")
+                params = tuple(map(float, params))
+                break
+        if (len(params) != n_params or n_sites not in (None, len(sites))
+                or len(set(sites)) != len(sites)):
+            raise ValidationError(
+                f"{name} takes {n_sites or 'any'} distinct site(s) and "
+                f"{n_params} parameter(s), got {sites} and {params}")
+        if sites is not self.sites:
+            object.__setattr__(self, "sites", sites)
+        if params is not self.params:
+            object.__setattr__(self, "params", params)
 
     @property
     def is_native(self) -> bool:
@@ -57,18 +88,16 @@ class Gate:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Gate":
-        # checked, not coerced: int() would read a site 1.7, "1" or true as 1;
-        # the bound rejects NaN, +-Infinity and an int no float can hold
+        # the record's JSON shape only; the gate checks the rest
         if not (isinstance(rec, dict) and isinstance(rec.get("gate"), str)
                 and isinstance(sites := rec.get("sites", []), list)
-                and isinstance(params := rec.get("params", []), list)
-                and all(type(s) is int for s in sites)
-                and all(type(p) in (int, float) and abs(p) <= sys.float_info.max
-                        for p in params)):
-            raise SchemaError(f"bad gate record {rec!r}: want a gate name, "
-                              f"sites a list of ints and params of finite "
-                              f"numbers")
-        return cls(rec["gate"], tuple(sites), tuple(params))
+                and isinstance(params := rec.get("params", []), list)):
+            raise SchemaError(f"bad gate record {rec!r}: want a gate name and "
+                              f"lists of sites and params")
+        try:
+            return cls(rec["gate"], sites, params)
+        except ValidationError as exc:
+            raise SchemaError(f"bad gate record {rec!r}: {exc}") from exc
 
 
 def grot(phi: float, theta: float) -> Gate:
@@ -83,22 +112,10 @@ def cz(a: int, b: int) -> Gate:
     return Gate("cz", (a, b))
 
 
-def check_arity(gate: Gate):
-    """Reject a gate whose site or parameter count differs from its
-    ``GATE_ARITY`` entry; an unknown name passes."""
-    n_sites, n_params = GATE_ARITY.get(gate.name, (None, None))
-    if (n_params not in (None, len(gate.params))
-            or n_sites not in (None, len(gate.sites))):
-        raise ValidationError(
-            f"{gate.name} takes {n_sites or 'any'} site(s) and {n_params} "
-            f"parameter(s), got {gate.sites} and {gate.params}")
-
-
 @dataclass
 class Circuit:
-    """A register and its gates.  The constructor checks every op and ``add``
-    the gate it appends, so no pass checks a gate again; one appended to
-    ``ops`` directly after construction is checked by no pass."""
+    """A register and its gates.  The constructor and ``add`` check that each
+    op's sites lie on the register; a gate checked the rest when it was made."""
 
     n_qubits: int
     ops: list = field(default_factory=list)
@@ -118,9 +135,6 @@ class Circuit:
             if not 0 <= s < self.n_qubits:
                 raise ValidationError(f"{gate.name} site {s} off the "
                                       f"register ({self.n_qubits} qubits)")
-        if len(set(gate.sites)) != len(gate.sites):
-            raise ValidationError(f"{gate.name} has repeated sites {gate.sites}")
-        check_arity(gate)
 
     @property
     def is_native(self) -> bool:
@@ -214,20 +228,19 @@ def _lower_gate(g: Gate) -> list:
     if g.name == "swap":
         a, b = s
         return [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
-    if g.name == "ccx":
-        a, b, c = s
-        t = math.pi / 4  # rz(pi/4) plays the role of T, up to global phase
-        return [
-            Gate("h", (c,)),
-            Gate("cx", (b, c)), rz(c, -t),
-            Gate("cx", (a, c)), rz(c, t),
-            Gate("cx", (b, c)), rz(c, -t),
-            Gate("cx", (a, c)), rz(c, t), rz(b, t),
-            Gate("h", (c,)),
-            Gate("cx", (a, b)), rz(a, t), rz(b, -t),
-            Gate("cx", (a, b)),
-        ]
-    raise LoweringError(f"no lowering for gate {g.name!r}")
+    # ccx: every other abstract gate returned above
+    a, b, c = s
+    t = math.pi / 4  # rz(pi/4) plays the role of T, up to global phase
+    return [
+        Gate("h", (c,)),
+        Gate("cx", (b, c)), rz(c, -t),
+        Gate("cx", (a, c)), rz(c, t),
+        Gate("cx", (b, c)), rz(c, -t),
+        Gate("cx", (a, c)), rz(c, t), rz(b, t),
+        Gate("h", (c,)),
+        Gate("cx", (a, b)), rz(a, t), rz(b, -t),
+        Gate("cx", (a, b)),
+    ]
 
 
 def lower_to_native(circuit: Circuit) -> Circuit:

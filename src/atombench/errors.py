@@ -17,10 +17,6 @@ class PatternLeakError(AtombenchError):
     """A channel produced amplitude outside the sparse block pattern."""
 
 
-class LoweringError(AtombenchError):
-    """An abstract gate has no native decomposition."""
-
-
 class RoutingError(AtombenchError):
     """No path joins two nodes of a topology, e.g. a node off the register."""
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import channels as ch
 from .channels import KrausSet, NoiseParams
-from .circuit import Gate, check_arity, gate_duration
+from .circuit import Gate, gate_duration
 from .errors import ValidationError
 from .state import QuquartState, fuse
 
@@ -162,7 +162,7 @@ def _fused(name: str, args: tuple, params: NoiseParams, idle=None
 
 def native_op(g: Gate, params: NoiseParams, decohere: bool = True
               ) -> np.ndarray:
-    """The cached fused operator of native gate g.
+    """The cached fused operator of native gate g; g checked itself when made.
 
     It acts on one site for ``rz`` (and on each site in turn for ``grot``)
     and on the ordered pair for ``cz``; it does not depend on ``g.sites``.
@@ -170,7 +170,6 @@ def native_op(g: Gate, params: NoiseParams, decohere: bool = True
     """
     if not g.is_native:
         raise ValidationError(f"non-native gate {g.name!r}")
-    check_arity(g)
     idle = gate_duration(g, params) if decohere else None
     return _fused(g.name, g.params, params, idle)
 

@@ -153,9 +153,9 @@ def fuse(steps) -> np.ndarray:
 
 def _check_shape(op: np.ndarray, n_sites: int):
     width = N_SYMBOLS**n_sites
-    if op.shape != (width, width):
-        raise ValidationError(
-            f"a {op.shape} op on {n_sites} site(s), want ({width}, {width})")
+    if op.shape != (width, width) or op.dtype != np.float64:
+        raise ValidationError(f"a {op.shape} {op.dtype} op on {n_sites} "
+                              f"site(s), want ({width}, {width}) float64")
 
 
 class QuquartState:

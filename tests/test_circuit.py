@@ -9,6 +9,8 @@ import pytest
 from atombench import bench
 from atombench.channels import NoiseParams
 from atombench.circuit import (
+    GATE_ARITY,
+    NATIVE_GATES,
     Circuit,
     Gate,
     cz,
@@ -18,7 +20,7 @@ from atombench.circuit import (
     optimize_native,
     schedule_layers,
 )
-from atombench.errors import LoweringError, SchemaError, ValidationError
+from atombench.errors import SchemaError, ValidationError
 from atombench.routing import Topology, route
 from dense_ref import circuit_unitary
 
@@ -136,7 +138,8 @@ def test_optimize_drops_full_turns():
 
 
 def test_lowering_unknown_gate():
-    with pytest.raises(LoweringError):
+    # an unknown name is rejected when its gate is made, so no pass sees it
+    with pytest.raises(ValidationError, match="unknown gate"):
         lower_to_native(Circuit(1, [Gate("toffoli_prime", (0,))]))
 
 
@@ -175,12 +178,13 @@ def test_circuit_validation():
         Circuit(2).add(Gate("cz", (1, 1)))
 
 
-@pytest.mark.parametrize("gate", [Gate("rz", (0,), ()),
-                                  Gate("grot", (), (1.0,)),
-                                  Gate("cz", (0,))])
+@pytest.mark.parametrize("gate", [("rz", (0,), ()),
+                                  ("grot", (), (1.0,)),
+                                  ("cz", (0,))])
 def test_circuit_rejects_wrong_arity(gate):
-    with pytest.raises(ValidationError, match=gate.name):
-        Circuit(3).add(gate)
+    # the gate is rejected when it is made, before Circuit.add sees it
+    with pytest.raises(ValidationError, match=gate[0]):
+        Circuit(3).add(Gate(*gate))
 
 
 def test_serialization_round_trip():
@@ -240,6 +244,57 @@ def test_a_gate_rejects_a_site_that_is_no_integer(name, sites, params):
         Gate(name, sites, params)
 
 
+@pytest.mark.parametrize("name,sites,params,match", [
+    ("rz", (0,), ("0.5",), "finite real"), ("rz", (0,), (True,), "finite real"),
+    ("rz", (0,), (np.bool_(True),), "finite real"),
+    ("rz", (0,), (1j,), "finite real"), ("rz", (0,), (math.nan,), "finite real"),
+    ("rz", (0,), (math.inf,), "finite real"),
+    ("rz", (0,), (-math.inf,), "finite real"),
+    ("grot", (), (0.1, 10**400), "finite real"),
+    ("toffoli_prime", (0,), (), "unknown gate"),
+    (["h"], (0,), (), "unknown gate"),
+    ("cz", (1, 1), (), "distinct site"),
+    ("ccx", (0, 2, 0), (), "distinct site"),
+])
+def test_a_gate_is_rejected_when_it_is_made(name, sites, params, match):
+    # each used to be made and to enter a Circuit: float() read "0.5" and
+    # True as 0.5 and 1.0, a NaN or infinite angle reached the passes, an
+    # unknown name failed only when it was lowered
+    with pytest.raises(ValidationError, match=match):
+        Gate(name, sites, params)
+
+
+def test_a_gate_takes_real_params_as_floats():
+    for value in (1, np.float64(0.5), np.float32(0.25), np.int64(-2)):
+        gate = Gate("rz", (0,), (value,))
+        assert gate.params == (float(value),)
+        assert type(gate.params[0]) is float
+    assert Gate("cz", [0, 1]).sites == (0, 1)
+
+
+def _any_gate(name: str) -> Gate:
+    """A gate of this name on the first sites with every parameter 0.3."""
+    n_sites, n_params = GATE_ARITY[name]
+    return Gate(name, tuple(range(n_sites or 0)), (0.3,) * n_params)
+
+
+@pytest.mark.parametrize("name", GATE_ARITY)
+def test_every_gate_has_an_oracle_unitary(name):
+    # a grot's 2x2 acts on each qubit in turn
+    n_sites = GATE_ARITY[name][0] or 1
+    u = bench.gate_unitary(_any_gate(name))
+    assert u.shape == (2**n_sites, 2**n_sites)
+    assert np.allclose(u.conj().T @ u, np.eye(2**n_sites))
+
+
+@pytest.mark.parametrize("name", sorted(set(GATE_ARITY) - set(NATIVE_GATES)))
+def test_every_abstract_gate_lowers_to_native_gates(name):
+    gate = _any_gate(name)
+    lowered = lower_to_native(Circuit(len(gate.sites), [gate]))
+    assert lowered.ops
+    assert {g.name for g in lowered.ops} <= set(NATIVE_GATES)
+
+
 def test_a_gate_takes_numpy_integer_sites_as_ints():
     gate = Gate("cz", (np.int64(0), np.int32(2)))
     assert gate == cz(0, 2)
@@ -249,11 +304,11 @@ def test_a_gate_takes_numpy_integer_sites_as_ints():
 
 def test_a_malformed_gate_is_rejected_when_its_circuit_is_built():
     # each used to reach a pass and fail there with a bare ValueError or
-    # IndexError
-    for n, gate in ((1, Gate("cx", (0,))), (2, cz(0, 3)),
-                    (3, Gate("ccx", (0, 1)))):
+    # IndexError; a wrong site count now fails when the gate is made
+    for n, gate in ((1, ("cx", (0,))), (2, ("cz", (0, 3))),
+                    (3, ("ccx", (0, 1)))):
         with pytest.raises(ValidationError):
-            Circuit(n, [gate])
+            Circuit(n, [Gate(*gate)])
 
 
 def test_each_pass_builds_one_checked_circuit(monkeypatch):

@@ -219,7 +219,12 @@ def test_fit_command_rejects_wrong_gate_arity(tmp_path, capsys):
                                  # a NaN angle used to load, run and score
                                  {"n_qubits": 1, "measured": {"0": 1.0},
                                   "ops": [{"gate": "rz", "sites": [0],
-                                           "params": [math.nan]}]}])
+                                           "params": [math.nan]}]},
+                                 # an unknown gate used to load and fail
+                                 # only when it was lowered
+                                 {"n_qubits": 1, "measured": {"0": 1.0},
+                                  "ops": [{"gate": "toffoli_prime",
+                                           "sites": [0]}]}])
 def test_fit_command_rejects_a_misshapen_reference(doc, tmp_path, capsys):
     refs = tmp_path / "refs"
     refs.mkdir()

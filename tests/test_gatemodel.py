@@ -139,10 +139,11 @@ def test_native_op_ignores_sites():
 def test_apply_gate_rejects_non_native_gate():
     st = _minus_states(1)
     before = st.blocks.copy()
-    # an abstract gate, then native gates with too few parameters
-    for g in (Gate("h", (0,)), Gate("rz", (0,), ()), Gate("grot", (), (1.0,))):
+    # an abstract gate, then native gates with too few parameters, which are
+    # rejected when they are made
+    for g in (("h", (0,)), ("rz", (0,), ()), ("grot", (), (1.0,))):
         with pytest.raises(ValidationError):
-            apply_gate(st, g, NP)
+            apply_gate(st, Gate(*g), NP)
     assert np.array_equal(st.blocks, before)
 
 

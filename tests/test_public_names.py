@@ -137,3 +137,22 @@ def test_no_module_reads_another_modules_private_name():
                   and node.value.id in aliases
                   and re.match(r"_[^_]", node.attr)]
     assert not reads, f"private names read from another module: {reads}"
+
+
+def test_every_error_class_is_raised():
+    # the tests above count an import as a use, so they would not see an
+    # error class whose last raise went; a base class is raised through the
+    # classes that derive from it
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    bases = {base.id for cls in classes for base in cls.bases
+             if isinstance(base, ast.Name)}
+    raised = set()
+    for path in (ROOT / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", getattr(exc, "attr", None)))
+    unraised = [cls.name for cls in classes
+                if cls.name not in bases and cls.name not in raised]
+    assert not unraised, f"error classes never raised in src/: {unraised}"

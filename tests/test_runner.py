@@ -288,22 +288,25 @@ def test_execute_native_holds_no_matrix_per_gate():
     assert peak < 5e6, peak
 
 
-# native gates that no 2-qubit circuit may hold
+# the Gate(*args) of native gates that no 2-qubit circuit may hold, made
+# inside pytest.raises: a repeated site or a wrong site or parameter count is
+# rejected when the gate is made, a site off the register when its circuit is
+# built
 BAD_SITES_OR_ARITY = [
-    rz(-1, 0.3), cz(0, -1), Gate("cz", (1, 1)),
+    ("rz", (-1,), (0.3,)), ("cz", (0, -1)), ("cz", (1, 1)),
     # wrong parameter or site counts
-    Gate("grot", (), (0.3,)), Gate("rz", (0,), ()), Gate("cz", (0, 1), (0.2,)),
-    Gate("rz", (0, 1), (0.3,)), Gate("cz", (0,))]
-OFF_THE_REGISTER = [rz(2, 0.3), rz(-1, 0.3), cz(0, 2)]
+    ("grot", (), (0.3,)), ("rz", (0,), ()), ("cz", (0, 1), (0.2,)),
+    ("rz", (0, 1), (0.3,)), ("cz", (0,))]
+OFF_THE_REGISTER = [("rz", (2,), (0.3,)), ("rz", (-1,), (0.3,)), ("cz", (0, 2))]
 
 
 @pytest.mark.parametrize("gate", BAD_SITES_OR_ARITY)
 def test_execute_native_rejects_sites_off_the_register(gate):
-    # Circuit(n, ops) rejects these when it is built, so neither timing
-    # model simulates them
+    # Gate or Circuit(n, ops) rejects these when it is made, so neither
+    # timing model simulates them
     for timing_model in ("gate", "layer"):
         with pytest.raises(ValidationError, match="site"):
-            execute_native(Circuit(2, [gate]), NoiseParams(),
+            execute_native(Circuit(2, [Gate(*gate)]), NoiseParams(),
                            timing_model=timing_model)
 
 
@@ -326,13 +329,13 @@ def test_schedule_rejects_sites_off_the_register(gate):
     # the scheduler indexes per-site lists and checks nothing: Circuit(n, ops)
     # must reject these, not let a negative index wrap or an IndexError out
     with pytest.raises(ValidationError, match="off the register"):
-        execute_native(Circuit(2, [gate]), NoiseParams())
+        execute_native(Circuit(2, [Gate(*gate)]), NoiseParams())
 
 
 @pytest.mark.parametrize("gate", BAD_SITES_OR_ARITY + OFF_THE_REGISTER)
 def test_circuit_rejects_a_malformed_gate_when_built(gate):
     with pytest.raises(ValidationError, match="site"):
-        Circuit(2, [gate])
+        Circuit(2, [Gate(*gate)])
 
 
 def test_run_reference_lowers_each_circuit_once(monkeypatch):

@@ -490,6 +490,13 @@ def test_channel_arity_checked():
             QuquartState(2).apply_channel(sites, np.eye(*shape))
     with pytest.raises(ValidationError):
         QuquartState(2).apply_global_unitary(np.eye(5))
+    # as is an op of another dtype: a complex one raised numpy's casting
+    # error from the kernel
+    for dtype in (complex, np.float32, int):
+        with pytest.raises(ValidationError, match="float64"):
+            QuquartState(2).apply_channel((0,), np.eye(6, dtype=dtype))
+        with pytest.raises(ValidationError, match="float64"):
+            QuquartState(2).apply_global_unitary(np.eye(6, dtype=dtype))
 
 
 def _site_vectors(rng, n):
