@@ -5,6 +5,14 @@ two loss states are inert under gates and are populated only by the loss
 channels.  Pauli operators are generalized to act as identity on the loss
 subspace, so all channels map the sparse block pattern of the density matrix
 to itself.
+
+These Kraus forms define the channels; the simulator does not apply them one
+by one.  ``gatemodel`` converts each constructor at a few fixed rates into
+constant ops (``state.kraus_matrix``, checked there once) and builds a
+channel's op at any rate as a fixed combination of them: (1 - p) I + p S
+for a mixture, C0 + p C1 + sqrt(1 - p) C2 for a level transfer.  Idle
+T1/T2* decoherence is built from its direct action, with the decay factors
+and regime check of :func:`idle_decay`.
 """
 
 from __future__ import annotations
@@ -281,39 +289,27 @@ def conditional_phase_flip(p: float) -> KrausSet:
     return _mixture(p, "conditional_phase_flip", controlled_phase_matrix(-1.0))
 
 
-def decoherence(t: float, params: NoiseParams) -> tuple[KrausSet, KrausSet]:
-    """Idle T1/T2* decoherence over a time t, as a two-stage channel.
+def idle_decay(t: float, params: NoiseParams) -> tuple[float, float]:
+    """(d1, d2) = (exp(-t/T1), exp(-t/T2*)) of idle decoherence over a
+    time t: a fraction d1 of the populations stays and the rest refills at
+    equilibrium, and the coherence is scaled by d2.
 
-    Stage one is the three-operator population channel {A, B, C}; stage two is
-    a phase flip whose probability is chosen so the composition reproduces the
-    direct matrix action (d1 scaling plus equilibrium refill on the diagonal,
-    d2 scaling on the off-diagonal) on the computational block.
+    Written as the population decay, which keeps a coherence sqrt(g0 g1)
+    (g_k the fraction of |k> that stays), then a phase flip, the map is
+    CPTP only if the flip's probability lies in [0, 1/2]; otherwise
+    ParameterRegimeError is raised.
     """
     if t < 0:
         raise ValidationError(f"decoherence time must be >= 0, got {t}")
     p0 = params.p0_equilibrium
-    p1 = 1.0 - p0
     d1 = math.exp(-t / params.t1)
     d2 = math.exp(-t / params.t2_star)
-
     g0 = p0 * (1 - d1) + d1
-    g1 = p1 * (1 - d1) + d1
-    a = np.diag([math.sqrt(g0), math.sqrt(g1), 1.0, 1.0]).astype(complex)
-    b = np.zeros((4, 4), dtype=complex)
-    b[0, 1] = math.sqrt(p0 * (1 - d1))
-    c = np.zeros((4, 4), dtype=complex)
-    c[1, 0] = math.sqrt(p1 * (1 - d1))
-
+    g1 = (1.0 - p0) * (1 - d1) + d1
     phi = 0.5 - d2 / (2.0 * math.sqrt(g0 * g1))
     if phi < -1e-12 or phi > 0.5 + 1e-12:
         raise ParameterRegimeError(
             f"dephasing probability {phi} outside [0, 1/2]; "
             f"check t1/t2_star consistency (t={t})"
         )
-    phi = min(max(phi, 0.0), 0.5)
-
-    return (
-        KrausSet((a, b, c), label="decoherence_population"),
-        phase_flip(phi),
-    )
-
+    return d1, d2

@@ -16,13 +16,24 @@ The Table-derived conditional phase offset is coherent: diag(1,1,1,e^{i d})
 on the computational block of the pair.
 
 This module alone maps a native gate to physics: ``native_op(g, params)``
-is the product of its channels in this order, one cached read-only float64
-array (6x6 on the ``rz`` site or on every ``grot`` site, 36x36 on the
-``cz`` pair), and ``apply_gate(state, g, params)`` applies it.
+is the product of its channels' ops in this order, one cached read-only
+float64 array (6x6 on the ``rz`` site or on every ``grot`` site, 36x36 on
+the ``cz`` pair), and ``apply_gate(state, g, params)`` applies it.
+
+A channel's op is a fixed combination of constant ops, with coefficients in
+its rate: (1 - p) I + p S for a mixture (depolarization, the phase and bit
+flips, both CZ phase flips), C0 + p C1 + sqrt(1 - p) C2 for a level transfer
+(loss, decay) and C0 + cos d C1 + sin d C2 for the CZ phase offset.  Each
+constant is the ``state.kraus_matrix`` op of a ``channels`` Kraus form at a
+fixed rate, built and checked on first use, never at import, and cached.
+Idle decoherence is its direct 6x6 action (d1 scaling and equilibrium
+refill on the populations, d2 on the coherence).  The ``grot`` and ``rz``
+unitaries are converted once per angle, when their gate's op is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 
@@ -32,7 +43,7 @@ from . import channels as ch
 from .channels import KrausSet, NoiseParams
 from .circuit import Gate, gate_duration
 from .errors import ValidationError
-from .state import QuquartState, fuse
+from .state import QuquartState, fuse, kraus_matrix
 
 
 def global_rotation_matrix(phi: float, theta: float) -> np.ndarray:
@@ -55,42 +66,107 @@ def rz_matrix(theta: float) -> np.ndarray:
     return u
 
 
+@functools.cache
+def _constant(make, *args) -> np.ndarray:
+    """The op of the channel make(*args), a KrausSet or a unitary, built
+    and checked by ``kraus_matrix`` once, when first used."""
+    channel = make(*args)
+    if not isinstance(channel, KrausSet):
+        channel = KrausSet((channel,), label=make.__name__)
+    return kraus_matrix(channel)
+
+
+def _read_only(*ms) -> tuple:
+    """ms, made read-only: cached constants are shared by every caller."""
+    for m in ms:
+        m.flags.writeable = False
+    return ms
+
+
+def _mixture(make, p: float, *args) -> np.ndarray:
+    """The op of the mixture make(p, *args): (1 - p) I + p S, S its op at
+    p = 1."""
+    m = p * _constant(make, 1.0, *args)
+    m.ravel()[::len(m) + 1] += 1.0 - p
+    return m
+
+
+@functools.cache
+def _transfer_basis(make, *args) -> tuple:
+    """(C0, C1, C2) such that the transfer make(p, *args) has the op
+    C0 + p C1 + sqrt(1 - p) C2, solved from its ops at p = 0, 1 and 3/4."""
+    at0, at1, at34 = (_constant(make, p, *args) for p in (0.0, 1.0, 0.75))
+    c0 = 3.0 * at1 + 2.0 * at0 - 4.0 * at34
+    return _read_only(c0, at1 - c0, at0 - c0)
+
+
+def _transfer(make, p: float, *args) -> np.ndarray:
+    c0, c1, c2 = _transfer_basis(make, *args)
+    return c0 + p * c1 + math.sqrt(1.0 - p) * c2
+
+
+@functools.cache
+def _shift_basis() -> tuple:
+    """(C0, C1, C2) such that diag(1, 1, 1, e^{i d}) on a pair has the op
+    C0 + cos d C1 + sin d C2, from its ops at e^{i d} = 1, -1 and i."""
+    at1, at_1, at_i = (_constant(ch.controlled_phase_matrix, f)
+                       for f in (1.0, -1.0, 1j))
+    c0 = 0.5 * (at1 + at_1)
+    return _read_only(c0, 0.5 * (at1 - at_1), at_i - c0)
+
+
 def _grot_steps(phi: float, theta: float, params: NoiseParams) -> list:
-    steps = [KrausSet((global_rotation_matrix(phi, theta),), label="grot")]
+    steps = [kraus_matrix(KrausSet((global_rotation_matrix(phi, theta),),
+                                   label="grot"))]
     p = ch.scaled_probability(params.uw_depol_per_pi, theta)
     if p > 0.0:
-        steps.append(ch.depolarization(p))
+        steps.append(_mixture(ch.depolarization, p))
     return steps
 
 
 def _rz_steps(theta: float, params: NoiseParams) -> list:
     scale = lambda r: ch.scaled_probability(r, theta)
     return [
-        KrausSet((rz_matrix(theta),), label="rz"),
-        ch.phase_flip(scale(params.rz_phaseflip_per_pi)),
-        ch.decay(scale(params.rz_decay_per_pi)),
-        ch.loss_channel(scale(params.rz_loss_dark_per_pi), "dark"),
-        ch.loss_channel(scale(params.rz_loss_bright_per_pi), "bright"),
+        kraus_matrix(KrausSet((rz_matrix(theta),), label="rz")),
+        _mixture(ch.phase_flip, scale(params.rz_phaseflip_per_pi)),
+        _transfer(ch.decay, scale(params.rz_decay_per_pi)),
+        _transfer(ch.loss_channel, scale(params.rz_loss_dark_per_pi), "dark"),
+        _transfer(ch.loss_channel, scale(params.rz_loss_bright_per_pi),
+                  "bright"),
     ]
+
+
+_CZ_FLIPS = {"conditional": ch.conditional_phase_flip,
+             "correlated": ch.correlated_phase_flip,
+             "per_site": ch.phase_flip}
 
 
 def _cz_steps(params: NoiseParams) -> list:
     """Steps on a pair, each channel listed once: a one-site step (loss,
     decay, a per-site phase flip) acts on both sites when fused."""
-    steps = [KrausSet((ch.controlled_phase_matrix(-1.0),), label="cz"),
-             ch.loss_channel(params.cz_loss_dark, "dark"),
-             ch.loss_channel(params.cz_loss_bright, "bright"),
-             ch.decay(params.cz_decay)]
-    if params.cz_phaseflip_mode == "conditional":
-        steps.append(ch.conditional_phase_flip(params.cz_phaseflip))
-    elif params.cz_phaseflip_mode == "correlated":
-        steps.append(ch.correlated_phase_flip(params.cz_phaseflip))
-    else:
-        steps.append(ch.phase_flip(params.cz_phaseflip))
+    steps = [_constant(ch.controlled_phase_matrix, -1.0),
+             _transfer(ch.loss_channel, params.cz_loss_dark, "dark"),
+             _transfer(ch.loss_channel, params.cz_loss_bright, "bright"),
+             _transfer(ch.decay, params.cz_decay),
+             _mixture(_CZ_FLIPS[params.cz_phaseflip_mode],
+                      params.cz_phaseflip)]
     if params.cz_phaseshift != 0.0:
-        shift = ch.controlled_phase_matrix(np.exp(1j * params.cz_phaseshift))
-        steps.append(KrausSet((shift,), label="cz_phaseshift"))
+        c0, c1, c2 = _shift_basis()
+        d = params.cz_phaseshift
+        steps.append(c0 + math.cos(d) * c1 + math.sin(d) * c2)
     return steps
+
+
+def _decoherence_steps(t: float, params: NoiseParams) -> list:
+    """Idle T1/T2* decoherence over t as its direct action on a site: a
+    fraction d1 of the populations stays and the rest refills at
+    equilibrium, the coherence is scaled by d2, the loss states stay."""
+    d1, d2 = ch.idle_decay(t, params)
+    p0 = params.p0_equilibrium
+    m = np.diag([d1, d1, 1.0, 1.0, d2, d2])
+    m[0, :2] += p0 * (1.0 - d1)
+    m[1, :2] += (1.0 - p0) * (1.0 - d1)
+    return [m]
 
 
 # idle T1/T2* decoherence, alone or attached to any operator, reads the
@@ -106,8 +182,8 @@ _STEPS = {
     "rz": (_rz_steps, ("rz_phaseflip_per_pi", "rz_decay_per_pi",
                        "rz_loss_dark_per_pi", "rz_loss_bright_per_pi")),
     "cz": (_cz_steps, CZ_FIELDS),
-    "decoherence": (ch.decoherence, _DECOHERENCE_FIELDS),
-    "preparation": (lambda params: [ch.bit_flip(params.prep_error)],
+    "decoherence": (_decoherence_steps, _DECOHERENCE_FIELDS),
+    "preparation": (lambda params: [_mixture(ch.bit_flip, params.prep_error)],
                     ("prep_error",)),
 }
 
@@ -128,7 +204,7 @@ def _steps(name: str, args: tuple, params: NoiseParams, idle) -> list:
     decoherence over `idle` seconds on each of its sites."""
     steps = list(_STEPS[name][0](*args, params))
     if idle is not None:
-        steps += ch.decoherence(idle, params)
+        steps += _decoherence_steps(idle, params)
     return steps
 
 

@@ -12,6 +12,7 @@ un-permutation.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -84,8 +85,29 @@ class Topology:
         return self.adjacency.get(node, ())
 
     def distance(self, a: int, b: int) -> int:
-        """Hop count between occupied nodes."""
-        return len(self.shortest_path(a, b)) - 1
+        """Hop count between occupied nodes, read from the hop table; a
+        pair the table lacks (a node off the topology) takes a BFS, which
+        raises RoutingError for disconnected nodes."""
+        hops = self._hops.get(a, {}).get(b)
+        if hops is None:
+            return len(self.shortest_path(a, b)) - 1
+        return hops
+
+    @functools.cached_property
+    def _hops(self) -> dict:
+        """{a: {b: hops}} over the reachable pairs, one BFS from each node,
+        built on first use; the adjacency must not change after."""
+        table = {}
+        for source in self.adjacency:
+            hops = table[source] = {source: 0}
+            queue = deque([source])
+            while queue:
+                cur = queue.popleft()
+                for nxt in self.neighbors(cur):
+                    if nxt not in hops:
+                        hops[nxt] = hops[cur] + 1
+                        queue.append(nxt)
+        return table
 
     def shortest_path(self, a: int, b: int) -> list:
         """Nodes of a BFS shortest path from a to b, both included."""

@@ -11,12 +11,15 @@ four populations first, in site-basis order:
 An n-site state stores 6^n float64 numbers instead of 16^n complex ones, as
 a (6,)*n tensor, and so cannot hold a non-hermitian rho.  A channel acts as
 its op, a read-only float64 matrix on these coordinates (6x6 on a site,
-36x36 on a pair), checked once when ``kraus_matrix`` builds it to keep the
-block pattern and keep rho hermitian; each application is one pass over the
-state and ends with one trace check.  An op may be a product of several
-gates' ops: the runner folds each site's 1-site ops into the pair ops on
-that site, so one checked pass can carry many gates, and starts a site that
-has no pair op in the product of its ops applied to |0> (``set_product``).
+36x36 on a pair).  ``kraus_matrix`` converts a Kraus channel into its op
+and checks that it keeps the block pattern and keeps rho hermitian;
+``gatemodel`` converts each noise channel only at a few fixed rates and
+builds every op from those checked constants, and ``fuse`` multiplies ops.
+Each application is one pass over the state and ends with one trace check.
+An op may be a product of several gates' ops: the runner folds each site's
+1-site ops into the pair ops on that site, so one checked pass can carry
+many gates, and starts a site that has no pair op in the product of its
+ops applied to |0> (``set_product``).
 A state owns two buffers of this shape: every pass writes the spare one and
 the two swap, and between passes the spare is the check's scratch, so no
 pass allocates anything state-sized.
@@ -32,6 +35,9 @@ the readout read it as one slice of the buffer.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
@@ -133,20 +139,20 @@ def symbol_matrix(m: np.ndarray, label: str) -> np.ndarray:
     return m
 
 
-def fuse(steps) -> np.ndarray:
-    """The read-only op of Kraus channels applied in the order given.
+def fuse(ops) -> np.ndarray:
+    """The read-only op of ops applied in the order given.
 
-    The op is as wide as the widest channel: in a pair op, a one-site
-    channel acts on both sites, so each channel is converted once.  Being
-    read-only, one op can be cached and shared.
+    The op is as wide as the widest: in a pair op, a one-site op acts on
+    both sites, so a run of one-site ops is multiplied at 6x6 and lifted
+    to the pair once.  Being read-only, one op can be cached and shared.
     """
-    n_sites = max(k.n_sites for k in steps)
+    width = max(len(op) for op in ops)
     m = None
-    for step in steps:
-        step_m = kraus_matrix(step)
-        if step.n_sites < n_sites:
-            step_m = pair_kron(step_m, step_m)
-        m = step_m if m is None else step_m @ m
+    for narrow, run in itertools.groupby(ops, lambda op: len(op) < width):
+        step = functools.reduce(lambda acc, op: op @ acc, run)
+        if narrow:
+            step = pair_kron(step, step)
+        m = step if m is None else step @ m
     m.flags.writeable = False
     return m
 

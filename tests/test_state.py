@@ -183,17 +183,17 @@ def _random_pair_channel(rng) -> list:
 
 
 def _channels_of_every_constructor():
-    strong = NoiseParams(uw_depol_per_pi=0.02, rz_phaseflip_per_pi=0.03,
-                         rz_loss_dark_per_pi=0.02, rz_loss_bright_per_pi=0.03,
-                         rz_decay_per_pi=0.01, cz_phaseflip=0.08,
-                         cz_loss_dark=0.05, cz_loss_bright=0.07,
-                         cz_decay=0.02, cz_phaseshift=0.3, prep_error=0.05)
-    for mode in ("conditional", "correlated", "per_site"):
-        p = strong.replace(cz_phaseflip_mode=mode)
-        yield from gatemodel._steps("cz", (), p, 3e-6)
-    for name, args in (("grot", (0.3, 1.1)), ("rz", (0.7,)),
-                       ("decoherence", (7e-4,)), ("preparation", ())):
-        yield from gatemodel._steps(name, args, strong, 3e-6)
+    for p in (0.0, 0.37, 1.0):
+        yield from (ch.depolarization(p), ch.phase_flip(p), ch.bit_flip(p),
+                    ch.loss_channel(p, "dark"), ch.loss_channel(p, "bright"),
+                    ch.decay(p), ch.correlated_phase_flip(p),
+                    ch.conditional_phase_flip(p))
+    yield from dense_ref.decoherence(7e-4, NoiseParams())
+    yield KrausSet((global_rotation_matrix(0.3, 1.1),), label="grot")
+    yield KrausSet((rz_matrix(0.7),), label="rz")
+    yield KrausSet((controlled_phase_matrix(-1.0),), label="cz")
+    yield KrausSet((controlled_phase_matrix(np.exp(0.3j)),),
+                   label="cz_phaseshift")
 
 
 def test_from_kraus_equals_the_gathered_formula():
@@ -424,20 +424,38 @@ def test_trace_check_rejects_nan():
 
 
 def test_fuse_converts_each_site_channel_once(monkeypatch):
-    # a cz with idle decoherence: its loss, decay and decoherence channels
-    # each act on both sites but are listed once, so each of its 8 steps is
-    # a KrausSet converted once
+    # a cz op with idle decoherence, rebuilt under many rates in every
+    # phase-flip mode: each channel's constant ops are converted from its
+    # Kraus form once, and a rebuild converts nothing.  The 15 conversions:
+    # the cz unitary, each of the three transfers (loss dark and bright,
+    # decay) at p = 0, 1 and 3/4, the three flips at p = 1, and the phase
+    # shift at e^{i d} = 1 and i (at -1 it is the cz unitary).  Idle
+    # decoherence is built from its direct action, and each one-site run
+    # is lifted to the pair once
+    for cached in (gatemodel._constant, gatemodel._transfer_basis,
+                   gatemodel._shift_basis):
+        monkeypatch.setattr(gatemodel, cached.__name__,
+                            functools.cache(cached.__wrapped__))
     calls, convert = [], kraus_matrix
-    monkeypatch.setattr(state, "kraus_matrix",
+    monkeypatch.setattr(gatemodel, "kraus_matrix",
                         lambda channel: calls.append(channel) or convert(channel))
-    p = NoiseParams()
-    steps = gatemodel._steps("cz", (), p, gate_duration(cz(0, 1), p))
-    fuse(steps)
-    assert (len(steps), len(calls)) == (8, 8)
+    lifts, lift = [], pair_kron
+    monkeypatch.setattr(state, "pair_kron",
+                        lambda a, b: lifts.append(a) or lift(a, b))
+    rates = np.random.default_rng(2).uniform(0.0, 0.2, (20, 5))
     for mode in ("conditional", "correlated", "per_site"):
-        steps = gatemodel._steps("cz", (), p.replace(cz_phaseflip_mode=mode),
-                                 gate_duration(cz(0, 1), p))
-        assert all(isinstance(step, KrausSet) for step in steps), mode
+        for i, r in enumerate(rates):
+            p = NoiseParams(cz_phaseflip_mode=mode, cz_phaseshift=r[0] - 0.1,
+                            **dict(zip(gatemodel.CZ_FIELDS[:3], r[1:4])),
+                            cz_phaseflip=r[4])
+            before = len(calls)
+            fuse(gatemodel._steps("cz", (), p, gate_duration(cz(0, 1), p)))
+            assert i == 0 or len(calls) == before, mode
+    assert len(calls) == 15
+    assert len({(k.label, k.operators[-1].tobytes()) for k in calls}) == 15
+    # conditional and correlated: loss, loss, decay | idle decoherence;
+    # per-site: loss, loss, decay, flip | idle decoherence
+    assert len(lifts) == 3 * len(rates) * 2
 
 
 def test_apply_after_set_pure_rebinds_blocks():
