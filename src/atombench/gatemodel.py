@@ -66,14 +66,19 @@ def rz_matrix(theta: float) -> np.ndarray:
     return u
 
 
+def _unitary_op(u: np.ndarray, label: str) -> np.ndarray:
+    """The op of the unitary u, built and checked by ``kraus_matrix``."""
+    return kraus_matrix(KrausSet((u,), label=label))
+
+
 @functools.cache
 def _constant(make, *args) -> np.ndarray:
     """The op of the channel make(*args), a KrausSet or a unitary, built
     and checked by ``kraus_matrix`` once, when first used."""
     channel = make(*args)
-    if not isinstance(channel, KrausSet):
-        channel = KrausSet((channel,), label=make.__name__)
-    return kraus_matrix(channel)
+    if isinstance(channel, KrausSet):
+        return kraus_matrix(channel)
+    return _unitary_op(channel, make.__name__)
 
 
 def _read_only(*ms) -> tuple:
@@ -116,8 +121,7 @@ def _shift_basis() -> tuple:
 
 
 def _grot_steps(phi: float, theta: float, params: NoiseParams) -> list:
-    steps = [kraus_matrix(KrausSet((global_rotation_matrix(phi, theta),),
-                                   label="grot"))]
+    steps = [_unitary_op(global_rotation_matrix(phi, theta), "grot")]
     p = ch.scaled_probability(params.uw_depol_per_pi, theta)
     if p > 0.0:
         steps.append(_mixture(ch.depolarization, p))
@@ -127,7 +131,7 @@ def _grot_steps(phi: float, theta: float, params: NoiseParams) -> list:
 def _rz_steps(theta: float, params: NoiseParams) -> list:
     scale = lambda r: ch.scaled_probability(r, theta)
     return [
-        kraus_matrix(KrausSet((rz_matrix(theta),), label="rz")),
+        _unitary_op(rz_matrix(theta), "rz"),
         _mixture(ch.phase_flip, scale(params.rz_phaseflip_per_pi)),
         _transfer(ch.decay, scale(params.rz_decay_per_pi)),
         _transfer(ch.loss_channel, scale(params.rz_loss_dark_per_pi), "dark"),

@@ -85,13 +85,11 @@ class Topology:
         return self.adjacency.get(node, ())
 
     def distance(self, a: int, b: int) -> int:
-        """Hop count between occupied nodes, read from the hop table; a
-        pair the table lacks (a node off the topology) takes a BFS, which
-        raises RoutingError for disconnected nodes."""
-        hops = self._hops.get(a, {}).get(b)
-        if hops is None:
-            return len(self.shortest_path(a, b)) - 1
-        return hops
+        """Hop count between occupied nodes, read from the hop table."""
+        try:
+            return self._hops[a][b]
+        except KeyError:
+            raise RoutingError(f"nodes {a} and {b} are disconnected") from None
 
     @functools.cached_property
     def _hops(self) -> dict:

@@ -9,7 +9,7 @@ from atombench import bench
 from atombench.bench import BenchmarkSpec, generate
 from atombench.circuit import (Circuit, Gate, cz, lower_to_native,
                                optimize_native, rz)
-from atombench.errors import CapacityError, ValidationError
+from atombench.errors import CapacityError, RoutingError, ValidationError
 from atombench.metrics import marginalize
 from atombench.routing import (Topology, interaction_placement,
                                most_square_grid, route, transpile)
@@ -49,6 +49,14 @@ def test_all_to_all_adjacency():
     assert topo.adjacent(0, 3) and not topo.adjacent(1, 1)
     assert topo.distance(0, 3) == 1 and topo.distance(2, 2) == 0
     assert topo.shortest_path(3, 0) == [3, 0]
+
+
+def test_distance_raises_for_disconnected_or_missing_nodes():
+    topo = Topology("grid", adjacency={0: (1,), 1: (0,), 2: ()})
+    assert topo.distance(1, 0) == 1
+    for a, b in ((0, 2), (2, 1), (0, 7), (7, 0)):
+        with pytest.raises(RoutingError, match="disconnected"):
+            topo.distance(a, b)
 
 
 def test_all_to_all_passthrough():
