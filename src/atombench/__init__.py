@@ -8,7 +8,7 @@ from .metrics import Distribution, classical_fidelity, average_gate_fidelity
 from .routing import Topology, route
 from .runner import RunConfig, ResultRecord, run_instance, run_suite
 from .state import QuquartState
-from .fit import FitProblem, fit_noise_params, nelder_mead
+from .fit import FitProblem, fit_noise_params
 
 __version__ = "0.1.0"
 
@@ -18,5 +18,5 @@ __all__ = [
     "Distribution", "classical_fidelity", "average_gate_fidelity",
     "Topology", "route", "RunConfig", "ResultRecord", "run_instance",
     "run_suite", "QuquartState", "FitProblem", "fit_noise_params",
-    "nelder_mead", "__version__",
+    "__version__",
 ]

@@ -1,9 +1,11 @@
-"""Nelder-Mead calibration of noise parameters against measured distributions.
+"""Quasi-Newton calibration of noise parameters against measured distributions.
 
-Each numeric ``NoiseParams`` field declares its kind, and the kind sets how
-the field is fitted.  Rates and the equilibrium population are optimized
-through a logistic map, so the simplex explores an unconstrained space while
-the physical values stay in (0, 1).  Durations live on a log scale when
+``fit_noise_params`` maximizes the mean classical fidelity of the references
+by multi-start BFGS on forward-difference gradients.  Each numeric
+``NoiseParams`` field declares its kind, and the kind sets how the field is
+fitted.  Rates and the equilibrium population are optimized through a
+logistic map, so the search explores an unconstrained space while the
+physical values stay in (0, 1).  Durations live on a log scale when
 freed; the coherent CZ phase offset is linear.  T1 and T2* and the
 non-numeric ``cz_phaseflip_mode`` are never fitted.
 """
@@ -59,79 +61,66 @@ def decode_param(name: str, x: float) -> float:
     return x
 
 
-# -- Nelder-Mead -------------------------------------------------------------
+# -- quasi-Newton -------------------------------------------------------------
 
-_ALPHA, _GAMMA, _RHO, _SIGMA = 1.0, 2.0, 0.5, 0.5
+_ARMIJO = 1e-4
 
 
-def nelder_mead(objective, x0, xtol: float = 1e-6, ftol: float = 1e-9,
-                max_evals: int = 2000, initial_scale: float = 0.1
-                ) -> tuple[np.ndarray, float, int, str]:
-    """Downhill-simplex minimization; returns (x, f, evals, status).
+def quasi_newton(objective, x0, xtol: float = 1e-6, ftol: float = 1e-9,
+                 max_evals: int = 2000) -> tuple[np.ndarray, float, int, str]:
+    """BFGS minimization on forward-difference gradients with Armijo
+    backtracking; returns (x, f, evals, status).
 
-    status is "converged" (simplex diameter < xtol and function spread
-    < ftol, both required) or "max-evals".  Non-finite objective values are
+    status is "converged" when an accepted step is below xtol in every
+    coordinate and lowers f by less than ftol, or when backtracking finds no
+    sufficient decrease with such a step; otherwise "max-evals".  At most
+    max_evals objective calls are made.  Non-finite objective values are
     treated as +inf, except at x0 where they raise.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    if n < 1:
-        raise ValidationError("nelder_mead needs at least one dimension")
-    evals = 0
+    if max_evals < 1:
+        raise ValidationError(f"max_evals must be >= 1, got {max_evals}")
+    x = np.asarray(x0, dtype=float)
+    n, evals = x.size, 0
 
     def f(x):
         nonlocal evals
         evals += 1
-        v = objective(x)
-        return float(v) if np.isfinite(v) else float("inf")
+        v = float(objective(x))
+        return v if math.isfinite(v) else math.inf
 
-    f0 = objective(x0)
-    evals += 1
-    if not np.isfinite(f0):
-        raise ValidationError(f"objective is not finite at x0 ({f0})")
+    def gradient(x, fx):
+        # an axis whose forward point is non-finite contributes no slope
+        steps = np.diag(1e-6 * np.maximum(1.0, np.abs(x)))
+        fe = np.array([f(x + e) for e in steps])
+        return np.where(fe < math.inf, fe - fx, 0.0) / steps.diagonal()
 
-    simplex = [x0]
-    for i in range(n):
-        step = initial_scale * (abs(x0[i]) if x0[i] != 0.0 else 1.0)
-        v = x0.copy()
-        v[i] += step
-        simplex.append(v)
-    values = [float(f0)] + [f(v) for v in simplex[1:]]
-
-    status = "max-evals"
-    while evals < max_evals:
-        order = np.argsort(values, kind="stable")
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        diameter = max(np.max(np.abs(v - simplex[0])) for v in simplex[1:])
-        spread = values[-1] - values[0]
-        if diameter < xtol and spread < ftol:
-            status = "converged"
-            break
-        centroid = np.mean(simplex[:-1], axis=0)
-        worst = simplex[-1]
-        reflected = centroid + _ALPHA * (centroid - worst)
-        fr = f(reflected)
-        if values[0] <= fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        elif fr < values[0]:
-            expanded = centroid + _GAMMA * (reflected - centroid)
-            fe = f(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        else:
-            contracted = centroid + _RHO * (worst - centroid)
-            fc = f(contracted)
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i] = simplex[0] + _SIGMA * (simplex[i] - simplex[0])
-                    values[i] = f(simplex[i])
-    best = int(np.argmin(values))
-    return simplex[best], values[best], evals, status
+    fx = f(x)
+    if fx == math.inf:
+        raise ValidationError("objective is not finite at x0")
+    H = g = None                       # an H of None is the identity
+    while evals + n < max_evals:       # room for a gradient and one step
+        g_old, g = g, gradient(x, fx)
+        if g_old is not None and s @ (g - g_old) > 0:
+            y = g - g_old
+            sy = s @ y
+            if H is None:              # Nocedal & Wright eq. 6.20
+                H = (sy / (y @ y)) * np.eye(n)
+            v = np.eye(n) - np.outer(s, y) / sy
+            H = v @ H @ v.T + np.outer(s, s) / sy
+        d = -g if H is None else -H @ g
+        if not g @ d < 0:
+            H, d = None, -g
+        s = d
+        while (f_new := f(x + s)) > fx + _ARMIJO * (g @ s):
+            if np.all(np.abs(s) < xtol):
+                return x, fx, evals, "converged"
+            if evals == max_evals:
+                return x, fx, evals, "max-evals"
+            s = s / 2
+        x, fx, decrease = x + s, f_new, fx - f_new
+        if np.all(np.abs(s) < xtol) and decrease < ftol:
+            return x, fx, evals, "converged"
+    return x, fx, evals, "max-evals"
 
 
 # -- noise-parameter fitting --------------------------------------------------
@@ -142,6 +131,8 @@ class FitProblem:
     references: list                       # (Circuit, Distribution) pairs
     free_params: tuple = DEFAULT_FREE
     base_params: NoiseParams = field(default_factory=NoiseParams)
+    # standard deviation of the extra starts around the base point; the name
+    # is kept from the simplex search so that existing configs still load
     initial_simplex_scale: float = 0.3
     xtol: float = 1e-4
     ftol: float = 1e-8
@@ -165,8 +156,15 @@ class FitProblem:
         if len(set(self.free_params)) != len(self.free_params):
             raise ValidationError(
                 f"free_params lists a parameter twice: {self.free_params}")
-        if self.n_starts < 1:
-            raise ValidationError(f"n_starts must be >= 1, got {self.n_starts}")
+        for name, ok in (("n_starts", self.n_starts >= 1),
+                         ("max_evals", self.max_evals >= 1),
+                         ("xtol", 0 < self.xtol < math.inf),
+                         ("ftol", 0 < self.ftol < math.inf),
+                         ("initial_simplex_scale",
+                          0 <= self.initial_simplex_scale < math.inf)):
+            if not ok:
+                raise ValidationError(
+                    f"{name} is out of range: {getattr(self, name)!r}")
 
 
 def _params_from_vector(problem: FitProblem, x: np.ndarray) -> NoiseParams:
@@ -219,10 +217,9 @@ def fit_noise_params(problem: FitProblem) -> tuple[NoiseParams, float, dict]:
     report = {"starts": [], "evals": 0}
     best_x, best_f = None, float("inf")
     for x0 in starts:
-        x, fval, evals, status = nelder_mead(
+        x, fval, evals, status = quasi_newton(
             objective, x0, xtol=problem.xtol, ftol=problem.ftol,
-            max_evals=problem.max_evals,
-            initial_scale=problem.initial_simplex_scale)
+            max_evals=problem.max_evals)
         report["evals"] += evals
         report["starts"].append({
             "fidelity": -fval, "evals": evals, "status": status,

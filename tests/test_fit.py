@@ -1,4 +1,4 @@
-"""Nelder-Mead optimizer and noise-parameter fitting plumbing."""
+"""Quasi-Newton optimizer and noise-parameter fitting plumbing."""
 
 import math
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from atombench import fit, gatemodel, runner
-from atombench.bench import BenchmarkSpec, generate
+from atombench.bench import BenchmarkSpec, generate, sample_instances
 from atombench.channels import NoiseParams
 from atombench.errors import ValidationError
 from atombench.fit import (
@@ -16,48 +16,59 @@ from atombench.fit import (
     encode_param,
     fit_noise_params,
     mean_reference_fidelity,
-    nelder_mead,
+    quasi_newton,
 )
 from atombench.metrics import Distribution
 from atombench.runner import run_reference
 
 
-def test_nelder_mead_quadratic():
+def test_quasi_newton_quadratic():
     f = lambda x: float((x[0] - 1.5) ** 2 + 3 * (x[1] + 0.5) ** 2)
-    x, fval, evals, status = nelder_mead(f, np.zeros(2), xtol=1e-8, ftol=1e-14,
-                                         max_evals=2000)
+    x, fval, evals, status = quasi_newton(f, np.zeros(2), xtol=1e-8,
+                                          ftol=1e-14, max_evals=2000)
     assert status == "converged"
     assert np.allclose(x, [1.5, -0.5], atol=1e-5)
     assert fval < 1e-10
 
 
-def test_nelder_mead_rosenbrock():
+def test_quasi_newton_rosenbrock():
     f = lambda x: float((1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2)
-    x, fval, evals, status = nelder_mead(f, np.array([-1.2, 1.0]), xtol=1e-10,
-                                         ftol=1e-16, max_evals=5000)
+    x, fval, evals, status = quasi_newton(f, np.array([-1.2, 1.0]),
+                                          xtol=1e-10, ftol=1e-16,
+                                          max_evals=5000)
     assert np.allclose(x, [1.0, 1.0], atol=1e-3)
 
 
-def test_nelder_mead_max_evals():
+def test_quasi_newton_max_evals():
     f = lambda x: float(np.sum(x**2))
-    _, _, evals, status = nelder_mead(f, np.ones(3), xtol=1e-300, ftol=1e-300,
-                                      max_evals=50)
+    _, _, evals, status = quasi_newton(f, np.ones(3), xtol=1e-300,
+                                       ftol=1e-300, max_evals=50)
     assert status == "max-evals"
-    assert evals <= 50 + 4  # initial simplex evaluations included
+    assert evals <= 50
 
 
-def test_nelder_mead_rejects_non_finite_start():
+def test_quasi_newton_never_exceeds_max_evals():
+    f = lambda x: float(np.sum((x - np.arange(4)) ** 2 * np.arange(1, 5))
+                        + np.prod(np.cos(x)))
+    for budget in range(1, 61):
+        _, _, evals, status = quasi_newton(f, np.zeros(4), xtol=1e-12,
+                                           ftol=1e-16, max_evals=budget)
+        assert evals <= budget, (budget, evals)
+        assert status == "max-evals", budget
+
+
+def test_quasi_newton_rejects_non_finite_start():
     with pytest.raises(ValidationError):
-        nelder_mead(lambda x: float("nan"), np.zeros(2))
+        quasi_newton(lambda x: float("nan"), np.zeros(2))
 
 
-def test_nelder_mead_handles_non_finite_regions():
+def test_quasi_newton_handles_non_finite_regions():
     def f(x):
         if x[0] > 2.0:
             return float("inf")
         return float((x[0] - 1.0) ** 2)
-    x, _, _, _ = nelder_mead(f, np.array([0.0]), xtol=1e-8, ftol=1e-14,
-                             max_evals=2000)
+    x, _, _, _ = quasi_newton(f, np.array([0.0]), xtol=1e-8, ftol=1e-14,
+                              max_evals=2000)
     assert abs(x[0] - 1.0) < 1e-4
 
 
@@ -105,6 +116,17 @@ def test_fit_problem_validation():
     for n in (0, -1):
         with pytest.raises(ValidationError, match="n_starts"):
             FitProblem(references=refs, n_starts=n)
+        with pytest.raises(ValidationError, match="max_evals"):
+            FitProblem(references=refs, max_evals=n)
+    for name in ("xtol", "ftol"):
+        for bad in (0.0, -1e-4, math.nan, math.inf):
+            with pytest.raises(ValidationError, match=name):
+                FitProblem(references=refs, **{name: bad})
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="initial_simplex_scale"):
+            FitProblem(references=refs, initial_simplex_scale=bad)
+    # one start needs no spread
+    FitProblem(references=refs, initial_simplex_scale=0.0, max_evals=1)
     FitProblem(references=refs, free_params=("p0_equilibrium", "dur_cz",
                                              "cz_phaseshift"))
 
@@ -209,3 +231,21 @@ def test_a_fit_evaluation_reads_no_bitstrings(monkeypatch):
     monkeypatch.setattr(Distribution, "entries", property(no_entries))
     fid = mean_reference_fidelity(refs, NoiseParams(cz_phaseflip=0.03))
     assert 0.0 < fid < 1.0
+
+
+def test_fit_with_every_rate_free_converges():
+    # twelve free coordinates on three references: the curvature is
+    # singular, and the search must still end converged
+    planted = NoiseParams(cz_phaseflip=0.045, cz_loss_dark=0.012)
+    refs = []
+    for kind, width in (("Ghz", 2), ("Ghz", 3), ("BernsteinVazirani", 3)):
+        spec = sample_instances(kind, width, n_samples=1, seed=12)[0]
+        circuit, _ = generate(spec)
+        refs.append((circuit, run_reference(circuit, planted)))
+    problem = FitProblem(refs, free_params=DEFAULT_FREE, n_starts=1,
+                         max_evals=1500, seed=12)
+    _, fidelity, report = fit_noise_params(problem)
+    assert len(DEFAULT_FREE) == 12
+    assert report["starts"][0]["status"] == "converged", report
+    assert report["evals"] <= 1500
+    assert fidelity > 1 - 1e-9, report
