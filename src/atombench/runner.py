@@ -12,10 +12,14 @@ sites commute and each site keeps its order, so the 1-site ops fold into
 the ``cz`` passes: a ``cz`` carries its two sites' 1-site ops since their
 previous ``cz`` (before) and, at a site's last ``cz``, every op after it
 (after); a site with no ``cz`` starts in the product of all its ops
-applied to |0>, and the initial state is the product of one such vector
-per site.  Run (``_run``) sets that product state, checked once, and
-makes one checked pass per ``cz``: after @ cz_op @ before, the ``cz`` op
-looked up once under the run's params.
+applied to |0>.  Sites that no chain of ``cz``s joins share no op that
+entangles, so run (``_run``) holds one state per connected component of
+the ``cz`` graph, their footprints within ``memory_cap`` together.  It
+sets each site with no ``cz`` to its vector, checked once, and makes one
+checked pass per ``cz`` on its component's state: after @ cz_op @ before,
+the ``cz`` op looked up once under the run's params.  The 1-site ops, a
+layer's decoherence included, come from the whole schedule, so the states
+are exactly the factors of the register's state.
 
 Both ``run_instance`` and ``run_reference`` simulate the native circuit
 that ``routing.transpile`` gives, a reference's on all-to-all.
@@ -25,10 +29,11 @@ reference in its memo entry (``_reference``), keyed on the value of every
 ``NoiseParams`` field but the ``cz`` op's own and the readout error.  So a
 fit with only ``cz`` rates free compiles each reference once, and each
 evaluation builds one ``cz`` op and makes two 36x36 products per pass.
-Readout is reduced to one vector of bitstring probabilities, restricted to
-the physical positions of the measured qubits under the router's final
-placement, convolved with the measurement-error channel and scored against
-the ideal distribution's vector.
+Readout reduces each component to the bitstring probabilities of its
+measured sites, the physical positions of the measured qubits under the
+router's final placement, and joins them by outer product into one
+vector, which is convolved with the measurement-error channel and scored
+against the ideal distribution's vector.
 """
 
 from __future__ import annotations
@@ -44,9 +49,11 @@ import numpy as np
 from . import bench, gatemodel, metrics
 from .channels import NoiseParams
 from .circuit import Circuit, cz, gate_duration, schedule_layers
-from .errors import AtombenchError, DegenerateIdealError, ValidationError
+from .errors import (AtombenchError, CapacityError, DegenerateIdealError,
+                     ValidationError)
 from .routing import Topology, transpile
-from .state import DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, pair_kron
+from .state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, footprint,
+                    pair_kron)
 
 _READOUT_FLOOR = 1e-15   # readout probabilities at or below it are stored as 0
 
@@ -168,34 +175,44 @@ class _Recorder:
 
 def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
              ) -> tuple:
-    """The pass plan of a native circuit: (depth, start, passes).
+    """The pass plan of a native circuit: (depth, groups, passes).
 
     The circuit is scheduled and its ops are recorded; ``Circuit`` checked
-    its gates when it was built.  One backward walk finds each site's last
-    ``cz`` and the product T_s of its 1-site ops after it.
-    start holds the vectors of the initial product state, T_s e0 for a site
-    with no ``cz`` and e0 for the others, or is None if no site without a
-    ``cz`` has an op.  passes yields one (sites, before, after) per ``cz``,
-    in circuit order: before is kron(P_a, P_b), P_s the product of
-    the site's 1-site ops since its previous ``cz``, and after is
-    kron(T_a, T_b), T_s taken only at the site's last ``cz`` (the identity
-    elsewhere); either is None for the identity.  passes is a generator, so
-    a streamed plan holds no matrix per gate.
+    its gates when it was built.  A union-find over the ``cz`` sites gives
+    the components of the ``cz`` graph, and one backward walk finds each
+    site's last ``cz`` and the product T_s of its 1-site ops after it.
+    groups holds one (sites, start) per component, sites ascending, ordered
+    by their least site: start is [T_s e0] for a site with no ``cz`` and an
+    op, and None (the state's |0...0>) for the others.  passes yields one
+    (component, local sites, before, after) per ``cz``, in circuit order:
+    before is kron(P_a, P_b), P_s the product of the site's 1-site ops since
+    its previous ``cz``, and after is kron(T_a, T_b), T_s taken only at the
+    site's last ``cz`` (the identity elsewhere); either is None for the
+    identity.  passes is a generator, so a streamed plan holds no matrix
+    per gate.
     """
     layers, depth = schedule_layers(circuit)
+    n_sites = circuit.n_qubits
+    root = list(range(n_sites))     # union-find parents over the cz sites
+
+    def find(s):
+        while root[s] != s:
+            s = root[s]
+        return s
+
     rec = _Recorder()
     gatemodel.apply_preparation(rec, params)
     for layer in layers:
         for g in layer:
             if g.name == "cz":
                 rec.ops.append((g.sites, None))
+                root[find(g.sites[0])] = find(g.sites[1])
             else:
                 gatemodel.apply_gate(rec, g, params, decohere=per_gate)
         if not per_gate:
             interval = max(gate_duration(g, params) for g in layer)
             gatemodel.apply_decoherence(rec, interval, params)
-    ops, n_sites = rec.ops, circuit.n_qubits
-    every = range(n_sites)
+    ops, every = rec.ops, range(n_sites)
     last, tail = [-1] * n_sites, [None] * n_sites
     open_sites = set(every)
     for i in range(len(ops) - 1, -1, -1):
@@ -211,11 +228,16 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
             else:
                 t = tail[s]
                 tail[s] = m if t is None else t @ m
-    start = None
-    if any(tail[s] is not None for s in open_sites):
-        ground = np.eye(N_SYMBOLS)[0]
-        start = [ground if last[s] >= 0 or tail[s] is None else tail[s][:, 0]
-                 for s in every]
+    components = {}
+    for s in every:
+        components.setdefault(find(s), []).append(s)
+    groups, where = [], [None] * n_sites  # where: (component, local site)
+    for k, sites in enumerate(components.values()):
+        for j, s in enumerate(sites):
+            where[s] = (k, j)
+        # a site with a cz starts at |0>: its earlier ops ride its first pass
+        t = tail[sites[0]] if len(sites) == 1 else None
+        groups.append((tuple(sites), None if t is None else [t[:, 0]]))
 
     def passes():
         pending = [None] * n_sites
@@ -231,9 +253,10 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
             after = _pair(tail[a] if last[a] == i else None,
                           tail[b] if last[b] == i else None)
             pending[a] = pending[b] = None
-            yield sites, before, after
+            (k, la), (_, lb) = where[a], where[b]
+            yield k, (la, lb), before, after
 
-    return depth, start, passes()
+    return depth, tuple(groups), passes()
 
 
 def _pair(a, b):
@@ -251,52 +274,73 @@ _PLAN_FIELDS = tuple(f for f in NoiseParams.__dataclass_fields__
                      if f not in gatemodel.CZ_FIELDS + ("meas_error",))
 
 
-def _run(n_sites: int, start, passes, params: NoiseParams, per_gate: bool,
-         memory_cap: int) -> QuquartState:
-    """Run a pass plan (``_compile``): set its checked initial product
-    state, then make one checked pass per item of `passes`: the ``cz`` op
-    under `params`, which reads no site, between its before and after."""
-    state = QuquartState(n_sites, memory_cap)
-    if start is not None:
-        state.set_product(start)
+def _run(groups, passes, params: NoiseParams, per_gate: bool,
+         memory_cap: int) -> tuple:
+    """Run a pass plan (``_compile``): make one state per group, all within
+    `memory_cap` together, set each given start, checked, then make one
+    checked pass per item of `passes` on its group's state: the ``cz`` op
+    under `params`, which reads no site, between its before and after.
+    Returns the parts, one (sites, state) per group."""
+    sizes = [len(sites) for sites, _ in groups]
+    need = sum(map(footprint, sizes))
+    if need > memory_cap:
+        raise CapacityError(f"components of {sizes} sites need {need} bytes "
+                            f"together, cap is {memory_cap}")
+    states = [QuquartState(n, memory_cap) for n in sizes]
+    for state, (_, start) in zip(states, groups):
+        if start is not None:
+            state.set_product(start)
     op = gatemodel.native_op(cz(0, 1), params, decohere=per_gate)
-    for sites, before, after in passes:
+    for k, sites, before, after in passes:
         m = op if before is None else op @ before
-        state.apply_channel(sites, m if after is None else after @ m)
-    return state
+        states[k].apply_channel(sites, m if after is None else after @ m)
+    return tuple((sites, state) for (sites, _), state in zip(groups, states))
 
 
 def execute_native(circuit: Circuit, params: NoiseParams,
                    memory_cap: int = DEFAULT_MEMORY_CAP,
-                   timing_model: str = "gate") -> tuple[QuquartState, int]:
+                   timing_model: str = "gate") -> tuple[tuple, int]:
     """Run a native circuit with SPAM preparation and idle decoherence.
 
     timing_model "gate" attaches each gate's decoherence interval to its own
     sites (global pulses decohere every site); "layer" instead applies one
     decoherence interval to all sites after each layer, the duration of the
-    layer's slowest gate.  The plan is compiled and streamed on every call.
-    Returns the final state and the transpiled depth (layer count).
+    layer's slowest gate on any component.  The plan is compiled and
+    streamed on every call.  Returns (parts, depth): parts holds one (sites,
+    state) per connected component of the ``cz`` graph, sites ascending,
+    whose states' Kronecker product in site order is the register's state;
+    depth is the transpiled depth (layer count).
     """
     if timing_model not in ("gate", "layer"):
         raise ValidationError(f"unknown timing_model {timing_model!r}")
     per_gate = timing_model == "gate"
-    depth, start, passes = _compile(circuit, params, per_gate)
-    return _run(circuit.n_qubits, start, passes, params, per_gate,
-                memory_cap), depth
+    depth, groups, passes = _compile(circuit, params, per_gate)
+    return _run(groups, passes, params, per_gate, memory_cap), depth
 
 
-def output_distribution(state: QuquartState, l2p: list, measured: list,
+def output_distribution(parts, l2p, measured: list,
                         meas_error: float) -> metrics.Distribution:
     """Readout pipeline: reduce, keep the measured qubits' physical bits
     (qubit q sits at l2p[q]), measurement error.
 
-    The diagonal is reduced in the state's buffer order, which needs no
-    copy, so bit p of the reduced vector is site ``state.axes[p]``.
+    Each part's diagonal is reduced in its state's buffer order, which needs
+    no copy, so bit p of the reduced vector is site ``sites[state.axes[p]]``;
+    it is marginalized to its measured sites before the parts are joined by
+    outer product, so no vector of unmeasured bits is built.
     """
-    axes = state.axes
-    v = metrics.reduce_readout_array(state.diagonal().transpose(axes))
-    v = metrics.marginalize(v, state.n_sites,
-                            [axes.index(l2p[q]) for q in measured])
+    phys = [l2p[q] for q in measured]
+    v, held = None, []
+    for sites, state in parts:
+        axes = [sites[a] for a in state.axes]
+        keep = [s for s in phys if s in axes]
+        bits = metrics.reduce_readout_array(
+            state.diagonal().transpose(state.axes))
+        bits = metrics.marginalize(bits, state.n_sites,
+                                   [axes.index(s) for s in keep])
+        v = bits if v is None else np.outer(v, bits).reshape(-1)
+        held += keep
+    if held != phys:
+        v = metrics.marginalize(v, len(held), [held.index(s) for s in phys])
     v = metrics.apply_measurement_error_vector(v, len(measured), meas_error)
     return metrics.Distribution(
         np.where((v <= _READOUT_FLOOR) & np.isfinite(v), 0.0, v))
@@ -311,10 +355,10 @@ def run_instance(spec: bench.BenchmarkSpec, topology, params: NoiseParams,
     circuit, ideal = bench.generate(spec)
     routed, l2p = transpile(circuit, make_topology(topology, circuit.n_qubits))
     rec.native_gate_counts = routed.gate_counts()
-    state, depth = execute_native(routed, params, memory_cap,
+    parts, depth = execute_native(routed, params, memory_cap,
                                   timing_model=timing_model)
     rec.transpiled_depth = depth
-    out = output_distribution(state, l2p, circuit.measured_qubits,
+    out = output_distribution(parts, l2p, circuit.measured_qubits,
                               params.meas_error)
     try:
         rec.f_s, rec.f_n, rec.f = metrics.classical_fidelity(ideal, out)
@@ -330,8 +374,8 @@ def _reference(n_qubits: int, ops: tuple) -> list:
     """The memo entry [native, plan] of the abstract circuit (n_qubits,
     ops), keyed on content (a ``Circuit`` is mutable) and never evicted.
 
-    native is transpile's circuit on all-to-all; plan is None or (key, start,
-    passes), its pass plan under the "gate" timing model, key the values of
+    native is transpile's circuit on all-to-all; plan is None or (key,
+    groups, passes), its pass plan under the "gate" timing model, key the values of
     _PLAN_FIELDS it was compiled under.  ``run_reference`` replaces plan by
     one store of a tuple, so a thread reads the old plan or the new one.
     """
@@ -354,10 +398,10 @@ def run_reference(circuit: Circuit, params: NoiseParams,
     # from a list: tuple() of a generator put 0.2-0.4 MB on fit's peak RSS
     key = tuple([getattr(params, f) for f in _PLAN_FIELDS])
     if plan is None or plan[0] != key:
-        _, start, passes = _compile(native, params, True)
-        plan = entry[1] = (key, start, tuple(passes))
-    state = _run(native.n_qubits, *plan[1:], params, True, memory_cap)
-    return output_distribution(state, list(range(state.n_sites)),
+        _, groups, passes = _compile(native, params, True)
+        plan = entry[1] = (key, groups, tuple(passes))
+    parts = _run(*plan[1:], params, True, memory_cap)
+    return output_distribution(parts, range(native.n_qubits),
                                circuit.measured_qubits, params.meas_error)
 
 

@@ -22,7 +22,7 @@ from atombench.gatemodel import global_rotation_matrix, rz_matrix
 from atombench.routing import Topology, transpile
 from atombench.runner import execute_native as run_native
 from atombench.state import (BASIS, BASIS_INV, N_SYMBOLS, QUBIT_FOLD,
-                             SYMBOL_PAIRS)
+                             SYMBOL_PAIRS, QuquartState)
 
 D = 4
 SITE_LABELS = ("0", "1", "l0", "l1")
@@ -58,6 +58,18 @@ def to_dense(state, max_sites: int = 6) -> np.ndarray:
     t = t.reshape((D, D) * n)
     order = [2 * i for i in range(n)] + [2 * i + 1 for i in range(n)]
     return t.transpose(order).reshape(D**n, D**n)
+
+
+def join(parts) -> QuquartState:
+    """One QuquartState holding the Kronecker product of the parts' blocks,
+    each (sites, state) of ``runner.execute_native``, in site order."""
+    t, order = np.ones(()), []
+    for sites, state in parts:
+        t = np.multiply.outer(t, state.blocks)
+        order += sites
+    joined = QuquartState(len(order))
+    joined.blocks = t.transpose(np.argsort(order))
+    return joined
 
 
 def dense_element(state, row, col) -> complex:
@@ -379,8 +391,8 @@ def bell_state_fidelity(params: NoiseParams) -> float:
     c = Circuit(2, metadata={"measured_qubits": [0, 1]})
     for op in _ghz_ops(2):
         c.add(op)
-    state, _ = run_native(transpile(c, Topology.all_to_all(2))[0], params)
-    rho = reduced_qubit_density(state)
+    parts, _ = run_native(transpile(c, Topology.all_to_all(2))[0], params)
+    rho = reduced_qubit_density(join(parts))
     ideal = np.zeros(4, dtype=complex)
     ideal[0] = ideal[3] = 1.0 / np.sqrt(2.0)
     return quantum_fidelity(np.outer(ideal, ideal.conj()), rho)

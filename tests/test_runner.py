@@ -14,8 +14,9 @@ from atombench import bench, gatemodel, routing, runner
 from atombench.bench import BenchmarkSpec
 from atombench.channels import NoiseParams
 from atombench.circuit import (Circuit, Gate, cz, gate_duration, grot,
-                               lower_to_native, rz)
-from atombench.errors import PatternLeakError, ValidationError
+                               lower_to_native, rz, schedule_layers)
+from atombench.errors import CapacityError, PatternLeakError, ValidationError
+from atombench.metrics import classical_fidelity
 from atombench.routing import Topology, transpile
 from atombench.runner import (
     ResultRecord,
@@ -28,7 +29,8 @@ from atombench.runner import (
     save_records,
     topology_label,
 )
-from atombench.state import N_SYMBOLS, QuquartState
+from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState,
+                             footprint)
 
 NOISELESS = NoiseParams.noiseless()
 
@@ -98,9 +100,9 @@ def test_make_topology_and_label():
 def test_execute_native_noiseless_matches_oracle():
     circuit, _ = bench.generate(BenchmarkSpec("Ghz", 3))
     native = lower_to_native(circuit)
-    state, depth = execute_native(native, NOISELESS)
+    parts, depth = execute_native(native, NOISELESS)
     psi = bench.statevector(native).reshape(-1)
-    red = dense_ref.reduced_qubit_density(state)
+    red = dense_ref.reduced_qubit_density(dense_ref.join(parts))
     assert np.max(np.abs(red - np.outer(psi, psi.conj()))) < 1e-10
     assert depth > 0
 
@@ -114,10 +116,27 @@ STRONG = NoiseParams(uw_depol_per_pi=0.02, rz_phaseflip_per_pi=0.03,
 
 
 def dense_error(c: Circuit, params: NoiseParams, timing_model: str) -> float:
-    state, _ = execute_native(c, params, timing_model=timing_model)
+    parts, _ = execute_native(c, params, timing_model=timing_model)
     rho = dense_ref.execute_native(c, params, timing_model=timing_model)
-    return float(np.max(np.abs(dense_ref.to_dense(state)
+    return float(np.max(np.abs(dense_ref.to_dense(dense_ref.join(parts))
                                - dense_ref.to_matrix(rho))))
+
+
+def cz_component(c: Circuit, site: int) -> set:
+    """The sites that a chain of the circuit's czs joins to `site`."""
+    component, grown = {site}, True
+    while grown:
+        grown = False
+        for g in c.ops:
+            if g.name == "cz" and len(component & set(g.sites)) == 1:
+                component |= set(g.sites)
+                grown = True
+    return component
+
+
+def same_parts(a, b) -> bool:
+    return [sites for sites, _ in a] == [sites for sites, _ in b] and all(
+        np.array_equal(x.blocks, y.blocks) for (_, x), (_, y) in zip(a, b))
 
 
 @pytest.mark.parametrize("timing_model", ["gate", "layer"])
@@ -184,16 +203,135 @@ def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
             else:
                 c.add(cz(*map(int, rng.choice(n, 2, replace=False))))
         passes.clear()
-        state, _ = execute_native(c, params, timing_model=timing_model)
+        parts, _ = execute_native(c, params, timing_model=timing_model)
         n_cz = c.gate_counts().get("cz", 0)
         # one pass per cz and none for 1-site ops: each site's ops ride its
         # cz passes or the initial product state
         assert set(passes) <= {"apply_channel"}
         assert len(passes) == n_cz, (trial, len(passes), n_cz)
+        # no state is larger than its component of the cz graph
+        assert sorted(s for sites, _ in parts for s in sites) == list(range(n))
+        for sites, state in parts:
+            assert state.n_sites == len(sites) == len(cz_component(c, sites[0]))
         rho = dense_ref.execute_native(c, params, timing_model=timing_model)
-        err = np.max(np.abs(dense_ref.to_dense(state)
+        err = np.max(np.abs(dense_ref.to_dense(dense_ref.join(parts))
                             - dense_ref.to_matrix(rho)))
         assert err < 1e-10, (trial, err)
+
+
+def test_wide_bernstein_vazirani_makes_no_register_sized_state(monkeypatch):
+    # the wide benchmark workload's instance at seed 1: czs on (0, 7),
+    # (1, 7), (3, 7) and (5, 7), so sites 2, 4 and 6 never share a cz
+    sizes, init = [], QuquartState.__init__
+
+    def recorded(self, n_sites, *args):
+        sizes.append(n_sites)
+        init(self, n_sites, *args)
+
+    monkeypatch.setattr(QuquartState, "__init__", recorded)
+    rec = run_instance(BenchmarkSpec("BernsteinVazirani", 7, "1101010"),
+                       "all_to_all", NoiseParams())
+    assert rec.status == "ok" and rec.native_gate_counts["cz"] == 4
+    assert max(sizes) == 5 and 8 not in sizes, sizes
+
+
+def test_memory_cap_bounds_the_sum_of_the_components(monkeypatch):
+    made, init = [], QuquartState.__init__
+    monkeypatch.setattr(QuquartState, "__init__",
+                        lambda self, *a: made.append(a) or init(self, *a))
+    c = Circuit(4, [cz(0, 2), cz(1, 3)])
+    # the cap admits either 2-site state but not both
+    cap = 2 * footprint(2) - 1
+    assert footprint(2) <= cap
+    with pytest.raises(CapacityError, match=r"\[2, 2\] sites"):
+        execute_native(c, NOISELESS, memory_cap=cap)
+    assert made == []   # checked before any state is allocated
+    parts, _ = execute_native(c, NOISELESS, memory_cap=cap + 1)
+    assert [sites for sites, _ in parts] == [(0, 2), (1, 3)]
+
+
+def test_a_register_past_the_cap_runs_when_its_components_fit():
+    # BernsteinVazirani on 11 data qubits and an ancilla with a 2-bit
+    # secret, built as its generator builds it (the kind's widths stop at
+    # 10): no cap admits 12 sites in one state, but the largest component
+    # has 3
+    w, secret = 11, "10000001000"
+    c = Circuit(w + 1, metadata={"measured_qubits": list(range(w))})
+    c.add(Gate("x", (w,)))
+    c.add(grot(math.pi / 2, math.pi / 2))
+    for i, bit in enumerate(secret):
+        if bit == "1":
+            c.add(Gate("cx", (i, w)))
+    c.add(grot(math.pi / 2, -math.pi / 2))
+    assert footprint(w + 1) > DEFAULT_MEMORY_CAP
+    out = run_reference(c, NOISELESS)
+    ideal = bench.ideal_distribution(c)
+    assert ideal.entries == {secret: pytest.approx(1.0)}
+    assert classical_fidelity(ideal, out)[2] == pytest.approx(1.0, abs=1e-9)
+
+
+def split_circuit(rng, n: int) -> tuple:
+    """A random native circuit on n sites in site groups, sites shuffled:
+    the czs stay inside pairs, a site left over is a group with rz gates
+    alone, and the last site has no op but global pulses.  On 4 sites that
+    is a pair, a single site and the last site.  Returns (circuit,
+    groups)."""
+    order = [int(s) for s in rng.permutation(n)]
+    pairs = [order[k:k + 2] for k in range(0, n - 2, 2)]
+    groups = pairs + [[s] for s in order[2 * len(pairs):]]
+    c = Circuit(n)
+    for _ in range(int(rng.integers(8, 13))):
+        r = rng.integers(5)
+        if r == 0:
+            c.add(grot(*map(float, rng.uniform(-np.pi, np.pi, size=2))))
+        elif r < 3:
+            c.add(rz(int(rng.choice(order[:-1])), float(rng.uniform(-6, 6))))
+        else:
+            c.add(cz(*pairs[int(rng.integers(len(pairs)))]))
+    return c, groups
+
+
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+def test_split_components_match_the_dense_engine(timing_model):
+    # 4 sites: the dense engine holds 16^n complex numbers and applies each
+    # Kraus operator densely, so a 5-site circuit costs it seconds
+    rng, n = np.random.default_rng(41), 4
+    for trial in range(2):
+        c, groups = split_circuit(rng, n)
+        parts, _ = execute_native(c, STRONG, timing_model=timing_model)
+        assert len(parts) >= len(groups), (trial, groups)
+        for sites, state in parts:
+            assert set(sites) == cz_component(c, sites[0]), (trial, sites)
+        rho = dense_ref.execute_native(c, STRONG, timing_model=timing_model)
+        err = np.max(np.abs(dense_ref.to_dense(dense_ref.join(parts))
+                            - dense_ref.to_matrix(rho)))
+        assert err < 1e-10, (trial, err)
+        # readout of a permuted placement and a subset of the qubits
+        l2p = [int(s) for s in rng.permutation(n)]
+        measured = sorted(int(q) for q in rng.choice(n, n - 1, replace=False))
+        out = runner.output_distribution(parts, l2p, measured, 0.03)
+        expect = dense_readout(rho, l2p, measured, 0.03)
+        assert np.max(np.abs(out.probs - expect)) < 1e-12, trial
+
+
+def test_a_layer_decoheres_every_component_for_its_slowest_gate():
+    # each layer holds a cz in one component and an rz in the other: under
+    # "layer" every site idles for the cz's duration, not for the slowest
+    # gate of its own component
+    c = Circuit(4, [cz(0, 1), rz(2, 1.3), cz(3, 2), rz(0, -0.7)])
+    layers = schedule_layers(c)[0]
+    assert [[g.name for g in layer] for layer in layers] == [["cz", "rz"]] * 2
+    assert gate_duration(cz(0, 1), STRONG) > gate_duration(rz(2, 1.3), STRONG)
+    parts, _ = execute_native(c, STRONG, timing_model="layer")
+    assert [sites for sites, _ in parts] == [(0, 1), (2, 3)]
+    rho = dense_ref.execute_native(c, STRONG, timing_model="layer")
+    err = np.max(np.abs(dense_ref.to_dense(dense_ref.join(parts))
+                        - dense_ref.to_matrix(rho)))
+    assert err < 1e-10, err
+    l2p, measured = [3, 0, 2, 1], [0, 2, 3]
+    out = runner.output_distribution(parts, l2p, measured, 0.03)
+    expect = dense_readout(rho, l2p, measured, 0.03)
+    assert np.max(np.abs(out.probs - expect)) < 1e-12
 
 
 def dense_readout(rho, l2p, measured, meas_error):
@@ -225,9 +363,10 @@ def test_readout_maps_sites_through_a_permuted_axis_order(spec, topology,
     routed, l2p = transpile(circuit,
                             make_topology(topology, circuit.n_qubits))
     params = NoiseParams(meas_error=0.03)
-    state, _ = execute_native(routed, params, timing_model=timing_model)
-    assert state.axes != tuple(range(state.n_sites))
-    out = runner.output_distribution(state, l2p, circuit.measured_qubits,
+    parts, _ = execute_native(routed, params, timing_model=timing_model)
+    assert any(state.axes != tuple(range(state.n_sites))
+               for _, state in parts)
+    out = runner.output_distribution(parts, l2p, circuit.measured_qubits,
                                      params.meas_error)
     rho = dense_ref.execute_native(routed, params, timing_model=timing_model)
     expect = dense_readout(rho, l2p, circuit.measured_qubits,
@@ -241,7 +380,7 @@ def test_readout_floor_keeps_a_non_finite_entry(monkeypatch, bad):
     monkeypatch.setattr(runner.metrics, "apply_measurement_error_vector",
                         lambda v, n, e: np.array([1.0, bad]))
     with pytest.raises(ValidationError, match="finite"):
-        runner.output_distribution(QuquartState(1), [0], [0], 0.0)
+        runner.output_distribution([((0,), QuquartState(1))], [0], [0], 0.0)
 
 
 @pytest.mark.parametrize("ops,carrier", [
@@ -421,8 +560,7 @@ def test_plan_memo_is_keyed_on_every_field_the_plan_reads():
             execute_native(native, base)
             direct, _ = execute_native(native, p, timing_model=timing_model)
             fresh, _ = execute_native(copy, p, timing_model=timing_model)
-            assert np.array_equal(direct.blocks, fresh.blocks), (f,
-                                                                 timing_model)
+            assert same_parts(direct, fresh), (f, timing_model)
 
 
 def test_plan_memo_recompiles_nothing_for_a_cz_field(monkeypatch):
@@ -458,21 +596,24 @@ def test_execute_native_keeps_no_plan(monkeypatch):
     first, _ = execute_native(native, NoiseParams())
     second, _ = execute_native(native, NoiseParams())
     assert len(compiled) == 2
-    assert np.array_equal(first.blocks, second.blocks)
+    assert same_parts(first, second)
 
 
 def test_plan_memo_holds_at_most_two_pair_matrices_per_cz():
     circuit, _ = bench.generate(BenchmarkSpec("QftMethod2", 3, 5))
     runner._reference.cache_clear()
     run_reference(circuit, NoiseParams())
-    native, (_, start, passes) = runner._reference(circuit.n_qubits,
-                                                   tuple(circuit.ops))
+    native, (_, groups, passes) = runner._reference(circuit.n_qubits,
+                                                    tuple(circuit.ops))
     n_cz = native.gate_counts()["cz"]
     assert len(passes) == n_cz > 2
     held = sum(m.nbytes for *_, before, after in passes
                for m in (before, after) if m is not None)
     assert held <= n_cz * 2 * (N_SYMBOLS**2) ** 2 * 8, held
-    assert start is None or len(start) == native.n_qubits
+    assert sorted(s for sites, _ in groups for s in sites) == list(
+        range(native.n_qubits))
+    assert all(start is None or len(start) == len(sites)
+               for sites, start in groups)
 
 
 def test_plan_memo_is_thread_safe():
@@ -504,7 +645,8 @@ def test_execute_timing_models_differ():
     p = NoiseParams()
     a, _ = execute_native(native, p, timing_model="gate")
     b, _ = execute_native(native, p, timing_model="layer")
-    assert np.max(np.abs(a.blocks - b.blocks)) > 1e-12
+    assert np.max(np.abs(dense_ref.join(a).blocks
+                         - dense_ref.join(b).blocks)) > 1e-12
     with pytest.raises(ValidationError):
         execute_native(native, p, timing_model="sundial")
 
