@@ -439,18 +439,13 @@ def _ghz_ops(w: int) -> list:
 
 
 def _ghz(spec: BenchmarkSpec) -> Circuit:
-    c = Circuit(spec.width, metadata={"measured_qubits": list(range(spec.width))})
-    for op in _ghz_ops(spec.width):
-        c.add(op)
-    return c
+    return Circuit(spec.width, _ghz_ops(spec.width),
+                   {"measured_qubits": list(range(spec.width))})
 
 
 def _ghz_parity(spec: BenchmarkSpec) -> Circuit:
-    c = Circuit(spec.width, metadata={"measured_qubits": list(range(spec.width))})
-    for op in _ghz_ops(spec.width):
-        c.add(op)
-    c.add(grot(spec.instance_param, HALF_PI))  # the analysis angle
-    return c
+    # the analysis angle
+    return _ghz(spec).add(grot(spec.instance_param, HALF_PI))
 
 
 # -- the kind table ----------------------------------------------------------

@@ -32,15 +32,9 @@ from .errors import ValidationError, ParameterRegimeError
 SITE_DIM = 4
 
 # Generalized Pauli operators: identity on the loss subspace.
-PAULI_X = np.array(
-    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
-)
-PAULI_Y = np.array(
-    [[0, -1j, 0, 0], [1j, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
-)
-PAULI_Z = np.array(
-    [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
-)
+PAULI_X = np.eye(4, dtype=complex)[[1, 0, 2, 3]]
+PAULI_Y = np.array([[0, -1j, 0, 0], [1j, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+PAULI_Z = np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)
 
 CPTP_ATOL = 1e-10
 

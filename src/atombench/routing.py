@@ -247,8 +247,20 @@ def route(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
     return Circuit(n, ops, dict(circuit.metadata)), l2p
 
 
+def lower_and_optimize(circuit: Circuit) -> Circuit:
+    """Transpile's topology-free half: lower, then optimize."""
+    return optimize_native(lower_to_native(circuit))
+
+
+def route_and_optimize(native: Circuit, topology: Topology
+                       ) -> tuple[Circuit, list]:
+    """Transpile's per-topology half: route, then optimize; `native` is
+    only read."""
+    routed, l2p = route(native, topology)
+    return optimize_native(routed), l2p
+
+
 def transpile(circuit: Circuit, topology: Topology) -> tuple[Circuit, list]:
     """Lower, optimize, route, optimize: the native circuit simulated for an
     abstract circuit on `topology`, and its final logical->physical map."""
-    routed, l2p = route(optimize_native(lower_to_native(circuit)), topology)
-    return optimize_native(routed), l2p
+    return route_and_optimize(lower_and_optimize(circuit), topology)

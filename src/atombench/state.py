@@ -18,8 +18,8 @@ builds every op from those checked constants, and ``fuse`` multiplies ops.
 Each application is one pass over the state and ends with one trace check.
 An op may be a product of several gates' ops: the runner folds each site's
 1-site ops into the pair ops on that site, so one checked pass can carry
-many gates, and starts a site that has no pair op in the product of its
-ops applied to |0> (``set_product``).
+many gates, and starts a site that has no pair op, a 1-site state, in the
+product of its ops applied to |0> (``set_site``).
 A state owns two buffers of this shape: every pass writes the spare one and
 the two swap, and between passes the spare is the check's scratch, so no
 pass allocates anything state-sized.
@@ -291,32 +291,11 @@ class QuquartState:
         self._check_invariants()
         return self
 
-    def set_product(self, vectors):
-        """rho <- the product state of one 6-vector of coordinates per site,
-        site 0 first, then one check.
-
-        Built from the last site back, alternating between the two buffers:
-        each site writes the product so far times each of its coordinates,
-        one slab each, so the build allocates nothing that grows with n.
-        The buffer ends in natural site order.
-        """
-        if len(vectors) != self.n_sites:
-            raise ValidationError(f"{len(vectors)} site vectors for "
-                                  f"{self.n_sites} sites")
-        self._axes = list(range(self.n_sites))
-        # the last of the n - 1 slab steps writes self._buf
-        src, dst = self._buf.reshape(-1), self._spare.reshape(-1)
-        if self.n_sites % 2 == 0:
-            src, dst = dst, src
-        src[:N_SYMBOLS] = vectors[-1]
-        size = N_SYMBOLS
-        for v in reversed(vectors[:-1]):
-            rest = src[:size]
-            slabs = dst[:N_SYMBOLS * size].reshape(N_SYMBOLS, size)
-            for j in range(N_SYMBOLS):
-                np.multiply(rest, v[j], out=slabs[j])
-            src, dst = dst, src
-            size *= N_SYMBOLS
+    def set_site(self, vector):
+        """rho <- a 1-site state's 6-vector of coordinates, then one check."""
+        if self.n_sites != 1:
+            raise ValidationError(f"one site vector for {self.n_sites} sites")
+        np.copyto(self._buf, vector)
         self._check_invariants()
         return self
 

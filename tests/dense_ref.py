@@ -9,6 +9,7 @@ coordinates back to its complex symbols, one site axis at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -70,6 +71,14 @@ def join(parts) -> QuquartState:
     joined = QuquartState(len(order))
     joined.blocks = t.transpose(np.argsort(order))
     return joined
+
+
+def set_product(state, vectors) -> QuquartState:
+    """state <- the product of one 6-vector of coordinates per site, site 0
+    first, written through ``blocks`` (``QuquartState.set_site`` sets one
+    site)."""
+    state.blocks = functools.reduce(np.multiply.outer, vectors)
+    return state
 
 
 def dense_element(state, row, col) -> complex:

@@ -1,9 +1,12 @@
 """Runner pipeline: execute, score, sweep, serialize."""
 
+import gc
 import json
 import math
 import sys
+import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -770,6 +773,118 @@ def test_run_suite_records_memory_error(monkeypatch):
     assert status[2] == ("ok", "")
     assert status[3] == ("error", "MemoryError: no room for the state")
     assert [a["n_failed"] for a in aggregates] == [0, 1]
+
+
+def without_time(record: ResultRecord) -> dict:
+    return {k: v for k, v in record.to_dict().items() if k != "wall_time"}
+
+
+@pytest.fixture
+def fresh_front(monkeypatch):
+    """An empty front-end memo for this thread."""
+    monkeypatch.setattr(runner, "_front", threading.local())
+
+
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+@pytest.mark.parametrize("order", [("all_to_all", "grid"),
+                                   ("grid", "all_to_all")])
+def test_memo_serves_the_record_of_a_cold_call(monkeypatch, order,
+                                                timing_model):
+    spec = BenchmarkSpec("QftMethod2", 3, 5)
+    cold = []
+    for topology in order:
+        monkeypatch.setattr(runner, "_front", threading.local())
+        cold.append(run_instance(spec, topology, NoiseParams(),
+                                 timing_model=timing_model))
+    monkeypatch.setattr(runner, "_front", threading.local())
+    served = [run_instance(spec, topology, NoiseParams(),
+                           timing_model=timing_model) for topology in order]
+    assert [without_time(r) for r in served] == [without_time(r) for r in cold]
+    assert cold[0].f != cold[1].f   # the topologies differ
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_suite_generates_each_spec_once(monkeypatch, fresh_front,
+                                            workers):
+    calls, generate = [], bench.generate
+    monkeypatch.setattr(bench, "generate",
+                        lambda spec: calls.append(spec) or generate(spec))
+    records, _ = run_suite(RunConfig.from_dict({
+        "kinds": ["Ghz", "BernsteinVazirani"], "widths": [2, 3],
+        "topologies": ["all_to_all", "grid"],
+        "samples_per_point": {"BernsteinVazirani": 2}, "workers": workers}))
+    specs = {(r.kind, r.width, r.instance_param) for r in records}
+    assert len(records) == 2 * len(specs) == 12
+    assert len(calls) == len(specs)
+    assert {(s.kind, s.width, s.instance_param) for s in calls} == specs
+
+
+def test_front_end_of_the_previous_spec_is_released(fresh_front):
+    run_instance(BenchmarkSpec("QftMethod2", 3, 5), "grid", NOISELESS)
+    entry = runner._front.entry
+    held = [weakref.ref(entry[2]), weakref.ref(entry[3])]
+    del entry
+    run_instance(BenchmarkSpec("QftMethod2", 3, 6), "grid", NOISELESS)
+    gc.collect()
+    assert [ref() for ref in held] == [None, None]
+
+
+@pytest.mark.parametrize("line_first", [False, True])
+def test_capacity_error_on_one_topology_leaves_the_others(line_first):
+    # a 1x2 grid cannot hold 3 qubits; it fails after the front end is made
+    base = {"kinds": ["Ghz", "QftMethod2"], "widths": [3],
+            "samples_per_point": {"QftMethod2": 2}}
+    line = {"grid": [1, 2]}
+    topologies = ["all_to_all", line, "grid"]
+    if line_first:
+        topologies = topologies[1:] + topologies[:1]
+    records, aggregates = run_suite(RunConfig.from_dict(
+        {**base, "topologies": topologies}))
+    alone, _ = run_suite(RunConfig.from_dict(
+        {**base, "topologies": [t for t in topologies if t != line]}))
+    failed = [r for r in records if r.status == "error"]
+    assert len(failed) == 3 and all(
+        r.error.startswith("CapacityError: grid 1x2") for r in failed)
+    assert [without_time(r) for r in records if r.status != "error"] == [
+        without_time(r) for r in alone]
+    assert [a["n_failed"] for a in aggregates] == [
+        a["n_instances"] * (t == line) for a, t in zip(
+            aggregates, topologies * 2)]
+
+
+def test_topologies_do_not_change_the_shared_circuit(fresh_front):
+    spec = BenchmarkSpec("PhaseEstimation", 4, 3)
+
+    def digest(entry):
+        _, measured, ideal, native = entry
+        return json.dumps([measured, ideal.probs.tolist(), native.to_dict()])
+
+    run_instance(spec, "all_to_all", NoiseParams())
+    entry = runner._front.entry
+    before = digest(entry)
+    for topology in ("grid", {"grid": [1, 4]}, "all_to_all", "grid"):
+        run_instance(spec, topology, NoiseParams(), timing_model="layer")
+    assert runner._front.entry is entry
+    assert digest(entry) == before
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_suite_returns_records_point_by_point(workers):
+    kinds, widths, topologies = ["BernsteinVazirani", "QftMethod2"], [2, 3], [
+        "grid", "all_to_all"]
+    records, aggregates = run_suite(RunConfig.from_dict({
+        "noise": "noiseless", "kinds": kinds, "widths": widths,
+        "topologies": topologies, "workers": workers,
+        "samples_per_point": {"BernsteinVazirani": 3, "QftMethod2": 3}}))
+    # each (kind, width, topology) point, its instances in sampled order
+    want = [(kind, width, topology, spec.instance_param)
+            for kind in kinds for width in widths for topology in topologies
+            for spec in bench.sample_instances(kind, width, 3)]
+    assert [(r.kind, r.width, r.topology, r.instance_param)
+            for r in records] == want
+    assert [(a["kind"], a["width"], a["topology"]) for a in aggregates] == [
+        (kind, width, topology) for kind in kinds for width in widths
+        for topology in topologies]
 
 
 def test_bell_state_fidelity_bounds():

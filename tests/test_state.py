@@ -351,7 +351,7 @@ def test_random_sequences_carry_the_axis_order_between_passes(n):
                 ref = dense_ref.apply_symbol_matrix(ref, op, (s,))
         elif kind == "product":
             vs = _site_vectors(rng, n)
-            st.set_product(vs)
+            dense_ref.set_product(st, vs)
             ref = functools.reduce(np.kron, vs).reshape((N_SYMBOLS,) * n)
         else:
             ref = dense_ref.apply_symbol_matrix(
@@ -417,10 +417,10 @@ def test_trace_check_rejects_nan():
     with pytest.raises(PatternLeakError, match="trace"):
         QuquartState(2).apply_channel(
             (0,), np.full((N_SYMBOLS, N_SYMBOLS), np.nan))
-    vs = _site_vectors(np.random.default_rng(0), 2)
-    vs[1][0] = np.nan
+    v = _site_vectors(np.random.default_rng(0), 1)[0]
+    v[0] = np.nan
     with pytest.raises(PatternLeakError, match="trace"):
-        QuquartState(2).set_product(vs)
+        QuquartState(1).set_site(v)
 
 
 def test_fuse_converts_each_site_channel_once(monkeypatch):
@@ -525,33 +525,41 @@ def _site_vectors(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_set_product_is_the_kronecker_product(n):
+    # a product of n sites is written by dense_ref.set_product through the
+    # blocks setter; the state itself sets one site, checked
     vs = _site_vectors(np.random.default_rng(n), n)
     st = QuquartState(n).apply_global_unitary(
         _unitary(global_rotation_matrix(0.4, 1.3)))
-    st.set_product(vs)
+    dense_ref.set_product(st, vs)
     expect = functools.reduce(np.kron, vs).reshape((N_SYMBOLS,) * n)
     assert np.max(np.abs(st.blocks - expect)) < 1e-15
-    with pytest.raises(PatternLeakError, match="trace"):
-        st.set_product([1.01 * vs[0]] + vs[1:])
     with pytest.raises(ValidationError):
-        st.set_product(vs + vs[:1])
+        dense_ref.set_product(st, vs + vs[:1])
+    if n > 1:
+        with pytest.raises(ValidationError):
+            st.set_site(vs[0])
+        return
+    assert np.array_equal(st.set_site(vs[0]).blocks, vs[0])
+    with pytest.raises(PatternLeakError, match="trace"):
+        st.set_site(1.01 * vs[0])
 
 
 def test_set_product_allocates_nothing_per_site():
-    # the build writes only into the state's two buffers, and its trace
-    # check gathers into the spare: neither allocates with n
+    # the trace check gathers into the spare, so it allocates nothing that
+    # grows with n, and setting a site writes only into its buffer
     vs = _site_vectors(np.random.default_rng(8), 8)
-    st = QuquartState(8).set_product(vs)
+    st = dense_ref.set_product(QuquartState(8), vs)
+    site = QuquartState(1)
     peaks = []
     tracemalloc.start()
     try:
-        for call in (st.trace, lambda: st.set_product(vs)):
+        for call in (st.trace, lambda: site.set_site(vs[0])):
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             call()
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
     finally:
         tracemalloc.stop()
-    check, product = peaks
+    check, one_site = peaks
     assert check < 2048, check
-    assert product - check < 1024, peaks
+    assert one_site - check < 1024, peaks
