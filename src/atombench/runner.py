@@ -9,17 +9,20 @@ decoherence interval, the layer's maximum gate duration, to every site.
 Compile (``_compile``) schedules the circuit and records every 1-site op
 that ``gatemodel`` gives, and each ``cz`` as its sites.  Ops on disjoint
 sites commute and each site keeps its order, so the 1-site ops fold into
-the ``cz`` passes: a ``cz`` carries its two sites' 1-site ops since their
+the ``cz``s: a ``cz`` carries its two sites' 1-site ops since their
 previous ``cz`` (before) and, at a site's last ``cz``, every op after it
 (after); a site with no ``cz`` starts in the product of all its ops
-applied to |0>.  Sites that no chain of ``cz``s joins share no op that
-entangles, so run (``_run``) holds one state per connected component of
-the ``cz`` graph, their footprints within ``memory_cap`` together.  It
-sets each site with no ``cz`` to its vector, checked once, and makes one
-checked pass per ``cz`` on its component's state: after @ cz_op @ before,
-the ``cz`` op looked up once under the run's params.  The 1-site ops, a
-layer's decoherence included, come from the whole schedule, so the states
-are exactly the factors of the register's state.
+applied to |0>.  So a ``cz`` whose sites last met in a ``cz`` on the same
+pair, as in a routing SWAP, joins that ``cz``'s pair block.  Sites that no
+chain of ``cz``s joins share no op that entangles, so run (``_run``) holds
+one state per connected component of the ``cz`` graph, their footprints
+within ``memory_cap`` together.  It sets each site with no ``cz`` to its
+vector, checked once, and makes one checked pass per pair block on its
+component's state: after @ (cz_op @ before, per ``cz``), the ``cz`` op
+looked up once under the run's params, its sites swapped for a reversed
+``cz``.  The 1-site ops, a layer's decoherence included, come from the
+whole schedule, so the states are exactly the factors of the register's
+state.
 
 Both ``run_instance`` and ``run_reference`` simulate the native circuit
 that ``routing.transpile`` gives, a reference's on all-to-all.
@@ -33,7 +36,8 @@ circuit holds no matrix per gate.  ``run_reference`` keeps one plan per
 reference in its memo entry (``_reference``), keyed on the value of every
 ``NoiseParams`` field but the ``cz`` op's own and the readout error.  So a
 fit with only ``cz`` rates free compiles each reference once, and each
-evaluation builds one ``cz`` op and makes two 36x36 products per pass.
+evaluation builds one ``cz`` op and makes about two 36x36 products per
+``cz``.
 Readout reduces each component to the bitstring probabilities of its
 measured sites, the physical positions of the measured qubits under the
 router's final placement, and joins them by outer product into one
@@ -61,9 +65,11 @@ from .errors import (AtombenchError, CapacityError, DegenerateIdealError,
 from .routing import (Topology, lower_and_optimize, route_and_optimize,
                       transpile)
 from .state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState, footprint,
-                    pair_kron)
+                    pair_kron, pair_swapped)
 
 _READOUT_FLOOR = 1e-15   # readout probabilities at or below it are stored as 0
+_EYE = np.eye(N_SYMBOLS)  # the site identity of _pair, shared read-only
+_EYE.flags.writeable = False
 
 
 @dataclass
@@ -192,12 +198,17 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
     groups holds one (sites, start) per component, sites ascending, ordered
     by their least site: start is [T_s e0] for a site with no ``cz`` and an
     op, and None (the state's |0...0>) for the others.  passes yields one
-    (component, local sites, before, after) per ``cz``, in circuit order:
-    before is kron(P_a, P_b), P_s the product of the site's 1-site ops since
-    its previous ``cz``, and after is kron(T_a, T_b), T_s taken only at the
-    site's last ``cz`` (the identity elsewhere); either is None for the
-    identity.  passes is a generator, so a streamed plan holds no matrix
-    per gate.
+    (component, local sites, steps, after) per pair block: a ``cz`` on (a,
+    b) joins the block of the last ``cz`` on a if that was also the last on
+    b, or else closes the blocks open on a and b and opens one in its own
+    orientation.  steps holds (before, flip) per ``cz``, in circuit order:
+    before is kron(P_a, P_b) in the block's orientation, P_s the product of
+    the site's 1-site ops since its previous ``cz``; flip marks a reversed
+    ``cz``.  A block is yielded as it closes, or at the last ``cz`` of a or
+    b with after kron(T_a, T_b), T_s the identity for a site with a later
+    ``cz``; None stands for the identity.  passes is a generator, and steps
+    makes each before as it is read: an open block holds its sites' 6x6
+    products, so a streamed plan holds no 36x36 matrix per gate.
     """
     layers, depth = schedule_layers(circuit)
     n_sites = circuit.n_qubits
@@ -248,7 +259,15 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
         groups.append((tuple(sites), None if t is None else [t[:, 0]]))
 
     def passes():
-        pending = [None] * n_sites
+        # open_[s]: (sites, [(P_a, P_b, flip) per cz]) of the block open on s
+        pending, open_ = [None] * n_sites, [None] * n_sites
+
+        def item(block, after):
+            (a, b), steps = block
+            open_[a] = open_[b] = None
+            (k, la), (_, lb) = where[a], where[b]
+            return k, (la, lb), ((_pair(x, y), f) for x, y, f in steps), after
+
         for i, (sites, m) in enumerate(ops):
             if m is not None:
                 for s in every if sites is None else sites:
@@ -256,13 +275,18 @@ def _compile(circuit: Circuit, params: NoiseParams, per_gate: bool
                         p = pending[s]
                         pending[s] = m if p is None else m @ p
                 continue
-            a, b = sites
-            before = _pair(pending[a], pending[b])
-            after = _pair(tail[a] if last[a] == i else None,
-                          tail[b] if last[b] == i else None)
+            block = open_[sites[0]]
+            if block is None or block is not open_[sites[1]]:
+                for s in sites:
+                    if open_[s] is not None:
+                        yield item(open_[s], None)
+                block = open_[sites[0]] = open_[sites[1]] = (sites, [])
+            (a, b), steps = block
+            steps.append((pending[a], pending[b], sites != (a, b)))
             pending[a] = pending[b] = None
-            (k, la), (_, lb) = where[a], where[b]
-            yield k, (la, lb), before, after
+            if i in (last[a], last[b]):     # no later cz can join it
+                yield item(block, _pair(tail[a] if last[a] == i else None,
+                                        tail[b] if last[b] == i else None))
 
     return depth, tuple(groups), passes()
 
@@ -272,8 +296,7 @@ def _pair(a, b):
     None if both are."""
     if a is None and b is None:
         return None
-    eye = np.eye(N_SYMBOLS)
-    return pair_kron(eye if a is None else a, eye if b is None else b)
+    return pair_kron(_EYE if a is None else a, _EYE if b is None else b)
 
 
 # every NoiseParams field but the cz op's own and the readout error: the
@@ -286,9 +309,10 @@ def _run(groups, passes, params: NoiseParams, per_gate: bool,
          memory_cap: int) -> tuple:
     """Run a pass plan (``_compile``): make one state per group, all within
     `memory_cap` together, set each given start, checked, then make one
-    checked pass per item of `passes` on its group's state: the ``cz`` op
-    under `params`, which reads no site, between its before and after.
-    Returns the parts, one (sites, state) per group."""
+    checked pass per pair block on its group's state: each step's before,
+    then the ``cz`` op under `params`, which reads no site (its sites
+    swapped for a flipped step), then the block's after.  Returns the parts,
+    one (sites, state) per group."""
     sizes = [len(sites) for sites, _ in groups]
     need = sum(map(footprint, sizes))
     if need > memory_cap:
@@ -299,8 +323,16 @@ def _run(groups, passes, params: NoiseParams, per_gate: bool,
         if start is not None:
             state.set_site(*start)
     op = gatemodel.native_op(cz(0, 1), params, decohere=per_gate)
-    for k, sites, before, after in passes:
-        m = op if before is None else op @ before
+    cz_ops = [op, None]     # by a step's flip; the swapped op made on use
+    for k, sites, steps, after in passes:
+        m = None
+        for before, flip in steps:
+            if before is not None:
+                m = before if m is None else before @ m
+            c = cz_ops[flip]
+            if c is None:
+                c = cz_ops[1] = pair_swapped(op)
+            m = c if m is None else c @ m
         states[k].apply_channel(sites, m if after is None else after @ m)
     return tuple((sites, state) for (sites, _), state in zip(groups, states))
 
@@ -393,9 +425,10 @@ def _reference(n_qubits: int, ops: tuple) -> list:
     ops), keyed on content (a ``Circuit`` is mutable) and never evicted.
 
     native is transpile's circuit on all-to-all; plan is None or (key,
-    groups, passes), its pass plan under the "gate" timing model, key the values of
-    _PLAN_FIELDS it was compiled under.  ``run_reference`` replaces plan by
-    one store of a tuple, so a thread reads the old plan or the new one.
+    groups, passes), its pass plan under the "gate" timing model with every
+    block's steps made, key the values of _PLAN_FIELDS it was compiled
+    under.  ``run_reference`` replaces plan by one store of a tuple, so a
+    thread reads the old plan or the new one.
     """
     return [transpile(Circuit(n_qubits, list(ops)),
                       Topology.all_to_all(n_qubits))[0], None]
@@ -417,7 +450,9 @@ def run_reference(circuit: Circuit, params: NoiseParams,
     key = tuple([getattr(params, f) for f in _PLAN_FIELDS])
     if plan is None or plan[0] != key:
         _, groups, passes = _compile(native, params, True)
-        plan = entry[1] = (key, groups, tuple(passes))
+        plan = entry[1] = (key, groups, tuple(
+            (k, sites, tuple(steps), after)
+            for k, sites, steps, after in passes))
     parts = _run(*plan[1:], params, True, memory_cap)
     return output_distribution(parts, range(native.n_qubits),
                                circuit.measured_qubits, params.meas_error)

@@ -87,6 +87,13 @@ def pair_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         N_SYMBOLS**2, N_SYMBOLS**2)
 
 
+def pair_swapped(m: np.ndarray) -> np.ndarray:
+    """A pair op with its two sites swapped: the same map, for the pair
+    taken in the other order (its coordinate is 6*x_first + x_second)."""
+    return m.reshape((N_SYMBOLS,) * 4).transpose(1, 0, 3, 2).reshape(
+        N_SYMBOLS**2, N_SYMBOLS**2)
+
+
 # (basis, inverse) of a site or a pair, by matrix size, built once
 _BASES = {N_SYMBOLS: (BASIS, BASIS_INV), N_SYMBOLS**2: (
     pair_kron(BASIS, BASIS), pair_kron(BASIS_INV, BASIS_INV))}
@@ -255,10 +262,7 @@ class QuquartState:
                 b, out = out, b
                 p, q = axes.index(sites[0]), axes.index(sites[1])
             if p > q:
-                # the pair's coordinate is 6*x_first + x_second
-                matrix = matrix.reshape((N_SYMBOLS,) * 4).transpose(
-                    1, 0, 3, 2).reshape(N_SYMBOLS**2, N_SYMBOLS**2)
-                p = q
+                matrix, p = pair_swapped(matrix), q
             width *= N_SYMBOLS
         lead = N_SYMBOLS**p
         trail = b.size // (lead * width)

@@ -33,7 +33,7 @@ from atombench.runner import (
     topology_label,
 )
 from atombench.state import (DEFAULT_MEMORY_CAP, N_SYMBOLS, QuquartState,
-                             footprint)
+                             footprint, pair_kron)
 
 NOISELESS = NoiseParams.noiseless()
 
@@ -180,20 +180,40 @@ def test_execute_native_matches_dense_engine_on_folded_ops(timing_model, n,
     assert err < 1e-10, err
 
 
-@pytest.mark.parametrize("timing_model", ["gate", "layer"])
-def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
-                                                      timing_model):
+def pair_blocks(c: Circuit) -> int:
+    """The pair blocks of a circuit's czs: a cz joins the block of the last
+    cz on its two sites when that cz was on the same pair, and opens one
+    otherwise; 1-site ops in between join either way."""
+    last, blocks = {}, 0   # last[s]: the pair of the last cz on site s
+    for g in c.ops:
+        if g.name == "cz":
+            pair = frozenset(g.sites)
+            blocks += any(last.get(s) != pair for s in pair)
+            last.update(dict.fromkeys(pair, pair))
+    return blocks
+
+
+def counted_passes(monkeypatch) -> list:
+    """The names of the state methods called from now on, one per pass."""
     passes = []
     for name in ("apply_channel", "apply_global_unitary"):
         def counted(self, *args, _name=name, _fn=getattr(QuquartState, name)):
             passes.append(_name)
             return _fn(self, *args)
         monkeypatch.setattr(QuquartState, name, counted)
+    return passes
+
+
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+def test_execute_native_makes_one_pass_per_pair_block_and_site(monkeypatch,
+                                                              timing_model):
+    passes = counted_passes(monkeypatch)
     params = NoiseParams(uw_depol_per_pi=0.02, rz_loss_dark_per_pi=0.02,
                          cz_phaseflip=0.08, cz_loss_bright=0.07,
                          prep_error=0.05, dur_uw_pi=2e-5, dur_rz_pi=1e-4,
                          dur_cz=2e-4)
     rng = np.random.default_rng(23)
+    n_blocks = n_czs = 0
     for trial in range(6):
         n = 2 + trial % 3
         c = Circuit(n)
@@ -207,11 +227,13 @@ def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
                 c.add(cz(*map(int, rng.choice(n, 2, replace=False))))
         passes.clear()
         parts, _ = execute_native(c, params, timing_model=timing_model)
-        n_cz = c.gate_counts().get("cz", 0)
-        # one pass per cz and none for 1-site ops: each site's ops ride its
-        # cz passes or the initial product state
+        blocks = pair_blocks(c)
+        n_blocks += blocks
+        n_czs += c.gate_counts().get("cz", 0)
+        # one pass per pair block and none for 1-site ops: each site's ops
+        # ride its blocks' passes or the initial product state
         assert set(passes) <= {"apply_channel"}
-        assert len(passes) == n_cz, (trial, len(passes), n_cz)
+        assert len(passes) == blocks, (trial, len(passes), blocks)
         # no state is larger than its component of the cz graph
         assert sorted(s for sites, _ in parts for s in sites) == list(range(n))
         for sites, state in parts:
@@ -220,6 +242,65 @@ def test_execute_native_makes_one_pass_per_cz_and_site(monkeypatch,
         err = np.max(np.abs(dense_ref.to_dense(dense_ref.join(parts))
                             - dense_ref.to_matrix(rho)))
         assert err < 1e-10, (trial, err)
+    assert n_blocks < n_czs   # the trials merge czs at all
+
+
+def block_circuit(rng) -> Circuit:
+    """A random 4-site circuit with a 1-site op between its czs, each cz in
+    a random orientation: a block of three czs on (0, 1) with a cz on the
+    disjoint pair (2, 3) in the middle, then a cz on (1, 2), which shares a
+    site with both and closes both blocks, then a block of two on (0, 1).
+    Four pair blocks in all."""
+    c = Circuit(4)
+
+    def one_site_op():
+        if rng.integers(4):
+            c.add(rz(int(rng.integers(4)), float(rng.uniform(-6, 6))))
+        else:
+            c.add(grot(*map(float, rng.uniform(-np.pi, np.pi, size=2))))
+
+    one_site_op()
+    for a, b in ((0, 1), (0, 1), (2, 3), (0, 1), (1, 2), (0, 1), (0, 1)):
+        c.add(cz(a, b) if rng.integers(2) else cz(b, a))
+        one_site_op()
+    return c
+
+
+@pytest.mark.parametrize("mode", ["conditional", "correlated", "per_site"])
+@pytest.mark.parametrize("timing_model", ["gate", "layer"])
+def test_pair_blocks_match_the_dense_engine(monkeypatch, timing_model, mode):
+    passes = counted_passes(monkeypatch)
+    params = STRONG.replace(cz_phaseflip_mode=mode)
+    c = block_circuit(np.random.default_rng(31))
+    parts, _ = execute_native(c, params, timing_model=timing_model)
+    assert len(passes) == pair_blocks(c) == 4, passes
+    rho = dense_ref.execute_native(c, params, timing_model=timing_model)
+    err = np.max(np.abs(dense_ref.to_dense(dense_ref.join(parts))
+                        - dense_ref.to_matrix(rho)))
+    assert err < 1e-10, err
+
+
+def test_a_reversed_cz_in_a_block_uses_the_op_with_its_sites_swapped(
+        monkeypatch):
+    # the real cz op is symmetric under a site swap, so an asymmetric
+    # stand-in is needed to tell a reversed cz from one in block order
+    native_op = gatemodel.native_op
+    stand_in = native_op(cz(0, 1), STRONG) @ pair_kron(
+        native_op(rz(0, 0.9), STRONG), np.eye(N_SYMBOLS))
+    swapped = stand_in.reshape((N_SYMBOLS,) * 4).transpose(1, 0, 3, 2)
+    assert np.max(np.abs(swapped.reshape(stand_in.shape) - stand_in)) > 0.1
+    monkeypatch.setattr(gatemodel, "native_op", lambda g, *args, **kw: (
+        stand_in if g.name == "cz" else native_op(g, *args, **kw)))
+    rng = np.random.default_rng(37)
+    for trial in range(4):
+        c = block_circuit(rng)
+        parts, _ = execute_native(c, STRONG)
+        # per-gate passes in circuit order: one pass per cz
+        state = gatemodel.apply_preparation(QuquartState(4), STRONG)
+        for g in c.ops:
+            gatemodel.apply_gate(state, g, STRONG)
+        err = np.max(np.abs(dense_ref.join(parts).blocks - state.blocks))
+        assert err < 1e-12, (trial, err)
 
 
 def test_wide_bernstein_vazirani_makes_no_register_sized_state(monkeypatch):
@@ -609,9 +690,12 @@ def test_plan_memo_holds_at_most_two_pair_matrices_per_cz():
     native, (_, groups, passes) = runner._reference(circuit.n_qubits,
                                                     tuple(circuit.ops))
     n_cz = native.gate_counts()["cz"]
-    assert len(passes) == n_cz > 2
-    held = sum(m.nbytes for *_, before, after in passes
-               for m in (before, after) if m is not None)
+    # one item per pair block, one step per cz: its before and orientation
+    assert len(passes) == pair_blocks(native) < n_cz
+    assert sum(len(steps) for *_, steps, _ in passes) == n_cz
+    held = sum(m.nbytes for *_, steps, after in passes
+               for m in (*(before for before, _ in steps), after)
+               if m is not None)
     assert held <= n_cz * 2 * (N_SYMBOLS**2) ** 2 * 8, held
     assert sorted(s for sites, _ in groups for s in sites) == list(
         range(native.n_qubits))
